@@ -9,8 +9,32 @@ from ..errors import ConfigError
 
 HANDLING_KINDS = ("fixed", "uniform", "lognormal")
 
+MS_PER_SECOND = 1000
 SECONDS_PER_WEEK = 7 * 24 * 3600.0
 SECONDS_PER_DAY = 24 * 3600.0
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{owner} {name} must be finite, got {value!r}")
+
+
+def _from_json(cls, data, convert: dict):
+    """Build `cls` from a JSON object, converting each present key with
+    `convert[key]`; absent keys take the dataclass defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object")
+    unknown = sorted(set(data) - set(convert))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    try:
+        kwargs = {key: convert[key](value) for key, value in data.items()}
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {cls.__name__} value: {exc}") from None
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -31,6 +55,7 @@ class HandlingTime:
     spread: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite("handling", mean_seconds=self.mean_seconds, spread=self.spread)
         if self.kind not in HANDLING_KINDS:
             raise ConfigError(f"handling kind must be one of {HANDLING_KINDS}, got {self.kind!r}")
         if not self.mean_seconds > 0:
@@ -55,11 +80,7 @@ class HandlingTime:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandlingTime":
-        return cls(
-            kind=data.get("kind", "fixed"),
-            mean_seconds=float(data.get("mean_seconds", 66.7)),
-            spread=float(data.get("spread", 0.0)),
-        )
+        return _from_json(cls, data, {"kind": str, "mean_seconds": float, "spread": float})
 
 
 @dataclass(frozen=True)
@@ -128,7 +149,8 @@ class CellConfig:
     size. `lift_retry_limit` counts total attempts: the default 3 is one
     try plus two further attempts with added downward force.
     `ramp_multiplier` optionally scales productivity week on week
-    (handling times divide by multiplier^week).
+    (handling times divide by multiplier^week). Every float must be finite,
+    and a scan must round to at least 1 ms so that simulated time advances.
     """
 
     scanners_per_robot: int = 2
@@ -140,13 +162,19 @@ class CellConfig:
     attendance: WeeklySchedule = field(default_factory=WeeklySchedule)
     reload_seconds: float = 60.0
     ramp_multiplier: float = 1.0
-    print_sizes: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "cell",
+            scan_seconds=self.scan_seconds,
+            lift_failure_prob=self.lift_failure_prob,
+            reload_seconds=self.reload_seconds,
+            ramp_multiplier=self.ramp_multiplier,
+        )
         if self.scanners_per_robot < 1:
             raise ConfigError("need at least one scanner per robot")
-        if not self.scan_seconds > 0:
-            raise ConfigError("scan duration must be positive")
+        if round(self.scan_seconds * MS_PER_SECOND) < 1:
+            raise ConfigError("scan duration must round to at least 1 ms")
         if self.hopper_capacity is not None and self.hopper_capacity < 1:
             raise ConfigError("hopper capacity must be at least 1 (or None for unlimited)")
         if self.lift_retry_limit < 1:
@@ -157,14 +185,6 @@ class CellConfig:
             raise ConfigError("reload duration must be non-negative")
         if not self.ramp_multiplier > 0:
             raise ConfigError("ramp multiplier must be positive")
-        if self.print_sizes is not None:
-            if not self.print_sizes:
-                raise ConfigError("print_sizes must be non-empty when given")
-            if len(set(self.print_sizes)) > 1:
-                raise ConfigError(
-                    "mixed print sizes in one stack are not allowed: "
-                    + ", ".join(sorted(set(self.print_sizes)))
-                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,31 +197,21 @@ class CellConfig:
             "attendance": self.attendance.to_json(),
             "reload_seconds": self.reload_seconds,
             "ramp_multiplier": self.ramp_multiplier,
-            "print_sizes": list(self.print_sizes) if self.print_sizes else None,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CellConfig":
-        kwargs: dict = {}
-        if "scanners_per_robot" in data:
-            kwargs["scanners_per_robot"] = int(data["scanners_per_robot"])
-        if "scan_seconds" in data:
-            kwargs["scan_seconds"] = float(data["scan_seconds"])
-        if "handling_time" in data:
-            kwargs["handling_time"] = HandlingTime.from_json_dict(data["handling_time"])
-        if "hopper_capacity" in data:
-            capacity = data["hopper_capacity"]
-            kwargs["hopper_capacity"] = None if capacity is None else int(capacity)
-        if "lift_retry_limit" in data:
-            kwargs["lift_retry_limit"] = int(data["lift_retry_limit"])
-        if "lift_failure_prob" in data:
-            kwargs["lift_failure_prob"] = float(data["lift_failure_prob"])
-        if "attendance" in data:
-            kwargs["attendance"] = WeeklySchedule.from_json(data["attendance"])
-        if "reload_seconds" in data:
-            kwargs["reload_seconds"] = float(data["reload_seconds"])
-        if "ramp_multiplier" in data:
-            kwargs["ramp_multiplier"] = float(data["ramp_multiplier"])
-        if data.get("print_sizes") is not None:
-            kwargs["print_sizes"] = tuple(data["print_sizes"])
-        return cls(**kwargs)
+        return _from_json(cls, data, _CELL_JSON)
+
+
+_CELL_JSON = {
+    "scanners_per_robot": int,
+    "scan_seconds": float,
+    "handling_time": HandlingTime.from_json_dict,
+    "hopper_capacity": lambda capacity: None if capacity is None else int(capacity),
+    "lift_retry_limit": int,
+    "lift_failure_prob": float,
+    "attendance": WeeklySchedule.from_json,
+    "reload_seconds": float,
+    "ramp_multiplier": float,
+}

@@ -9,10 +9,11 @@ events (absolute references), never off timed margins; in the trace every
 event names the event that caused it.
 
 Timing model: each robot action happens at the instant its visit starts
-and the phase duration covers the arm movement that follows. A sampled
-handling time h is split 0.3/0.3/0.4 across the unload, plate-transfer
-and pick-and-place phases of one loading cycle, so in steady state one
-completed scan consumes exactly h of robot time. Lid actuation is part of
+and the phase duration covers the arm movement that follows. The unload,
+plate-transfer and pick-and-place phases of one loading cycle each draw
+their own handling time h and take 0.3, 0.3 and 0.4 of it, so in steady
+state one completed scan consumes the mean of h in robot time. Only fixed
+handling keeps the three phases in a 3:3:4 ratio. Lid actuation is part of
 the event chain but consumes no separate time; it is folded into h.
 
 Failures: a hopper pick may fail per attempt; after the retry limit the
@@ -27,14 +28,14 @@ integer milliseconds. Independent runs may execute concurrently.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from .config import CellConfig
+from .config import MS_PER_SECOND, CellConfig
 from .throughput import ThroughputReport
 
-MS_PER_SECOND = 1000
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
 
 UNLOAD_SHARE = 0.3
@@ -42,11 +43,14 @@ PLATE_SHARE = 0.3
 LOAD_SHARE = 0.4
 MIN_STALL_RECOVERY_SECONDS = 1.0
 
-IDLE_AWAITING_LOAD = "idle_awaiting_load"
-SCANNING = "scanning"
-SCANNED_AWAITING_UNLOAD = "scanned_awaiting_unload"
-STALLED_ERROR = "stalled_error"
-HOPPER_EMPTY_LAMP_ON = "hopper_empty_lamp_on"
+# scanner bed states
+BED_EMPTY = "empty"
+BED_SCANNING = "scanning"
+BED_SCANNED = "scanned"
+
+# (attempt, failed, ok) transitions of a hopper pick
+PRINT_LIFT = ("print_lift_attempt", "print_lift_failed", "print_lift_ok")
+PLATE_LIFT = ("plate_lift_attempt", "plate_lift_failed", "plate_lift_ok")
 
 
 @dataclass(frozen=True)
@@ -76,19 +80,6 @@ class SimTrace:
             cause = "" if e.cause_id is None else str(e.cause_id)
             lines.append(f"{e.time_ms},{e.entity},{e.transition},{cause}")
         return "\n".join(lines) + "\n"
-
-
-class _Pending:
-    """Event under construction; ids are assigned after time-sorting."""
-
-    __slots__ = ("time_ms", "entity", "transition", "cause", "order")
-
-    def __init__(self, time_ms: int, entity: str, transition: str, cause: "_Pending | None"):
-        self.time_ms = time_ms
-        self.entity = entity
-        self.transition = transition
-        self.cause = cause
-        self.order = -1
 
 
 class _Hopper:
@@ -134,52 +125,40 @@ class _Hopper:
 
 
 class _Scanner:
+    """One scanner and its input hopper. `bed` is BED_EMPTY (lid open),
+    BED_SCANNING (print on the bed, lid closed) or BED_SCANNED (lid open,
+    awaiting unload); event fields hold indices into the event list."""
+
     __slots__ = (
         "index",
+        "entity",
+        "arrive",
+        "depart",
         "hopper",
-        "bed_scanned",
-        "bed_loaded",
-        "lid_open",
-        "lamp_on",
+        "bed",
         "empty_acknowledged",
-        "phase",
         "ready_event",
         "lamp_event",
-        "output_prints",
-        "output_plates",
         "scanning_ms",
         "scans_done",
         "starved_since_ms",
         "starved_ms",
-        "reload_scheduled",
     )
 
-    def __init__(self, index: int, capacity: int | None, start_event: _Pending):
+    def __init__(self, index: int, capacity: int | None, start_event: int):
         self.index = index
+        self.entity = f"scanner{index}"
+        self.arrive = f"arrive@{self.entity}"
+        self.depart = f"depart@{self.entity}"
         self.hopper = _Hopper(capacity)
-        self.bed_scanned = False
-        self.bed_loaded = False
-        self.lid_open = True
-        self.lamp_on = False
+        self.bed = BED_EMPTY
         self.empty_acknowledged = False
-        self.phase = IDLE_AWAITING_LOAD
         self.ready_event = start_event
-        self.lamp_event: _Pending | None = None
-        self.output_prints = 0
-        self.output_plates = 0
+        self.lamp_event = -1
         self.scanning_ms = 0
         self.scans_done = 0
         self.starved_since_ms: int | None = None
         self.starved_ms = 0
-        self.reload_scheduled = False
-
-    @property
-    def entity(self) -> str:
-        return f"scanner{self.index}"
-
-    @property
-    def bed_empty(self) -> bool:
-        return not (self.bed_scanned or self.bed_loaded)
 
 
 class _Simulation:
@@ -187,10 +166,11 @@ class _Simulation:
         self.config = config
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
-        self.pending: list[_Pending] = []
+        # (time_ms, entity, transition, cause index or -1), in emission order
+        self.events: list[tuple[int, str, str, int]] = []
         self.heap: list[tuple[int, int, object]] = []
         self.seq = 0
-        self.start_event = self.emit(0, "cell", "program_initiated", None)
+        self.start_event = self.emit(0, "cell", "program_initiated", -1)
         self.scanners = [
             _Scanner(i, config.hopper_capacity, self.start_event)
             for i in range(config.scanners_per_robot)
@@ -206,11 +186,10 @@ class _Simulation:
 
     # -- plumbing ---------------------------------------------------------
 
-    def emit(self, time_ms: int, entity: str, transition: str, cause: _Pending | None) -> _Pending:
-        record = _Pending(time_ms, entity, transition, cause)
-        record.order = len(self.pending)
-        self.pending.append(record)
-        return record
+    def emit(self, time_ms: int, entity: str, transition: str, cause: int) -> int:
+        """Record an event and return its index; `cause` is -1 for none."""
+        self.events.append((time_ms, entity, transition, cause))
+        return len(self.events) - 1
 
     def schedule(self, time_ms: int, action) -> None:
         heapq.heappush(self.heap, (time_ms, self.seq, action))
@@ -245,51 +224,53 @@ class _Simulation:
                 return
 
     def start_visit(self, scanner: _Scanner, now_ms: int) -> bool:
-        if scanner.bed_scanned and scanner.lid_open:
+        """Serve `scanner` if it needs the robot; False when it does not."""
+        if scanner.bed == BED_SCANNED:
             self.visit_unload(scanner, now_ms)
-            return True
-        if scanner.bed_empty and scanner.hopper.next_kind == "plate":
-            return self.visit_plate(scanner, now_ms)
-        if scanner.bed_empty and scanner.hopper.next_kind == "print":
-            return self.visit_load(scanner, now_ms)
-        if (
-            scanner.bed_empty
-            and scanner.hopper.next_kind == "empty"
-            and not scanner.empty_acknowledged
-        ):
+        elif scanner.bed == BED_SCANNING:
+            return False
+        elif scanner.hopper.next_kind == "plate":
+            self.visit_plate(scanner, now_ms)
+        elif scanner.hopper.next_kind == "print":
+            self.visit_load(scanner, now_ms)
+        elif not scanner.empty_acknowledged:
             self.visit_empty_check(scanner, now_ms)
-            return True
-        return False
+        else:
+            return False
+        return True
 
-    def begin_visit(self, scanner: _Scanner, now_ms: int) -> _Pending:
+    def begin_visit(self, scanner: _Scanner, now_ms: int) -> int:
         self.robot_last_served = scanner.index
         enabling = scanner.ready_event
-        cause = enabling if enabling.time_ms >= self.robot_last_event.time_ms else self.robot_last_event
-        return self.emit(now_ms, "robot", f"arrive@{scanner.entity}", cause)
+        last = self.robot_last_event
+        cause = enabling if self.events[enabling][0] >= self.events[last][0] else last
+        return self.emit(now_ms, "robot", scanner.arrive, cause)
 
-    def end_visit(self, scanner: _Scanner, start_ms: int, end_ms: int, cause: _Pending) -> None:
-        depart = self.emit(end_ms, "robot", f"depart@{scanner.entity}", cause)
-        self.robot_last_event = depart
+    def end_visit(self, scanner: _Scanner, start_ms: int, end_ms: int, cause: int) -> None:
+        self.robot_last_event = self.emit(end_ms, "robot", scanner.depart, cause)
         self.robot_busy_ms += self.clip(end_ms) - self.clip(start_ms)
         self.robot_free_at_ms = end_ms
         self.schedule(end_ms, self.dispatch_robot)
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
+        """Duration of one phase: `share` of a handling time drawn for this
+        phase alone, sped up by the ramp for the current week."""
         handling = self.config.handling_time.sample(self.rng)
         if self.config.ramp_multiplier != 1.0:
             handling /= self.config.ramp_multiplier ** (now_ms // WEEK_MS)
         return max(0, round(share * handling * MS_PER_SECOND))
 
-    def attempt_lift(self, scanner: _Scanner, kind: str, now_ms: int, cause: _Pending):
+    def attempt_lift(self, scanner: _Scanner, lift: tuple[str, str, str], now_ms: int, cause: int):
         """Run the retry loop for one hopper pick; returns the lift-ok
         event, or None after the final failure (the cell is then stalled)."""
+        attempted, failed, ok = lift
         prev = cause
         for _ in range(self.config.lift_retry_limit):
-            attempt = self.emit(now_ms, scanner.entity, f"{kind}_lift_attempt", prev)
+            attempt = self.emit(now_ms, scanner.entity, attempted, prev)
             if self.rng.random() < self.config.lift_failure_prob:
-                prev = self.emit(now_ms, scanner.entity, f"{kind}_lift_failed", attempt)
+                prev = self.emit(now_ms, scanner.entity, failed, attempt)
             else:
-                return self.emit(now_ms, scanner.entity, f"{kind}_lift_ok", attempt)
+                return self.emit(now_ms, scanner.entity, ok, attempt)
         self.enter_stall(scanner, now_ms, prev)
         return None
 
@@ -299,78 +280,63 @@ class _Simulation:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
         lifted = self.emit(now_ms, scanner.entity, "print_lifted_from_bed", arrive)
-        scanner.bed_scanned = False
+        scanner.bed = BED_EMPTY
         done_ms = now_ms + duration
         unloaded = self.emit(done_ms, scanner.entity, "print_unloaded", lifted)
-        scanner.output_prints += 1
-        scanner.phase = HOPPER_EMPTY_LAMP_ON if scanner.lamp_on else IDLE_AWAITING_LOAD
         scanner.ready_event = unloaded
         self.update_starved(scanner, done_ms)
         self.end_visit(scanner, now_ms, done_ms, unloaded)
 
-    def visit_plate(self, scanner: _Scanner, now_ms: int) -> bool:
+    def visit_plate(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(PLATE_SHARE, now_ms)
         sense = self.emit(now_ms, scanner.entity, "sense_plate", arrive)
-        lift = self.attempt_lift(scanner, "plate", now_ms, sense)
+        lift = self.attempt_lift(scanner, PLATE_LIFT, now_ms, sense)
         if lift is None:
-            return True
+            return
         scanner.hopper.take_plate()
         done_ms = now_ms + duration
         transferred = self.emit(done_ms, scanner.entity, "plate_transferred", lift)
-        scanner.output_plates += 1
         scanner.ready_event = transferred
         self.end_visit(scanner, now_ms, done_ms, transferred)
-        return True
 
-    def visit_load(self, scanner: _Scanner, now_ms: int) -> bool:
+    def visit_load(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(LOAD_SHARE, now_ms)
         sense = self.emit(now_ms, scanner.entity, "sense_print", arrive)
-        lift = self.attempt_lift(scanner, "print", now_ms, sense)
+        lift = self.attempt_lift(scanner, PRINT_LIFT, now_ms, sense)
         if lift is None:
-            return True
-        was_last = scanner.hopper.take_print()
-        if was_last:
-            scanner.lamp_on = True
-            scanner.lamp_event = self.emit(
-                now_ms, scanner.entity, "hopper_empty_lamp_on", lift
-            )
+            return
+        if scanner.hopper.take_print():
+            scanner.lamp_event = self.emit(now_ms, scanner.entity, "hopper_empty_lamp_on", lift)
             self.schedule_reload(scanner, now_ms)
         done_ms = now_ms + duration
         on_bed = self.emit(done_ms, scanner.entity, "print_on_bed", lift)
-        scanner.bed_loaded = True
         clear = self.emit(done_ms, scanner.entity, "robot_clear", on_bed)
         lid = self.emit(done_ms, scanner.entity, "lid_closed", clear)
-        scanner.lid_open = False
         started = self.emit(done_ms, scanner.entity, "scan_started", lid)
-        scanner.phase = SCANNING
+        scanner.bed = BED_SCANNING
         scan_ms = round(self.config.scan_seconds * MS_PER_SECOND)
         end_ms = done_ms + scan_ms
         scanner.scanning_ms += max(0, self.clip(end_ms) - self.clip(done_ms))
         self.schedule(end_ms, self.make_scan_done(scanner, started))
         self.end_visit(scanner, now_ms, done_ms, started)
-        return True
 
     def visit_empty_check(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         sense = self.emit(now_ms, scanner.entity, "sense_empty", arrive)
         scanner.empty_acknowledged = True
-        scanner.phase = HOPPER_EMPTY_LAMP_ON
         scanner.ready_event = sense
         self.update_starved(scanner, now_ms)
         self.end_visit(scanner, now_ms, now_ms, sense)
 
     # -- scheduled continuations -----------------------------------------
 
-    def make_scan_done(self, scanner: _Scanner, started: _Pending):
+    def make_scan_done(self, scanner: _Scanner, started: int):
         def scan_done(now_ms: int) -> None:
             done = self.emit(now_ms, scanner.entity, "scan_done", started)
             opened = self.emit(now_ms, scanner.entity, "lid_opened", done)
-            scanner.bed_loaded = False
-            scanner.bed_scanned = True
-            scanner.lid_open = True
-            scanner.phase = SCANNED_AWAITING_UNLOAD
+            scanner.bed = BED_SCANNED
             scanner.ready_event = opened
             scanner.scans_done += 1
             self.scans_completed += 1
@@ -379,36 +345,30 @@ class _Simulation:
         return scan_done
 
     def schedule_reload(self, scanner: _Scanner, now_ms: int) -> None:
-        if self.config.hopper_capacity is None or scanner.reload_scheduled:
-            return
+        """Refill an exhausted hopper once a worker is present; a hopper
+        empties at most once between refills, so one reload is pending
+        at most."""
         worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
         if worker_at == float("inf"):
             return
         done_s = worker_at + self.config.reload_seconds
         done_ms = max(now_ms, round(done_s * MS_PER_SECOND))
-        scanner.reload_scheduled = True
         self.schedule(done_ms, self.make_reload_done(scanner))
 
     def make_reload_done(self, scanner: _Scanner):
         def reload_done(now_ms: int) -> None:
             scanner.hopper.refill(self.config.hopper_capacity)
-            scanner.lamp_on = False
             scanner.empty_acknowledged = False
-            scanner.reload_scheduled = False
-            scanner.phase = IDLE_AWAITING_LOAD
-            reloaded = self.emit(
-                now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event
-            )
+            reloaded = self.emit(now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event)
             scanner.ready_event = reloaded
             self.update_starved(scanner, now_ms)
             self.wake_robot(now_ms)
 
         return reload_done
 
-    def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: _Pending) -> None:
+    def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: int) -> None:
         error = self.emit(now_ms, "cell", "error_stall", final_failure)
-        self.emit(now_ms, "robot", f"depart@{scanner.entity}", error)
-        scanner.phase = STALLED_ERROR
+        self.emit(now_ms, "robot", scanner.depart, error)
         self.robot_last_event = error
         self.robot_free_at_ms = now_ms
         self.stalled = True
@@ -419,14 +379,12 @@ class _Simulation:
         resume_s = max(worker_at, now_ms / MS_PER_SECOND + MIN_STALL_RECOVERY_SECONDS)
         self.schedule(round(resume_s * MS_PER_SECOND), self.make_stall_over(scanner, error))
 
-    def make_stall_over(self, scanner: _Scanner, error: _Pending):
+    def make_stall_over(self, scanner: _Scanner, error: int):
         def stall_over(now_ms: int) -> None:
             resolved = self.emit(now_ms, "cell", "stall_resolved", error)
             self.stalled = False
             self.stall_ms += self.clip(now_ms) - self.clip(self.stall_since_ms)
             self.stall_since_ms = None
-            if scanner.phase == STALLED_ERROR:
-                scanner.phase = IDLE_AWAITING_LOAD
             scanner.ready_event = resolved
             self.robot_last_event = resolved
             self.wake_robot(now_ms)
@@ -437,7 +395,7 @@ class _Simulation:
 
     def update_starved(self, scanner: _Scanner, now_ms: int) -> None:
         starving = (
-            scanner.bed_empty
+            scanner.bed == BED_EMPTY
             and not scanner.hopper.unlimited
             and scanner.hopper.next_kind == "empty"
         )
@@ -455,20 +413,20 @@ class _Simulation:
                 scanner.starved_ms += self.horizon_ms - self.clip(scanner.starved_since_ms)
 
     def build_trace(self) -> SimTrace:
-        kept = [p for p in self.pending if p.time_ms <= self.horizon_ms]
-        kept.sort(key=lambda p: (p.time_ms, p.order))
-        ids = {id(p): i for i, p in enumerate(kept)}
-        events = tuple(
-            Event(
-                event_id=i,
-                time_ms=p.time_ms,
-                entity=p.entity,
-                transition=p.transition,
-                cause_id=None if p.cause is None else ids[id(p.cause)],
-            )
-            for i, p in enumerate(kept)
-        )
-        return SimTrace(events, self.horizon_ms, self.scans_completed)
+        """Keep the events inside the horizon and number them in time order;
+        the sort is stable, so simultaneous events keep emission order."""
+        records = self.events
+        kept = [i for i, record in enumerate(records) if record[0] <= self.horizon_ms]
+        kept.sort(key=lambda i: records[i][0])
+        event_id = [-1] * len(records)
+        for position, i in enumerate(kept):
+            event_id[i] = position
+        events = []
+        for position, i in enumerate(kept):
+            time_ms, entity, transition, cause = records[i]
+            cause_id = None if cause < 0 else event_id[cause]
+            events.append(Event(position, time_ms, entity, transition, cause_id))
+        return SimTrace(tuple(events), self.horizon_ms, self.scans_completed)
 
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
@@ -504,6 +462,8 @@ def simulate(
     """
     if not isinstance(config, CellConfig):
         raise ConfigError("config must be a CellConfig")
+    if not math.isfinite(horizon_seconds):
+        raise ConfigError(f"horizon must be finite, got {horizon_seconds!r}")
     if horizon_seconds < 0:
         raise ConfigError("horizon must be non-negative")
     horizon_ms = round(horizon_seconds * MS_PER_SECOND)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -43,10 +45,46 @@ class TestConfig:
         with pytest.raises(ConfigError):
             HandlingTime("triangular")
 
-    def test_mixed_print_sizes_rejected(self):
-        with pytest.raises(ConfigError, match="mixed"):
-            CellConfig(print_sizes=("9x9", "7x9"))
-        CellConfig(print_sizes=("9x9", "9x9"))
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="hoper_capacity"):
+            CellConfig.from_json_dict({"hoper_capacity": 5})
+        # print_sizes was never read by the engine and is no longer a field
+        with pytest.raises(ConfigError, match="print_sizes"):
+            CellConfig.from_json_dict({"print_sizes": ["9x9"]})
+        with pytest.raises(ConfigError, match="sigma"):
+            CellConfig.from_json_dict({"handling_time": {"kind": "lognormal", "sigma": 0.2}})
+        with pytest.raises(ConfigError):
+            CellConfig.from_json_dict([])
+
+    def test_mistyped_json_values_rejected(self):
+        for data in (
+            {"scanners_per_robot": "x"},
+            {"scanners_per_robot": float("inf")},
+            {"attendance": [[0, 9.0]]},
+            {"handling_time": 5},
+        ):
+            with pytest.raises(ConfigError):
+                CellConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        for field in ("scan_seconds", "lift_failure_prob", "reload_seconds", "ramp_multiplier"):
+            with pytest.raises(ConfigError, match="finite"):
+                CellConfig(**{field: value})
+        for field in ("mean_seconds", "spread"):
+            with pytest.raises(ConfigError, match="finite"):
+                HandlingTime("lognormal", **{field: value})
+
+    def test_scan_must_round_to_one_millisecond(self):
+        with pytest.raises(ConfigError, match="1 ms"):
+            CellConfig(scan_seconds=1e-4)
+        # the shortest accepted cycle still advances the clock and returns
+        config = CellConfig(
+            scan_seconds=1e-3, handling_time=HandlingTime("fixed", 1e-4), hopper_capacity=None
+        )
+        trace, report = simulate(config, seed=1, horizon_seconds=1.0)
+        assert report.scans_completed > 0
+        assert check_trace_invariants(trace, config) == []
 
     def test_json_round_trip(self):
         config = CellConfig(
@@ -73,6 +111,11 @@ class TestCalibration:
     def test_hundred_hour_run_within_two_percent(self):
         _, report = simulate(CALIBRATED, seed=1, horizon_seconds=100 * 3600)
         assert report.scans_per_hour == pytest.approx(54.0, rel=0.02)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigError, match="finite"):
+            simulate(CALIBRATED, seed=1, horizon_seconds=horizon)
 
     def test_zero_horizon(self):
         trace, report = simulate(CALIBRATED, seed=1, horizon_seconds=0)
@@ -158,6 +201,43 @@ class TestMonotonicity:
             )
             _, report = simulate(config, seed=11, horizon_seconds=100 * 3600)
             assert report.scans_per_hour == pytest.approx(3600.0 / mean, rel=0.02)
+
+
+class TestHandlingPhases:
+    @staticmethod
+    def phase_durations(config):
+        """(unload, plate, load) robot times of each full loading cycle of a
+        one-scanner cell; a cycle's load follows its unload and plate."""
+        trace, _ = simulate(config, seed=4, horizon_seconds=2 * 3600)
+
+        def durations(start, end):
+            pairs = zip(transitions(trace, start), transitions(trace, end))
+            return [b.time_ms - a.time_ms for a, b in pairs]
+
+        unload = durations("print_lifted_from_bed", "print_unloaded")
+        plate = durations("sense_plate", "plate_transferred")
+        load = durations("sense_print", "print_on_bed")[1:]
+        return list(zip(unload, plate, load))
+
+    def test_fixed_handling_splits_three_three_four(self):
+        config = CellConfig(
+            scanners_per_robot=1, handling_time=HandlingTime("fixed", 60.0), hopper_capacity=None
+        )
+        cycles = self.phase_durations(config)
+        assert cycles and set(cycles) == {(18_000, 18_000, 24_000)}
+
+    def test_uniform_handling_draws_each_phase_separately(self):
+        config = CellConfig(
+            scanners_per_robot=1,
+            handling_time=HandlingTime("uniform", 60.0, 0.2),
+            hopper_capacity=None,
+        )
+        cycles = self.phase_durations(config)
+        assert len(cycles) > 20
+        # one h split 0.3/0.3/0.4 would give unload = plate = 0.75 * load
+        # in every cycle, up to 1 ms of rounding
+        assert any(abs(unload - plate) > 1 for unload, plate, _ in cycles)
+        assert any(abs(unload - 0.75 * load) > 1 for unload, _, load in cycles)
 
 
 class TestFailuresAndStalls:
@@ -262,3 +342,90 @@ class TestTraceStructure:
             assert by_id[event.cause_id].transition == "lid_closed"
         for event in transitions(trace, "lid_opened"):
             assert by_id[event.cause_id].transition == "scan_done"
+
+
+# (config, seed, horizon seconds) -> sha256 of the trace CSV and of the
+# sorted report JSON. Any change to these bytes is a change in engine
+# behaviour, not a refactor.
+GOLDEN_RUNS = {
+    "lift_failures_with_stalls": (
+        CellConfig(
+            handling_time=HandlingTime("fixed", 66.7),
+            hopper_capacity=None,
+            lift_failure_prob=0.2,
+            lift_retry_limit=2,
+            attendance=WeeklySchedule(((0, 0.0, 24.0),)),
+        ),
+        7,
+        12 * 3600,
+        "35a01fd5fba2f8fa0bdb95036e637a0ceb464860f85be3b69ac383a41d310ad4",
+        "c8d1c91f4a1fcf9ce52ab2af8bb2d60e841895930f5d6aa13cfbf072a9d5348c",
+    ),
+    "reloads_under_part_time_attendance": (
+        CellConfig(
+            handling_time=HandlingTime("uniform", 60.0, 0.2),
+            hopper_capacity=5,
+            reload_seconds=30.0,
+            attendance=WeeklySchedule(((0, 9.0, 12.0), (0, 14.0, 17.0))),
+        ),
+        3,
+        20 * 3600,
+        "a3dcdde9276e7f7c7f0f4b6ff91fe12c1d91dc18994264c135ccde1247912484",
+        "d7d32a1a68162904c096d12d318ce4dcb5c4f8ce68273bd17189854cfa0e8152",
+    ),
+    "never_present_starvation": (
+        CellConfig(hopper_capacity=4, lift_failure_prob=0.05, attendance=NEVER_PRESENT),
+        11,
+        2 * 3600,
+        "2c40f0bdcc2f26841ee2b169512a815e013edaeb19fdbf9e5e48e47c5f3a4279",
+        "83e96102f023bac0ddfa95e0dbb31851b67f8a856ac0ec5870eb54126b0c6972",
+    ),
+    "lognormal_with_ramp_into_second_week": (
+        CellConfig(
+            scan_seconds=5400.0,
+            handling_time=HandlingTime("lognormal", 66.7, 0.15),
+            hopper_capacity=6,
+            ramp_multiplier=1.13,
+        ),
+        5,
+        192 * 3600,
+        "791cd1680d8d1bb3ae140f7e75bbd73d1d946db335553b6846f2da0f7d454f38",
+        "69d83871b0f0c9c96685c248bfaa0a807af0876f32a868799cac393f9e88ac92",
+    ),
+    "three_scanners": (
+        CellConfig(
+            scanners_per_robot=3,
+            scan_seconds=30.0,
+            handling_time=HandlingTime("uniform", 50.0, 0.2),
+            hopper_capacity=20,
+            lift_failure_prob=0.05,
+            attendance=ALWAYS_PRESENT,
+        ),
+        13,
+        6 * 3600,
+        "5ce04d7c453918bbbd33a8cbe80e7e9233d59b6381a8397b296fdb784944646a",
+        "4919bd6b44ccd7067a4f31c503f269f6e51afd5df31b0e3fa129389adc852643",
+    ),
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_trace_and_report_bytes_pinned(self, name):
+        config, seed, horizon, csv_sha256, report_sha256 = GOLDEN_RUNS[name]
+        trace, report = simulate(config, seed=seed, horizon_seconds=horizon)
+        report_json = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == csv_sha256
+        assert hashlib.sha256(report_json.encode()).hexdigest() == report_sha256
+
+    def test_golden_runs_cover_their_scenarios(self):
+        def times(name, transition):
+            config, seed, horizon = GOLDEN_RUNS[name][:3]
+            trace, _ = simulate(config, seed=seed, horizon_seconds=horizon)
+            return [e.time_ms for e in transitions(trace, transition)]
+
+        assert times("lift_failures_with_stalls", "stall_resolved")
+        assert times("reloads_under_part_time_attendance", "hopper_reloaded")
+        assert times("never_present_starvation", "sense_empty")
+        week_ms = 7 * 24 * 3600 * 1000
+        assert max(times("lognormal_with_ramp_into_second_week", "scan_done")) > week_ms

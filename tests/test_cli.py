@@ -130,6 +130,36 @@ class TestSimulateCommand:
         assert code == 2
         assert "scan_cell" in err
 
+    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    def test_non_finite_hours_exit_2(self, capsys, hours):
+        code, _, err = run(capsys, "simulate", "--seed", "1", "--hours", hours)
+        assert code == 2
+        assert "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"reload_seconds": NaN, "hopper_capacity": 5}',
+            '{"handling_time": {"mean_seconds": Infinity}}',
+            '{"scan_seconds": 0.0001, "handling_time": {"mean_seconds": 0.0001}, '
+            '"hopper_capacity": null}',
+            '{"hoper_capacity": 5}',
+            '{"print_sizes": null}',
+            '{"scanners_per_robot": "x"}',
+            "[]",
+        ],
+    )
+    def test_unrunnable_config_exits_2(self, capsys, tmp_path, text):
+        config = tmp_path / "cell.json"
+        config.write_text(text)
+        code, _, err = run(
+            capsys, "simulate", "--config", str(config), "--seed", "1", "--hours", "24"
+        )
+        assert code == 2
+        assert "scan_cell: configuration error" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--config", str(tmp_path / "nope.json"), "--seed", "1",
