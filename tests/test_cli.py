@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -276,3 +277,109 @@ def test_cost_curve_csv(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "n,cost_per_scan_a,cost_per_scan_b"
     assert len(lines) >= 5
+
+
+# Input files in the shapes documented in docs/cli.md.
+DOC_INPUTS = {
+    "cell.json": {
+        "scanners_per_robot": 2,
+        "scan_seconds": 45.0,
+        "handling_time": {"kind": "fixed", "mean_seconds": 66.7, "spread": 0.0},
+        "hopper_capacity": 300,
+        "lift_retry_limit": 3,
+        "lift_failure_prob": 0.0,
+        "attendance": [[day, 9.0, 17.0] for day in range(5)],
+        "reload_seconds": 60.0,
+        "ramp_multiplier": 1.0,
+    },
+    "robotic.json": {
+        "per_scan_variable": 0.0075,
+        "fixed_items": [
+            ["engineered table", 80000, 4],
+            ["robotic arm", 36000, 4],
+            ["scanner", 5000, 8],
+            ["scanner-lid lifting automation", 350, 8],
+            ["manual scanner", 5000, 1],
+        ],
+        "fixed_total": 512150,
+        "weekly_capacity": 36288,
+    },
+    "manual.json": {
+        "per_scan_variable": "0.22",
+        "fixed_items": [["scanner", 5000, 2]],
+        "weekly_capacity": 3500.0,
+    },
+    "condition.json": {"mould": "dormant", "curling_or_creases": True},
+    "condition_full.json": {
+        "mould": "none",
+        "blocking": True,
+        "silver_dust": True,
+        "annotations_or_adhesives": False,
+        "curling_or_creases": False,
+        "rips_or_peeling": "minor",
+    },
+    "rates.json": {"mould": 0.05, "ripped": 0.1, "emulsion_peeling": 0.02, "total_boxes": 1000},
+}
+
+# sha256 of the stdout of every JSON-emitting command shown in docs/cli.md;
+# `@name` stands for the path of DOC_INPUTS[name].
+GOLDEN_STDOUT = {
+    "simulate --seed 7 --hours 24 --config @cell.json":
+        "ab4b28851c954455639ec4de3131fab9b0c23cfcb3598b33b4f6d530ffecf79e",
+    "throughput --mode robotic --fleet 14":
+        "145e9cc1fb959f1e138594320dad53cd2c58b83e0a5301c8c3e6437e207c6bc0",
+    "throughput --mode human_operated":
+        "a51dfa50cc014f5744a95d9f36ff38ae308536c662ed65b3aa1658e8b785c41c",
+    "ratio":
+        "2b7d794bd98c6ec9eb9837fb9dafc3bffc900e811642f4c4788a6ceec9ba9e91",
+    "utilization --observed-daily 9090 --observed-weekly 36084 --scanners 14":
+        "d3fad5aa76afa08260ae576a07dafe69d197d5dbd6288ddaf0fdcc6acfd5e6bc",
+    "utilization --observed-daily 5000 --observed-weekly 30000 --scanners 14":
+        "3461efadf0701470b07a3bf9dc6ab713cee63db3aaed83dd1e46783258981156",
+    "cost breakeven":
+        "088f12bd5edf3e58bbc08222d282e393034b88efb32b05d4833929f3de4ee10b",
+    "cost halving":
+        "e04f8beda2ab1602aea39bda56b32390d86bd05f9c5b46bef05b427f104da038",
+    "cost weeks --scans 2363059 --capacity 36288":
+        "c809327f583e51b548272bce605a7ec327396f8249affcadb825a077c74c4d1d",
+    "cost breakeven --a @robotic.json --b @manual.json":
+        "088f12bd5edf3e58bbc08222d282e393034b88efb32b05d4833929f3de4ee10b",
+    "cost halving --a @robotic.json --b @manual.json":
+        "e04f8beda2ab1602aea39bda56b32390d86bd05f9c5b46bef05b427f104da038",
+    "cost weeks --scans 2363059 --a @robotic.json":
+        "4cc1635530a94e7aa22b9d18527e8644ece0286c80f29250609210a4ad1dc576",
+    "cost weeks --scans 100000 --a @manual.json":
+        "c11cb4e9efb6636cb9b16d6ec1686489ce8699d1d27729679a14782e9bb90095",
+    "parse-id 4/BC/0056":
+        "c750ea5bd101869011f84f748f56076e558a5307b282032f3ac6cbb84a838957",
+    "parse-id 58/RAF/0456":
+        "ac124a6114d74e0cc927da4c295d8cdba91c14f2a010fff5c3db74072d7a30a0",
+    "parse-id HSL/GH/64/0034":
+        "755036f25bab9b0f288787890e855e90732dc1f6b4817e87cb298e4c57af3b39",
+    "parse-id --usaaf K17/LOCAL/NOTES":
+        "3dec23341ada50bb60afd1e576d9d957095855b75b6003cae5a317fc733bd68d",
+    "preserve plan @condition.json":
+        "ce68ad8d2901bf896bf514cd6db15772294e16485fb0a8624270d34aa8e208bb",
+    "preserve plan @condition_full.json":
+        "936a24058da4c017b43ba02554f532cc4880c0efbca4acf9673ecf0bad5ba759",
+    "preserve sample --n 200 --seed 42":
+        "f65c68e13b388ca06d8eeb0495088fc9f4b7bb6a35603c6a3d95acaa3d55a934",
+    "preserve sample --n 200 --seed 42 --rates @rates.json":
+        "2da91cd3875249d133a33bae43437fcbfef505249f04555619badf9d7ec790a0",
+}
+
+
+def _argv(command, directory):
+    return [
+        str(directory / token[1:]) if token.startswith("@") else token
+        for token in command.split()
+    ]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_documented_outputs_byte_identical(capsys, tmp_path, command):
+    for name, payload in DOC_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    code, out, err = run(capsys, *_argv(command, tmp_path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

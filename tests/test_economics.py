@@ -65,6 +65,11 @@ class TestBenchmarks:
         with pytest.raises(DomainError):
             itemized_fixed_cost("hovercraft")
 
+    @pytest.mark.parametrize("make_params", [robotic_benchmark, manual_benchmark])
+    def test_json_round_trip(self, make_params):
+        params = make_params()
+        assert CostParams.from_json_dict(params.to_json_dict()) == params
+
 
 class TestCostPerScan:
     def test_single_scan_bears_all_fixed_cost(self):
