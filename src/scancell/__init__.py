@@ -10,6 +10,7 @@ Subpackages and modules:
   throughput figures
 - economics: fixed/variable cost model, break-even and cost-halving points
 - qc: synthetic calibration targets and calibration-strip analysis
+- codec: the JSON codec shared by every record the CLI reads or writes
 - cli: command-line entry point
 """
 

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from ..codec import JsonRecord
 from ..errors import ConfigError
 
 HANDLING_KINDS = ("fixed", "uniform", "lognormal")
@@ -20,25 +21,8 @@ def _require_finite(owner: str, **values: float) -> None:
             raise ConfigError(f"{owner} {name} must be finite, got {value!r}")
 
 
-def _from_json(cls, data, convert: dict):
-    """Build `cls` from a JSON object, converting each present key with
-    `convert[key]`; absent keys take the dataclass defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{cls.__name__} must be a JSON object")
-    unknown = sorted(set(data) - set(convert))
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
-    try:
-        kwargs = {key: convert[key](value) for key, value in data.items()}
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {cls.__name__} value: {exc}") from None
-    return cls(**kwargs)
-
-
 @dataclass(frozen=True)
-class HandlingTime:
+class HandlingTime(JsonRecord):
     """Distribution of the robot's handling time per loading cycle.
 
     The mean is the robot-arm time consumed per completed scan in steady
@@ -75,16 +59,9 @@ class HandlingTime:
         mu = math.log(self.mean_seconds) - sigma * sigma / 2.0
         return max(1e-3, rng.lognormvariate(mu, sigma))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "mean_seconds": self.mean_seconds, "spread": self.spread}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HandlingTime":
-        return _from_json(cls, data, {"kind": str, "mean_seconds": float, "spread": float})
-
 
 @dataclass(frozen=True)
-class WeeklySchedule:
+class WeeklySchedule(JsonRecord):
     """Worker-present intervals, repeated weekly.
 
     Intervals are (day, start_hour, end_hour) with day 0 = Monday 00:00,
@@ -127,12 +104,13 @@ class WeeklySchedule:
                     best = min(best, candidate)
         return best
 
-    def to_json(self) -> list:
-        return [list(interval) for interval in self.intervals]
+    def to_json_dict(self) -> list:
+        """Written as the bare list of intervals."""
+        return super().to_json_dict()["intervals"]
 
     @classmethod
-    def from_json(cls, data: list) -> "WeeklySchedule":
-        return cls(tuple((int(d), float(s), float(e)) for d, s, e in data))
+    def from_json_dict(cls, data) -> "WeeklySchedule":
+        return super().from_json_dict({"intervals": data})
 
 
 ALWAYS_PRESENT = WeeklySchedule(tuple((day, 0.0, 24.0) for day in range(7)))
@@ -140,7 +118,7 @@ NEVER_PRESENT = WeeklySchedule(())
 
 
 @dataclass(frozen=True)
-class CellConfig:
+class CellConfig(JsonRecord):
     """Parameters of one robot-and-scanners cell.
 
     `hopper_capacity` is prints per input hopper; `None` means hoppers
@@ -185,33 +163,3 @@ class CellConfig:
             raise ConfigError("reload duration must be non-negative")
         if not self.ramp_multiplier > 0:
             raise ConfigError("ramp multiplier must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scanners_per_robot": self.scanners_per_robot,
-            "scan_seconds": self.scan_seconds,
-            "handling_time": self.handling_time.to_json_dict(),
-            "hopper_capacity": self.hopper_capacity,
-            "lift_retry_limit": self.lift_retry_limit,
-            "lift_failure_prob": self.lift_failure_prob,
-            "attendance": self.attendance.to_json(),
-            "reload_seconds": self.reload_seconds,
-            "ramp_multiplier": self.ramp_multiplier,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CellConfig":
-        return _from_json(cls, data, _CELL_JSON)
-
-
-_CELL_JSON = {
-    "scanners_per_robot": int,
-    "scan_seconds": float,
-    "handling_time": HandlingTime.from_json_dict,
-    "hopper_capacity": lambda capacity: None if capacity is None else int(capacity),
-    "lift_retry_limit": int,
-    "lift_failure_prob": float,
-    "attendance": WeeklySchedule.from_json,
-    "reload_seconds": float,
-    "ramp_multiplier": float,
-}

@@ -394,6 +394,9 @@ class _Simulation:
     # -- accounting -------------------------------------------------------
 
     def update_starved(self, scanner: _Scanner, now_ms: int) -> None:
+        """Open or close the scanner's starvation interval. An unload opens
+        it at the visit's end, ahead of the clock; a reload that lands
+        before then cancels it, so it adds nothing."""
         starving = (
             scanner.bed == BED_EMPTY
             and not scanner.hopper.unlimited
@@ -402,7 +405,7 @@ class _Simulation:
         if starving and scanner.starved_since_ms is None:
             scanner.starved_since_ms = now_ms
         elif not starving and scanner.starved_since_ms is not None:
-            scanner.starved_ms += self.clip(now_ms) - self.clip(scanner.starved_since_ms)
+            scanner.starved_ms += max(0, self.clip(now_ms) - self.clip(scanner.starved_since_ms))
             scanner.starved_since_ms = None
 
     def finalize_accounting(self) -> None:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..codec import JsonRecord
 from ..errors import DomainError
 
 HOURS_PER_WEEK = 168.0
 
 
 @dataclass(frozen=True)
-class ThroughputReport:
+class ThroughputReport(JsonRecord):
     """Rates for one staffing mode or one simulation run.
 
     Simulation-only fields (counts, utilizations, stall totals) are None
@@ -37,24 +38,6 @@ class ThroughputReport:
     scanner_utilization: float | None = None
     stall_seconds: float = 0.0
     starved_seconds: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "scans_per_scanner_hour": self.scans_per_scanner_hour,
-            "scans_per_hour": self.scans_per_hour,
-            "scans_per_scanner_week": self.scans_per_scanner_week,
-            "scans_per_worker_week": self.scans_per_worker_week,
-            "scans_completed": self.scans_completed,
-            "per_scanner_scans": (
-                list(self.per_scanner_scans) if self.per_scanner_scans else None
-            ),
-            "horizon_hours": self.horizon_hours,
-            "robot_utilization": self.robot_utilization,
-            "scanner_utilization": self.scanner_utilization,
-            "stall_seconds": self.stall_seconds,
-            "starved_seconds": self.starved_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -117,17 +100,10 @@ def theoretical_throughput(mode: str, params: WorkforceParams | None = None) -> 
 
 
 @dataclass(frozen=True)
-class FleetRates:
+class FleetRates(JsonRecord):
     n_scanners: int
     scans_per_day: float
     scans_per_week: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_scanners": self.n_scanners,
-            "scans_per_day": self.scans_per_day,
-            "scans_per_week": self.scans_per_week,
-        }
 
 
 def fleet_throughput(
@@ -143,12 +119,9 @@ def fleet_throughput(
 
 
 @dataclass(frozen=True)
-class ProductivityRatio:
+class ProductivityRatio(JsonRecord):
     per_scanner: float
     per_worker: float
-
-    def to_json_dict(self) -> dict:
-        return {"per_scanner": self.per_scanner, "per_worker": self.per_worker}
 
 
 def productivity_ratio(
@@ -182,7 +155,7 @@ MONDAY_AGGREGATION_NOTE = (
 
 
 @dataclass(frozen=True)
-class UtilizationReport:
+class UtilizationReport(JsonRecord):
     observed_daily: float
     observed_weekly: float
     theoretical_daily: float
@@ -191,18 +164,6 @@ class UtilizationReport:
     weekly_fraction: float
     daily_at_or_above_theoretical: bool
     notes: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "observed_daily": self.observed_daily,
-            "observed_weekly": self.observed_weekly,
-            "theoretical_daily": self.theoretical_daily,
-            "theoretical_weekly": self.theoretical_weekly,
-            "daily_fraction": self.daily_fraction,
-            "weekly_fraction": self.weekly_fraction,
-            "daily_at_or_above_theoretical": self.daily_at_or_above_theoretical,
-            "notes": list(self.notes),
-        }
 
 
 def observed_vs_theoretical(

@@ -61,7 +61,9 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an over-long integer,
+        # nesting deeper than the decoder's recursion limit
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
@@ -206,7 +208,7 @@ def _cmd_preserve(args: argparse.Namespace) -> int:
         return EXIT_OK
     # sample
     rates = (
-        preservation.IssueRates(**_load_json(args.rates))
+        preservation.IssueRates.from_json_dict(_load_json(args.rates))
         if args.rates
         else preservation.IssueRates()
     )
@@ -418,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _MODULE_BY_COMMAND = {
-    "simulate": "scan_cell",
-    "throughput": "scan_cell",
-    "ratio": "scan_cell",
-    "utilization": "scan_cell",
+    "simulate": "cell",
+    "throughput": "cell",
+    "ratio": "cell",
+    "utilization": "cell",
     "cost": "economics",
-    "qc": "calibration_qc",
-    "parse-id": "sortie_id",
+    "qc": "qc",
+    "parse-id": "sortie",
     "preserve": "preservation",
     "photogrammetry": "photogrammetry",
     "paper-check": "acceptance",

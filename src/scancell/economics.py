@@ -11,11 +11,13 @@ All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError
+from .codec import JsonRecord
+from .errors import ConfigError, DomainError
 
 Money = Fraction
 MoneyLike = Union[int, float, str, Fraction]
@@ -35,7 +37,7 @@ def as_money(value: MoneyLike) -> Money:
 
 
 @dataclass(frozen=True)
-class CostItem:
+class CostItem(JsonRecord):
     label: str
     unit_cost: Money
     quantity: int
@@ -52,16 +54,17 @@ class CostItem:
 
 
 @dataclass(frozen=True)
-class CostParams:
+class CostParams(JsonRecord):
     """Cost structure of one pipeline variant.
 
     `fixed_total_override` lets a published headline figure stand even
-    when it disagrees with the itemization; both remain inspectable.
+    when it disagrees with the itemization; both remain inspectable. Its
+    JSON key is `fixed_total`.
     """
 
     per_scan_variable: Money
     fixed_items: tuple[CostItem, ...] = ()
-    fixed_total_override: Money | None = None
+    fixed_total_override: Money | None = field(default=None, metadata={"json": "fixed_total"})
     weekly_capacity: float | None = None
 
     def __post_init__(self) -> None:
@@ -71,8 +74,8 @@ class CostParams:
             raise DomainError("fixed total must be non-negative")
         if not self.fixed_items and self.fixed_total_override is None:
             raise DomainError("provide fixed_items, a fixed total, or both")
-        if self.weekly_capacity is not None and self.weekly_capacity <= 0:
-            raise DomainError("weekly capacity must be positive when given")
+        if self.weekly_capacity is not None and not 0 < self.weekly_capacity < math.inf:
+            raise DomainError("weekly capacity must be finite and positive when given")
 
     @property
     def fixed_total(self) -> Money:
@@ -85,32 +88,26 @@ class CostParams:
         return sum((item.total for item in self.fixed_items), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "per_scan_variable": float(self.per_scan_variable),
-            "fixed_items": [
-                [item.label, float(item.unit_cost), item.quantity]
-                for item in self.fixed_items
-            ],
-        }
-        if self.fixed_total_override is not None:
-            out["fixed_total"] = float(self.fixed_total_override)
-        if self.weekly_capacity is not None:
-            out["weekly_capacity"] = self.weekly_capacity
+        """Items are written as [label, unit_cost, quantity] rows, and keys
+        whose value is None are left out."""
+        out = {key: value for key, value in super().to_json_dict().items() if value is not None}
+        out["fixed_items"] = [list(item.values()) for item in out["fixed_items"]]
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CostParams":
-        items = tuple(
-            CostItem(label, as_money(unit_cost), int(quantity))
-            for label, unit_cost, quantity in data.get("fixed_items", ())
+    def from_json_dict(cls, data) -> "CostParams":
+        rows = data.get("fixed_items") if isinstance(data, dict) else None
+        if isinstance(rows, list):
+            data = {**data, "fixed_items": [_item_fields(row) for row in rows]}
+        return super().from_json_dict(data)
+
+
+def _item_fields(row) -> dict:
+    if not (isinstance(row, list) and len(row) == 3):
+        raise ConfigError(
+            f"a fixed item is a [label, unit_cost, quantity] row, got {reprlib.repr(row)}"
         )
-        override = data.get("fixed_total")
-        return cls(
-            per_scan_variable=as_money(data["per_scan_variable"]),
-            fixed_items=items,
-            fixed_total_override=None if override is None else as_money(override),
-            weekly_capacity=data.get("weekly_capacity"),
-        )
+    return dict(zip(("label", "unit_cost", "quantity"), row))
 
 
 ROBOTIC_BENCHMARK_ITEMS = (
@@ -211,25 +208,17 @@ def cost_halving_point(a: CostParams, b: CostParams) -> int:
 
 
 @dataclass(frozen=True)
-class WeeksToVolume:
+class WeeksToVolume(JsonRecord):
     scans: int
     weekly_capacity: float
     fractional_weeks: float
     whole_weeks: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scans": self.scans,
-            "weekly_capacity": self.weekly_capacity,
-            "fractional_weeks": self.fractional_weeks,
-            "whole_weeks": self.whole_weeks,
-        }
-
 
 def weeks_to_volume(n: int, weekly_capacity: float) -> WeeksToVolume:
     """Whole and fractional weeks of production needed for `n` scans."""
-    if weekly_capacity <= 0:
-        raise DomainError("weekly capacity must be positive")
+    if not 0 < weekly_capacity < math.inf:
+        raise DomainError(f"weekly capacity must be finite and positive, got {weekly_capacity!r}")
     if n < 0:
         raise DomainError("scan count must be non-negative")
     fractional = n / weekly_capacity

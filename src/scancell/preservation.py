@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, fields
 from typing import Sequence
 
+from .codec import JsonRecord
 from .errors import DomainError
 
 
@@ -84,7 +85,7 @@ _NON_REMEDIABLE = frozenset(
 
 
 @dataclass(frozen=True)
-class PrintCondition:
+class PrintCondition(JsonRecord):
     """Condition flags for one box or print."""
 
     mould: MouldState = MouldState.NONE
@@ -105,42 +106,14 @@ class PrintCondition:
             or self.rips_or_peeling is not RipDamage.NONE
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mould": self.mould.value,
-            "blocking": self.blocking,
-            "silver_dust": self.silver_dust,
-            "annotations_or_adhesives": self.annotations_or_adhesives,
-            "curling_or_creases": self.curling_or_creases,
-            "rips_or_peeling": self.rips_or_peeling.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PrintCondition":
-        return cls(
-            mould=MouldState(data.get("mould", "none")),
-            blocking=bool(data.get("blocking", False)),
-            silver_dust=bool(data.get("silver_dust", False)),
-            annotations_or_adhesives=bool(data.get("annotations_or_adhesives", False)),
-            curling_or_creases=bool(data.get("curling_or_creases", False)),
-            rips_or_peeling=RipDamage(data.get("rips_or_peeling", "none")),
-        )
-
 
 @dataclass(frozen=True)
-class RemediationPlan:
+class RemediationPlan(JsonRecord):
     """Ordered remediation steps plus routing for one box or print."""
 
     steps: tuple[Step, ...]
     routing: Routing
     scan_route: ScanRoute
-
-    def to_json_dict(self) -> dict:
-        return {
-            "steps": [step.value for step in self.steps],
-            "routing": self.routing.value,
-            "scan_route": self.scan_route.value,
-        }
 
 
 def plan_remediation(condition: PrintCondition) -> RemediationPlan:
@@ -180,7 +153,7 @@ def plan_remediation(condition: PrintCondition) -> RemediationPlan:
 
 
 @dataclass(frozen=True)
-class IssueRates:
+class IssueRates(JsonRecord):
     """Per-issue probabilities for the box-condition sampler.
 
     Defaults are the archive's observed shares: 250, 26, 2825, 579, 2823,
@@ -374,7 +347,7 @@ def sample_boxes(
 
 
 @dataclass(frozen=True)
-class ObservedRates:
+class ObservedRates(JsonRecord):
     """Empirical issue frequencies over a batch of conditions.
 
     `rips_or_peeling` is the merged frequency of the two damage sources;
@@ -389,18 +362,6 @@ class ObservedRates:
     curling: float
     rips_or_peeling: float
     any_intervention: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mould": self.mould,
-            "blocking": self.blocking,
-            "cleaning": self.cleaning,
-            "tape": self.tape,
-            "curling": self.curling,
-            "rips_or_peeling": self.rips_or_peeling,
-            "any_intervention": self.any_intervention,
-        }
 
 
 def aggregate_rates(conditions: Sequence[PrintCondition]) -> ObservedRates:

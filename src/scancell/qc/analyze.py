@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import JsonRecord
 from ..errors import AnalysisError, DomainError
 from .raster import GrayRaster
 from .target import (
@@ -60,19 +61,11 @@ def _run_centroid(profile: np.ndarray, threshold: float, run: tuple[int, int]) -
 
 
 @dataclass(frozen=True)
-class ScaleMeasurement:
+class ScaleMeasurement(JsonRecord):
     length_px: float
     expected_px: float
     tolerance_px: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "length_px": self.length_px,
-            "expected_px": self.expected_px,
-            "tolerance_px": self.tolerance_px,
-            "passed": self.passed,
-        }
 
 
 def measure_scale_px(
@@ -250,7 +243,7 @@ def crop_to_border(raster: GrayRaster, border_mm: float = 5.0) -> GrayRaster:
 
 
 @dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(JsonRecord):
     """Measured quality-control results for one calibration strip."""
 
     measured_scale_px: float
@@ -267,16 +260,8 @@ class CalibrationReport:
             raise DomainError("wedge_values must have exactly 21 entries")
 
     def to_json_dict(self) -> dict:
-        return {
-            "measured_scale_px": self.measured_scale_px,
-            "expected_scale_px": self.expected_scale_px,
-            "scale_tolerance_px": self.scale_tolerance_px,
-            "scale_verdict": "pass" if self.scale_verdict else "fail",
-            "wedge_values": list(self.wedge_values),
-            "wedge_monotone": self.wedge_monotone,
-            "smallest_resolvable_um": self.smallest_resolvable_um,
-            "crop_box": list(self.crop_box),
-        }
+        """The scale verdict is written as "pass" or "fail"."""
+        return {**super().to_json_dict(), "scale_verdict": "pass" if self.scale_verdict else "fail"}
 
 
 def analyze_target(

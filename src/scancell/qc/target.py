@@ -101,6 +101,9 @@ class Distortions:
     blur_radius_px: float = 0.0
 
     def __post_init__(self) -> None:
+        values = (self.scale_error_fraction, self.noise_sigma, self.blur_radius_px)
+        if not all(map(math.isfinite, values)):
+            raise DomainError("scale error, noise and blur must be finite")
         if self.noise_sigma < 0 or self.blur_radius_px < 0:
             raise DomainError("noise and blur must be non-negative")
         if self.scale_error_fraction <= -1.0:
@@ -138,8 +141,8 @@ class TargetLayout:
 
     @classmethod
     def compute(cls, geom: CalibrationGeometry, ppi: float) -> "TargetLayout":
-        if ppi <= 0:
-            raise DomainError("ppi must be positive")
+        if not 0 < ppi < math.inf:
+            raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
         px = ppi / MM_PER_INCH  # px per mm
         width_px = round(geom.target_width_mm * px)
         height_px = round(geom.target_height_mm * px)

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+from .codec import JsonRecord
 from .errors import ParseError
 
 _COUNTRY_CODE = re.compile(r"^[A-Z]{2}$")
@@ -37,8 +38,28 @@ def _validate_positive(name: str, value: int) -> None:
         raise ParseError(f"{name} must be a positive integer, got {value}")
 
 
+class _SortieRecord(JsonRecord):
+    """A sortie id is written with a leading `variant` tag, and with the
+    properties named in `derived` after its fields; both are ignored on
+    input."""
+
+    derived = ()
+
+    def to_json_dict(self) -> dict:
+        out = {"variant": self.variant, **super().to_json_dict()}
+        out.update((name, getattr(self, name)) for name in self.derived)
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data):
+        if isinstance(data, dict):
+            ignored = ("variant", *cls.derived)
+            data = {key: value for key, value in data.items() if key not in ignored}
+        return super().from_json_dict(data)
+
+
 @dataclass(frozen=True)
-class DosContract:
+class DosContract(_SortieRecord):
     """Government contract imagery: contract/country/film."""
 
     contract_number: int
@@ -54,7 +75,7 @@ class DosContract:
 
 
 @dataclass(frozen=True)
-class MilitaryUnit:
+class MilitaryUnit(_SortieRecord):
     """Military mission imagery: unit/service/mission."""
 
     unit: str
@@ -74,7 +95,7 @@ class MilitaryUnit:
 
 
 @dataclass(frozen=True)
-class CommercialSurvey:
+class CommercialSurvey(_SortieRecord):
     """Commercial survey imagery: company/country/two-digit year/film."""
 
     company: str
@@ -83,6 +104,7 @@ class CommercialSurvey:
     film_number: int
 
     variant = "commercial_survey"
+    derived = ("full_year",)
 
     def __post_init__(self) -> None:
         if not _COMPANY_TOKEN.match(self.company):
@@ -100,7 +122,7 @@ class CommercialSurvey:
 
 
 @dataclass(frozen=True)
-class UsArmyAirForce:
+class UsArmyAirForce(_SortieRecord):
     """Pre-standardization USAAF label, kept as raw tokens.
 
     `standardized` records whether the tokens happen to follow the
@@ -220,55 +242,20 @@ def canonical_format(sortie_id: SortieId) -> str:
     raise TypeError(f"not a sortie identifier: {sortie_id!r}")
 
 
+_VARIANTS = {
+    cls.variant: cls for cls in (DosContract, MilitaryUnit, CommercialSurvey, UsArmyAirForce)
+}
+
+
 def to_json_dict(sortie_id: SortieId) -> dict:
     """JSON-ready mapping with a `variant` discriminator field."""
-    if isinstance(sortie_id, DosContract):
-        return {
-            "variant": sortie_id.variant,
-            "contract_number": sortie_id.contract_number,
-            "country_code": sortie_id.country_code,
-            "film_number": sortie_id.film_number,
-        }
-    if isinstance(sortie_id, MilitaryUnit):
-        return {
-            "variant": sortie_id.variant,
-            "unit": sortie_id.unit,
-            "service": sortie_id.service,
-            "mission_number": sortie_id.mission_number,
-        }
-    if isinstance(sortie_id, CommercialSurvey):
-        return {
-            "variant": sortie_id.variant,
-            "company": sortie_id.company,
-            "country_code": sortie_id.country_code,
-            "year_two_digit": sortie_id.year_two_digit,
-            "film_number": sortie_id.film_number,
-            "full_year": sortie_id.full_year,
-        }
-    if isinstance(sortie_id, UsArmyAirForce):
-        return {
-            "variant": sortie_id.variant,
-            "raw": list(sortie_id.raw),
-            "standardized": sortie_id.standardized,
-        }
-    raise TypeError(f"not a sortie identifier: {sortie_id!r}")
+    if not isinstance(sortie_id, _SortieRecord):
+        raise TypeError(f"not a sortie identifier: {sortie_id!r}")
+    return sortie_id.to_json_dict()
 
 
 def from_json_dict(data: dict) -> SortieId:
-    variant = data.get("variant")
-    if variant == "dos_contract":
-        return DosContract(
-            data["contract_number"], data["country_code"], data["film_number"]
-        )
-    if variant == "military_unit":
-        return MilitaryUnit(data["unit"], data["service"], data["mission_number"])
-    if variant == "commercial_survey":
-        return CommercialSurvey(
-            data["company"],
-            data["country_code"],
-            data["year_two_digit"],
-            data["film_number"],
-        )
-    if variant == "us_army_air_force":
-        return UsArmyAirForce(tuple(data["raw"]), data["standardized"])
-    raise ParseError(f"unknown identifier variant: {variant!r}")
+    variant = data.get("variant") if isinstance(data, dict) else None
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ParseError(f"unknown identifier variant: {variant!r}")
+    return _VARIANTS[variant].from_json_dict(data)

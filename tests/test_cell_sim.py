@@ -322,8 +322,9 @@ class TestTraceStructure:
                 attendance=rng.choice((ALWAYS_PRESENT, WeeklySchedule(((0, 0.0, 12.0),)))),
                 reload_seconds=rng.uniform(0, 120),
             )
-            trace, _ = simulate(config, seed=case, horizon_seconds=rng.uniform(600, 2400))
+            trace, report = simulate(config, seed=case, horizon_seconds=rng.uniform(600, 2400))
             assert check_trace_invariants(trace, config) == [], f"case {case}"
+            assert report.starved_seconds >= 0, f"case {case}"
 
     def test_csv_shape(self):
         trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
@@ -404,7 +405,7 @@ GOLDEN_RUNS = {
         13,
         6 * 3600,
         "5ce04d7c453918bbbd33a8cbe80e7e9233d59b6381a8397b296fdb784944646a",
-        "4919bd6b44ccd7067a4f31c503f269f6e51afd5df31b0e3fa129389adc852643",
+        "873a5d0048bcf2881a1d9bab86a8580b6f9b3f0c41ea1ec1cce078622201b37a",
     ),
 }
 

@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scancell.cli import main
 
@@ -24,7 +30,7 @@ class TestDispatch:
     def test_parse_error_exits_1_with_module(self, capsys):
         code, _, err = run(capsys, "parse-id", "not an identifier")
         assert code == 1
-        assert "sortie_id" in err
+        assert err.startswith("sortie: ")
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -129,7 +135,7 @@ class TestSimulateCommand:
             capsys, "simulate", "--config", str(config), "--seed", "1", "--hours", "1"
         )
         assert code == 2
-        assert "scan_cell" in err
+        assert err.startswith("cell: configuration error")
 
     @pytest.mark.parametrize("hours", ["nan", "inf"])
     def test_non_finite_hours_exit_2(self, capsys, hours):
@@ -158,8 +164,22 @@ class TestSimulateCommand:
             capsys, "simulate", "--config", str(config), "--seed", "1", "--hours", "24"
         )
         assert code == 2
-        assert "scan_cell: configuration error" in err
+        assert err.startswith("cell: configuration error")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000],
+        ids=["not-utf8", "deeply-nested", "over-long-integer"],
+    )
+    def test_undecodable_config_exits_2(self, capsys, tmp_path, data):
+        config = tmp_path / "cell.json"
+        config.write_bytes(data)
+        code, _, err = run(
+            capsys, "simulate", "--config", str(config), "--seed", "1", "--hours", "1"
+        )
+        assert code == 2
+        assert err.startswith("cell: configuration error: invalid JSON")
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(
@@ -256,7 +276,7 @@ class TestQcCommands:
         GrayRaster(np.full((50, 50), 3, dtype=np.uint8), 300).save(dark)
         code, _, err = run(capsys, "qc", "crop", str(dark), "--out", str(tmp_path / "x.pgm"))
         assert code == 1
-        assert "calibration_qc" in err
+        assert err.startswith("qc: ")
 
 
 def test_unwritable_output_exits_1(capsys, tmp_path):
@@ -383,3 +403,119 @@ def test_documented_outputs_byte_identical(capsys, tmp_path, command):
     code, out, err = run(capsys, *_argv(command, tmp_path))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qc", "render", "--ppi", "nan", "--out", "x.pgm"],
+        ["qc", "render", "--ppi", "inf", "--out", "x.pgm"],
+        ["qc", "render", "--scale-error", "nan", "--out", "x.pgm"],
+        ["qc", "render", "--noise-sigma", "nan", "--seed", "1", "--out", "x.pgm"],
+        ["cost", "weeks", "--scans", "100", "--capacity", "nan"],
+        ["cost", "weeks", "--scans", "100", "--capacity", "inf"],
+    ],
+)
+def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
+# The four JSON inputs of the CLI: the module that reads each, and its
+# argv with "@" for the file path.
+JSON_INPUTS = {
+    "simulate": ("cell", ["simulate", "--seed", "1", "--hours", "0.01", "--config", "@"]),
+    "cost": ("economics", ["cost", "breakeven", "--a", "@"]),
+    "plan": ("preservation", ["preserve", "plan", "@"]),
+    "rates": ("preservation", ["preserve", "sample", "--n", "10", "--seed", "1", "--rates", "@"]),
+}
+
+MALFORMED_JSON = [
+    ("plan", {"mould": "wet"}),
+    ("plan", []),
+    ("plan", {"blocking": "false"}),
+    ("plan", {"bloking": True}),
+    ("cost", {}),
+    ("cost", "abc"),
+    ("cost", {"per_scan_variable": 0.1, "fixed_items": [["scanner", 5000]]}),
+    ("cost", {"per_scan_variable": 0.1, "fixed_total": 5, "weekly_capacity": "x"}),
+    ("cost", {"per_scan_variable": 0.1, "fixed_items": [["scanner", 1, 1]], "fixed_totl": 5}),
+    ("rates", {"mold": 0.1}),
+    ("rates", []),
+]
+
+
+def run_json_input(name, payload):
+    """Run one JSON-reading command on `payload`; returns (exit code, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.json"
+        path.write_text(json.dumps(payload))
+        argv = [str(path) if token == "@" else token for token in JSON_INPUTS[name][1]]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("name, payload", MALFORMED_JSON, ids=lambda value: json.dumps(value))
+def test_malformed_json_inputs_exit_2(name, payload):
+    code, err = run_json_input(name, payload)
+    assert code == 2
+    assert err.startswith(f"{JSON_INPUTS[name][0]}: configuration error: ")
+    assert "Traceback" not in err
+
+
+_FIELD_NAMES = sorted(
+    {
+        "scanners_per_robot", "scan_seconds", "handling_time", "kind", "mean_seconds", "spread",
+        "hopper_capacity", "lift_retry_limit", "lift_failure_prob", "attendance",
+        "reload_seconds", "ramp_multiplier", "per_scan_variable", "fixed_items", "fixed_total",
+        "weekly_capacity", "mould", "blocking", "silver_dust", "annotations_or_adhesives",
+        "curling_or_creases", "rips_or_peeling", "cleaning", "tape", "curling", "ripped",
+        "emulsion_peeling", "any_intervention", "total_boxes",
+    }
+)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 400)
+    | st.floats(-1e3, 1e3)
+    | st.sampled_from([float("nan"), float("inf"), 1e300])
+    | st.sampled_from(["none", "dormant", "active", "minor", "fixed", "lognormal", "0.5", "x"])
+)
+JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=3), children, max_size=5),
+    max_leaves=12,
+)
+
+
+def with_examples(examples):
+    def decorate(test):
+        for name, payload in examples:
+            test = example(name=name, payload=payload)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(JSON_INPUTS)), payload=JSON_VALUES)
+@with_examples(
+    MALFORMED_JSON
+    + [
+        ("simulate", {"hopper_capacity": 300.0, "attendance": [["0", 9, 17]]}),
+        ("simulate", {"scan_seconds": 10**400}),
+        ("cost", {"per_scan_variable": "1/0", "fixed_total": 1}),
+        ("rates", {"mould": True, "total_boxes": 16634.0}),
+    ]
+)
+def test_json_inputs_never_raise(name, payload):
+    code, err = run_json_input(name, payload)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
