@@ -3,13 +3,16 @@ import hashlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scancell.cell import CellConfig, HandlingTime
 from scancell.cli import main
+from scancell.preservation import IssueRates, PrintCondition
 
 
 def run(capsys, *argv):
@@ -469,15 +472,10 @@ def test_malformed_json_inputs_exit_2(name, payload):
     assert "Traceback" not in err
 
 
+# keys of the four inputs, so that generated objects reach the value checks
 _FIELD_NAMES = sorted(
-    {
-        "scanners_per_robot", "scan_seconds", "handling_time", "kind", "mean_seconds", "spread",
-        "hopper_capacity", "lift_retry_limit", "lift_failure_prob", "attendance",
-        "reload_seconds", "ramp_multiplier", "per_scan_variable", "fixed_items", "fixed_total",
-        "weekly_capacity", "mould", "blocking", "silver_dust", "annotations_or_adhesives",
-        "curling_or_creases", "rips_or_peeling", "cleaning", "tape", "curling", "ripped",
-        "emulsion_peeling", "any_intervention", "total_boxes",
-    }
+    {f.name for cls in (CellConfig, HandlingTime, PrintCondition, IssueRates) for f in fields(cls)}
+    | {"per_scan_variable", "fixed_items", "fixed_total", "weekly_capacity"}
 )
 _JSON_SCALARS = (
     st.none()
