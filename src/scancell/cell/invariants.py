@@ -1,173 +1,117 @@
 """Structural checks over simulation traces.
 
-Replays a trace independently of the engine's internal state and reports
-violations of the cell's physical invariants: conservation of prints and
-plates, single-robot mutual exclusion, non-decreasing event times,
-absolute-reference causality, and non-overlapping scan intervals.
+Replays a trace once, independently of the engine's internal state, and
+reports each place where it breaks one of the cell's invariants:
+
+- events in time order, numbered by position, each but
+  `program_initiated` caused by an earlier one;
+- print and plate flow: items move one at a time between a scanner's
+  hopper, bed and output and the robot's arm; no count goes negative, a
+  bed holds one print and the arm one item at most, and a reload refills
+  an empty hopper. Unlimited hoppers start at infinity, so their flow is
+  checked too;
+- one robot visit at a time, departing the scanner it arrived at;
+- scans only under a closed lid, never overlapping, and no lid opening
+  mid-scan.
+
+A broken count is repaired once reported, so a defect is reported where
+it shows, not at every later event.
 """
 from __future__ import annotations
 
-import re
+import math
 
 from .config import CellConfig
 from .sim import SimTrace
 
-_ROBOT_VISIT = re.compile(r"^(arrive|depart)@(scanner\d+)$")
+# transition -> (count it takes one item from, count it adds that item to).
+# The arm is the robot's; every other count belongs to the event's scanner.
+# A transition not listed here moves nothing.
+_MOVES = {
+    "print_lift_ok": ("prints", "arm"),
+    "print_on_bed": ("arm", "bed"),
+    "print_lifted_from_bed": ("bed", "arm"),
+    "print_unloaded": ("arm", "output"),
+    "plate_lift_ok": ("plates", "arm"),
+    "plate_transferred": ("arm", "output"),
+}
+_LIMIT = {"arm": 1, "bed": 1}
+# transition -> (lid state it needs, lid state it leaves); the lid opens
+# only between scans and a scan runs only under a closed lid
+_LID = {
+    "lid_closed": ("open", "closed"),
+    "scan_started": ("closed", "scanning"),
+    "scan_done": ("scanning", "closed"),
+    "lid_opened": ("closed", "open"),
+}
 
 
 def check_trace_invariants(trace: SimTrace, config: CellConfig) -> list[str]:
     """Replay a trace and return human-readable violations (empty = clean)."""
-    violations: list[str] = []
-    events = trace.events
-
-    last_time = -1
-    for e in events:
-        if e.time_ms < last_time:
-            violations.append(f"event {e.event_id} time went backwards")
-        last_time = e.time_ms
-
-    for i, e in enumerate(events):
-        if e.event_id != i:
-            violations.append(f"event ids not positional at index {i}")
-            break
-
-    for e in events:
-        if e.cause_id is None:
-            if e.transition != "program_initiated":
-                violations.append(f"event {e.event_id} ({e.transition}) lacks a cause")
-            continue
-        if not 0 <= e.cause_id < len(events):
-            violations.append(f"event {e.event_id} cause out of range")
-            continue
-        cause = events[e.cause_id]
-        if cause.event_id >= e.event_id:
-            violations.append(f"event {e.event_id} caused by a later event")
-        if cause.time_ms > e.time_ms:
-            violations.append(f"event {e.event_id} caused by a later-timed event")
-
-    violations.extend(_check_conservation(trace, config))
-    violations.extend(_check_robot_exclusion(trace))
-    violations.extend(_check_scan_intervals(trace))
-    return violations
-
-
-def _check_conservation(trace: SimTrace, config: CellConfig) -> list[str]:
-    if config.hopper_capacity is None:
-        return []
-    capacity = config.hopper_capacity
-    n = config.scanners_per_robot
-    prints_total = n * capacity
-    plates_total = n * (capacity - 1)
-
-    prints_input = {f"scanner{i}": capacity for i in range(n)}
-    plates_input = {f"scanner{i}": capacity - 1 for i in range(n)}
-    prints_transit = plates_transit = 0
-    prints_bed = {f"scanner{i}": 0 for i in range(n)}
-    prints_out = plates_out = 0
-    violations: list[str] = []
-
-    for e in trace.events:
-        t = e.transition
-        k = e.entity
-        if t == "print_lift_ok":
-            prints_input[k] -= 1
-            prints_transit += 1
-        elif t == "print_on_bed":
-            prints_transit -= 1
-            prints_bed[k] += 1
-        elif t == "print_lifted_from_bed":
-            prints_bed[k] -= 1
-            prints_transit += 1
-        elif t == "print_unloaded":
-            prints_transit -= 1
-            prints_out += 1
-        elif t == "plate_lift_ok":
-            plates_input[k] -= 1
-            plates_transit += 1
-        elif t == "plate_transferred":
-            plates_transit -= 1
-            plates_out += 1
-        elif t == "hopper_reloaded":
-            prints_input[k] += capacity
-            plates_input[k] += capacity - 1
-            prints_total += capacity
-            plates_total += capacity - 1
-        else:
-            continue
-        held_prints = (
-            sum(prints_input.values()) + prints_transit + sum(prints_bed.values()) + prints_out
-        )
-        held_plates = sum(plates_input.values()) + plates_transit + plates_out
-        if held_prints != prints_total:
-            violations.append(
-                f"print conservation broken after event {e.event_id}: "
-                f"{held_prints} != {prints_total}"
-            )
-            break
-        if held_plates != plates_total:
-            violations.append(
-                f"plate conservation broken after event {e.event_id}: "
-                f"{held_plates} != {plates_total}"
-            )
-            break
-        if any(v < 0 for v in prints_input.values()) or prints_transit < 0:
-            violations.append(f"negative print count after event {e.event_id}")
-            break
-    return violations
-
-
-def _check_robot_exclusion(trace: SimTrace) -> list[str]:
-    violations: list[str] = []
-    open_since: int | None = None
+    capacity = math.inf if config.hopper_capacity is None else config.hopper_capacity
+    scanners = {
+        f"scanner{i}": dict(prints=capacity, plates=capacity - 1, bed=0, output=0, lid="open")
+        for i in range(config.scanners_per_robot)
+    }
+    robot = {"arm": 0}
+    visiting: str | None = None
     last_depart = -1
-    for e in trace.events:
-        if e.entity != "robot":
-            continue
-        match = _ROBOT_VISIT.match(e.transition)
-        if not match:
-            violations.append(f"unknown robot transition {e.transition!r}")
-            continue
-        verb = match.group(1)
-        if verb == "arrive":
-            if open_since is not None:
-                violations.append(f"robot arrived twice without departing (event {e.event_id})")
-                break
-            if e.time_ms < last_depart:
-                violations.append(f"robot visit overlaps previous one (event {e.event_id})")
-                break
-            open_since = e.time_ms
-        else:
-            if open_since is None:
-                violations.append(f"robot departed without arriving (event {e.event_id})")
-                break
-            last_depart = e.time_ms
-            open_since = None
-    return violations
-
-
-def _check_scan_intervals(trace: SimTrace) -> list[str]:
+    last_time = -1
     violations: list[str] = []
-    scanning: dict[str, int | None] = {}
-    lid_closed: dict[str, bool] = {}
-    for e in trace.events:
-        if e.transition == "lid_closed":
-            lid_closed[e.entity] = True
-        elif e.transition == "lid_opened":
-            if scanning.get(e.entity) is not None:
-                violations.append(f"lid opened mid-scan on {e.entity} (event {e.event_id})")
-                break
-            lid_closed[e.entity] = False
-        elif e.transition == "scan_started":
-            if scanning.get(e.entity) is not None:
-                violations.append(f"overlapping scans on {e.entity} (event {e.event_id})")
-                break
-            if not lid_closed.get(e.entity, False):
-                violations.append(f"scan started with lid open on {e.entity} (event {e.event_id})")
-                break
-            scanning[e.entity] = e.time_ms
-        elif e.transition == "scan_done":
-            if scanning.get(e.entity) is None:
-                violations.append(f"scan finished without starting on {e.entity}")
-                break
-            scanning[e.entity] = None
+
+    for i, e in enumerate(trace.events):
+        t = e.transition
+        time_ms = e.time_ms
+        if time_ms < last_time:
+            violations.append(f"event {i} ({t}) time went backwards")
+        last_time = time_ms
+        if e.event_id != i:
+            violations.append(f"event id {e.event_id} not positional at index {i}")
+        cause = e.cause_id
+        if cause is None:
+            if t != "program_initiated":
+                violations.append(f"event {i} ({t}) lacks a cause")
+        elif not 0 <= cause < i:
+            violations.append(f"event {i} ({t}) caused by event {cause}, not an earlier one")
+
+        state = scanners.get(e.entity)
+        if state is None:
+            if e.entity != "robot":
+                if e.entity != "cell":
+                    violations.append(f"event {i} names unknown entity {e.entity!r}")
+                continue
+            verb, _, target = t.partition("@")
+            if target not in scanners or verb not in ("arrive", "depart"):
+                violations.append(f"unknown robot transition {t!r} (event {i})")
+            elif verb == "arrive":
+                if visiting is not None or time_ms < last_depart:
+                    violations.append(f"robot visit to {target} overlaps another (event {i})")
+                visiting = target
+            else:
+                if visiting != target:
+                    violations.append(f"robot left {target} while visiting {visiting} (event {i})")
+                visiting = None
+                last_depart = time_ms
+            continue
+
+        move = _MOVES.get(t)
+        if move is not None:
+            src, dst = move
+            giver = robot if src == "arm" else state
+            taker = robot if dst == "arm" else state
+            giver[src] -= 1
+            taker[dst] += 1
+            limit = _LIMIT.get(dst, math.inf)
+            if giver[src] < 0 or taker[dst] > limit:
+                violations.append(f"event {i} ({t}) leaves {src} {giver[src]}, {dst} {taker[dst]}")
+                giver[src] = max(giver[src], 0)
+                taker[dst] = min(taker[dst], limit)
+        elif t == "hopper_reloaded":
+            if state["prints"] or state["plates"]:
+                violations.append(f"{e.entity} reloaded before its hopper was empty (event {i})")
+            state["prints"], state["plates"] = capacity, capacity - 1
+        elif (lid := _LID.get(t)) is not None:
+            if state["lid"] != lid[0]:
+                violations.append(f"event {i} ({t}) on {e.entity} with the lid {state['lid']}")
+            state["lid"] = lid[1]
     return violations

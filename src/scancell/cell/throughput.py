@@ -9,6 +9,7 @@ of a full-time position).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,12 +79,11 @@ ROBOTIC = WorkforceParams(
 MODES = {"human_operated": HUMAN_OPERATED, "robotic": ROBOTIC}
 
 
-def theoretical_throughput(mode: str, params: WorkforceParams | None = None) -> ThroughputReport:
+def theoretical_throughput(mode: str) -> ThroughputReport:
     """Closed-form rates for a staffing mode; no simulation involved."""
-    if params is None:
-        if mode not in MODES:
-            raise DomainError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
-        params = MODES[mode]
+    if mode not in MODES:
+        raise DomainError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
+    params = MODES[mode]
     per_scanner_week = params.scans_per_scanner_hour * params.hours_per_week
     per_worker_week = float(
         Fraction(per_scanner_week).limit_denominator(10**9)
@@ -106,15 +106,11 @@ class FleetRates(JsonRecord):
     scans_per_week: float
 
 
-def fleet_throughput(
-    n_scanners: int, scans_per_scanner_hour: float = ROBOTIC.scans_per_scanner_hour
-) -> FleetRates:
-    """Round-the-clock ceiling for a scanner fleet."""
+def fleet_throughput(n_scanners: int) -> FleetRates:
+    """Round-the-clock ceiling for a fleet of robotic scanners."""
     if n_scanners < 1:
         raise DomainError("fleet must have at least one scanner")
-    if scans_per_scanner_hour <= 0:
-        raise DomainError("scan rate must be positive")
-    per_day = scans_per_scanner_hour * 24 * n_scanners
+    per_day = ROBOTIC.scans_per_scanner_hour * 24 * n_scanners
     return FleetRates(n_scanners, per_day, per_day * 7)
 
 
@@ -142,8 +138,8 @@ def utilization_fraction(observed: float, theoretical: float) -> float:
     """Observed over theoretical rate."""
     if theoretical <= 0:
         raise DomainError("theoretical rate must be positive")
-    if observed < 0:
-        raise DomainError("observed rate must be non-negative")
+    if not 0 <= observed < math.inf:
+        raise DomainError(f"observed rate must be finite and non-negative, got {observed!r}")
     return observed / theoretical
 
 
@@ -170,7 +166,6 @@ def observed_vs_theoretical(
     observed_daily: float,
     observed_weekly: float,
     fleet: FleetRates,
-    mondays_excluded: bool = True,
 ) -> UtilizationReport:
     """Compare observed daily/weekly maxima against the fleet ceiling.
 
@@ -178,13 +173,9 @@ def observed_vs_theoretical(
     weekend production); the note restates the convention, and a daily
     maximum at or above the ceiling is flagged rather than an error.
     """
-    if observed_daily < 0 or observed_weekly < 0:
-        raise DomainError("observed rates must be non-negative")
     daily_fraction = utilization_fraction(observed_daily, fleet.scans_per_day)
     weekly_fraction = utilization_fraction(observed_weekly, fleet.scans_per_week)
-    notes: list[str] = []
-    if mondays_excluded:
-        notes.append(MONDAY_AGGREGATION_NOTE)
+    notes = [MONDAY_AGGREGATION_NOTE]
     at_or_above = daily_fraction >= 1.0
     if at_or_above:
         notes.append(

@@ -85,7 +85,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
     payload = cell.theoretical_throughput(args.mode).to_json_dict()
-    if args.fleet:
+    if args.fleet is not None:
         payload["fleet"] = cell.fleet_throughput(args.fleet).to_json_dict()
     _dump_json(payload, args.out)
     return EXIT_OK
@@ -241,8 +241,14 @@ def _cmd_preserve(args: argparse.Namespace) -> int:
 def _cmd_photogrammetry(args: argparse.Namespace) -> int:
     p = photogrammetry
     if args.action == "scale":
-        f = p.FocalLength(args.focal_mm) if args.focal_mm else p.FocalLength.from_inches(args.focal_in)
-        h = p.FlyingAltitude(args.altitude_m) if args.altitude_m else p.FlyingAltitude.from_feet(args.altitude_ft)
+        if args.focal_mm is not None:
+            f = p.FocalLength(args.focal_mm)
+        else:
+            f = p.FocalLength.from_inches(args.focal_in)
+        if args.altitude_m is not None:
+            h = p.FlyingAltitude(args.altitude_m)
+        else:
+            h = p.FlyingAltitude.from_feet(args.altitude_ft)
         s = p.scale_from_focal_and_altitude(f, h)
         _dump_json({"scale_denominator": s.denominator, "display": str(s)}, args.out)
     elif args.action == "feature":
@@ -381,10 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     photo = sub.add_parser("photogrammetry", help="scale and resolution arithmetic")
     photo_sub = photo.add_subparsers(dest="action", required=True)
     scale = photo_sub.add_parser("scale")
-    scale.add_argument("--focal-mm", type=float)
-    scale.add_argument("--focal-in", type=float)
-    scale.add_argument("--altitude-m", type=float)
-    scale.add_argument("--altitude-ft", type=float)
+    focal = scale.add_mutually_exclusive_group(required=True)
+    focal.add_argument("--focal-mm", type=float)
+    focal.add_argument("--focal-in", type=float)
+    altitude = scale.add_mutually_exclusive_group(required=True)
+    altitude.add_argument("--altitude-m", type=float)
+    altitude.add_argument("--altitude-ft", type=float)
     scale.add_argument("--out")
     scale.set_defaults(func=_cmd_photogrammetry)
     feature = photo_sub.add_parser("feature")

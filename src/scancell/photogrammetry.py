@@ -25,9 +25,9 @@ BINARY_TERABYTE = 2**40
 
 
 def _require_positive(name: str, value: float) -> None:
-    # `not value > 0` also rejects NaN
-    if not value > 0:
-        raise DomainError(f"{name} must be strictly positive, got {value!r}")
+    # the chained comparison also rejects NaN
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)

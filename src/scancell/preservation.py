@@ -193,33 +193,6 @@ class IssueRates(JsonRecord):
             self.emulsion_peeling,
         )
 
-    @classmethod
-    def from_counts(
-        cls,
-        mould: int,
-        blocking: int,
-        cleaning: int,
-        tape: int,
-        curling: int,
-        ripped: int,
-        emulsion_peeling: int,
-        any_intervention: int,
-        total_boxes: int,
-    ) -> "IssueRates":
-        if total_boxes < 1:
-            raise DomainError("total_boxes must be positive")
-        return cls(
-            mould=mould / total_boxes,
-            blocking=blocking / total_boxes,
-            cleaning=cleaning / total_boxes,
-            tape=tape / total_boxes,
-            curling=curling / total_boxes,
-            ripped=ripped / total_boxes,
-            emulsion_peeling=emulsion_peeling / total_boxes,
-            any_intervention=any_intervention / total_boxes,
-            total_boxes=total_boxes,
-        )
-
 
 def independent_any_intervention_rate(rates: IssueRates) -> float:
     """Share of boxes with at least one issue if issues were independent.

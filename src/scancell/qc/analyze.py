@@ -35,18 +35,10 @@ def _profile_threshold(profile: np.ndarray) -> float:
 
 def _dark_runs(profile: np.ndarray, threshold: float) -> list[tuple[int, int]]:
     """Maximal runs of columns strictly below the threshold, as [start, end)."""
-    below = profile < threshold
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(below):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(below)))
-    return runs
+    # padded with a light column at each end, the changes alternate start, end
+    below = np.concatenate(([False], profile < threshold, [False]))
+    edges = np.flatnonzero(np.diff(below)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _run_centroid(profile: np.ndarray, threshold: float, run: tuple[int, int]) -> float:
@@ -68,11 +60,7 @@ class ScaleMeasurement(JsonRecord):
     passed: bool
 
 
-def measure_scale_px(
-    raster: GrayRaster,
-    expected_inches: float = 6.0,
-    row_band: tuple[int, int] | None = None,
-) -> ScaleMeasurement:
+def measure_scale_px(raster: GrayRaster, expected_inches: float = 6.0) -> ScaleMeasurement:
     """Distance in pixels between the terminal ticks of the measure scale.
 
     The verdict passes when the measured length is within the scanner's
@@ -82,10 +70,8 @@ def measure_scale_px(
     """
     if expected_inches <= 0:
         raise DomainError("expected scale length must be positive")
-    if row_band is None:
-        px = raster.ppi / MM_PER_INCH
-        row_band = (round(SCALE_BAND_MM[0] * px), round(SCALE_BAND_MM[1] * px))
-    r0, r1 = max(0, row_band[0]), min(raster.height, row_band[1])
+    px = raster.ppi / MM_PER_INCH
+    r0, r1 = round(SCALE_BAND_MM[0] * px), min(raster.height, round(SCALE_BAND_MM[1] * px))
     if r1 <= r0:
         raise AnalysisError("scale row band lies outside the raster")
     profile = np.median(raster.pixels[r0:r1, :].astype(np.float64), axis=0)
@@ -112,7 +98,6 @@ def wedge_tones(
     raster: GrayRaster,
     first_centroid: tuple[int, int],
     last_centroid: tuple[int, int],
-    window_radius_px: int | None = None,
 ) -> tuple[int, ...]:
     """Median intensity at 21 centroids interpolated between the two given.
 
@@ -125,12 +110,10 @@ def wedge_tones(
     for name, (x, y) in (("first", first_centroid), ("last", last_centroid)):
         if not (0 <= x < raster.width and 0 <= y < raster.height):
             raise DomainError(f"{name} centroid {x, y} lies outside the raster")
-    if window_radius_px is None:
-        window_radius_px = max(2, round(0.4 * raster.ppi / MM_PER_INCH))
+    r = max(2, round(0.4 * raster.ppi / MM_PER_INCH))
     xs = np.linspace(first_centroid[0], last_centroid[0], 21)
     ys = np.linspace(first_centroid[1], last_centroid[1], 21)
     tones = []
-    r = window_radius_px
     for x, y in zip(xs, ys):
         cx, cy = round(x), round(y)
         window = raster.pixels[

@@ -45,9 +45,6 @@ class GrayRaster:
         """Pixel pitch in micrometres."""
         return 25_400.0 / self.ppi
 
-    def px_per_mm(self) -> float:
-        return self.ppi / 25.4
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GrayRaster):
             return NotImplemented

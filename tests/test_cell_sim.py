@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -9,6 +10,7 @@ from scancell.cell import (
     NEVER_PRESENT,
     CellConfig,
     HandlingTime,
+    SimTrace,
     WeeklySchedule,
     simulate,
 )
@@ -343,6 +345,73 @@ class TestTraceStructure:
             assert by_id[event.cause_id].transition == "lid_closed"
         for event in transitions(trace, "lid_opened"):
             assert by_id[event.cause_id].transition == "scan_done"
+
+
+# a 3 h run with reloads, and the same cell with unlimited hoppers
+REPLAY_CONFIG = CellConfig(
+    handling_time=HandlingTime("fixed", 66.7),
+    hopper_capacity=5,
+    reload_seconds=30.0,
+    attendance=ALWAYS_PRESENT,
+)
+REPLAY_CONFIGS = {
+    "limited": REPLAY_CONFIG,
+    "unlimited": dataclasses.replace(REPLAY_CONFIG, hopper_capacity=None),
+}
+DROPPED_TRANSITIONS = (
+    "print_lift_ok",
+    "print_on_bed",
+    "print_lifted_from_bed",
+    "print_unloaded",
+    "plate_lift_ok",
+    "plate_transferred",
+    "hopper_reloaded",
+    "lid_closed",
+    "scan_done",
+)
+
+
+def renamed(transition):
+    return lambda event: {"transition": transition}
+
+
+# name -> (hoppers, transition of the first event to change, the fields to
+# change on it); renaming an event to robot_clear, which moves nothing,
+# drops its effect
+TRACE_DEFECTS = {
+    **{f"drop_{name}": ("limited", name, renamed("robot_clear")) for name in DROPPED_TRANSITIONS},
+    "drop_print_on_bed_unlimited": ("unlimited", "print_on_bed", renamed("robot_clear")),
+    "depart_wrong_scanner": ("limited", "depart@scanner0", renamed("depart@scanner1")),
+    "unknown_robot_transition": ("limited", "arrive@scanner0", renamed("wave@scanner0")),
+    "time_moved_backwards": ("limited", "scan_done", lambda event: {"time_ms": 0}),
+    "cause_points_forward": (
+        "limited", "print_on_bed", lambda event: {"cause_id": event.event_id + 1}
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def replay_traces():
+    return {
+        hoppers: simulate(config, seed=3, horizon_seconds=3 * 3600)[0]
+        for hoppers, config in REPLAY_CONFIGS.items()
+    }
+
+
+class TestInvariantReplay:
+    @pytest.mark.parametrize("hoppers", sorted(REPLAY_CONFIGS))
+    def test_clean_trace_passes(self, replay_traces, hoppers):
+        assert check_trace_invariants(replay_traces[hoppers], REPLAY_CONFIGS[hoppers]) == []
+
+    @pytest.mark.parametrize("defect", sorted(TRACE_DEFECTS))
+    def test_single_event_defect_reported(self, replay_traces, defect):
+        hoppers, transition, change = TRACE_DEFECTS[defect]
+        trace = replay_traces[hoppers]
+        events = list(trace.events)
+        target = transitions(trace, transition)[0]
+        events[target.event_id] = dataclasses.replace(target, **change(target))
+        broken = SimTrace(tuple(events), trace.horizon_ms, trace.scans_completed)
+        assert check_trace_invariants(broken, REPLAY_CONFIGS[hoppers]) != []
 
 
 # (config, seed, horizon seconds) -> sha256 of the trace CSV and of the

@@ -417,6 +417,10 @@ def test_documented_outputs_byte_identical(capsys, tmp_path, command):
         ["qc", "render", "--noise-sigma", "nan", "--seed", "1", "--out", "x.pgm"],
         ["cost", "weeks", "--scans", "100", "--capacity", "nan"],
         ["cost", "weeks", "--scans", "100", "--capacity", "inf"],
+        ["utilization", "--observed-daily", "nan", "--observed-weekly", "36084"],
+        ["utilization", "--observed-daily", "9090", "--observed-weekly", "inf"],
+        ["photogrammetry", "feature", "--lp-per-mm", "inf"],
+        ["photogrammetry", "grd", "--lp-per-mm", "10", "--scale-denominator", "inf"],
     ],
 )
 def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
@@ -426,6 +430,66 @@ def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
     assert "finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["photogrammetry", "scale", "--altitude-ft", "5000"], 2),
+        (["photogrammetry", "scale", "--focal-in", "6"], 2),
+        (["photogrammetry", "scale", "--focal-mm", "152", "--focal-in", "6", "--altitude-m", "9"], 2),
+        (["photogrammetry", "scale", "--focal-in", "6", "--altitude-m", "9", "--altitude-ft", "9"], 2),
+        (["photogrammetry", "scale", "--focal-mm", "0", "--altitude-ft", "5000"], 1),
+        (["photogrammetry", "scale", "--focal-in", "6", "--altitude-m", "0"], 1),
+        (["throughput", "--mode", "robotic", "--fleet", "0"], 1),
+    ],
+)
+def test_zero_is_a_value_not_an_absence(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert "Traceback" not in err
+
+
+# Every numeric option of these commands; the tokens before the option
+# make the rest of the command valid.
+NUMERIC_OPTIONS = [
+    "throughput --mode robotic --fleet",
+    "utilization --observed-weekly 36084 --observed-daily",
+    "utilization --observed-daily 9090 --observed-weekly",
+    "utilization --observed-daily 9090 --observed-weekly 36084 --scanners",
+    "cost curve --start",
+    "cost curve --stop",
+    "cost curve --points",
+    "cost weeks --capacity 4536 --scans",
+    "cost weeks --scans 1000 --capacity",
+    "photogrammetry scale --altitude-ft 5000 --focal-mm",
+    "photogrammetry scale --altitude-ft 5000 --focal-in",
+    "photogrammetry scale --focal-in 6 --altitude-m",
+    "photogrammetry scale --focal-in 6 --altitude-ft",
+    "photogrammetry feature --lp-per-mm",
+    "photogrammetry grd --scale-denominator 42579 --lp-per-mm",
+    "photogrammetry grd --lp-per-mm 10 --scale-denominator",
+    "photogrammetry pixel-range --lp-per-mm",
+    "photogrammetry adequacy --lp-per-mm 27 --ppi",
+    "photogrammetry adequacy --ppi 1200 --lp-per-mm",
+    "photogrammetry storage --bytes-per-image 250000000 --images",
+    "photogrammetry storage --images 1700000 --bytes-per-image",
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command", NUMERIC_OPTIONS)
+def test_numeric_options_never_print_non_json(capsys, command, value):
+    *argv, option = command.split()
+    code, out, err = run(capsys, *argv, f"{option}={value}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 # The four JSON inputs of the CLI: the module that reads each, and its

@@ -19,6 +19,7 @@ from scancell.qc import (
     wedge_level,
     wedge_tones,
 )
+from scancell.qc.analyze import _dark_runs
 
 GEOM = default_geometry()
 GROUP_STEP = 2.0 ** (1.0 / 6.0)
@@ -72,6 +73,45 @@ class TestRender:
     def test_canvas_size(self, target_1200):
         assert target_1200.width == round(250 / 25.4 * 1200)
         assert target_1200.height == round(25 / 25.4 * 1200)
+
+
+def dark_runs_by_loop(profile, threshold):
+    """Reference: walk the columns and close a run at each light column."""
+    runs, start = [], None
+    for i, value in enumerate(profile):
+        if value < threshold and start is None:
+            start = i
+        elif value >= threshold and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(profile)))
+    return runs
+
+
+class TestDarkRuns:
+    @pytest.mark.parametrize(
+        "profile, runs",
+        [
+            ([0, 0, 200, 200, 0, 200], [(0, 2), (4, 5)]),  # a run at column 0
+            ([200, 0, 200, 0, 0], [(1, 2), (3, 5)]),  # a run at the last column
+            ([0, 0, 0], [(0, 3)]),  # every column below
+            ([200, 200, 200], []),  # no column below
+            ([100, 99, 100], [(1, 2)]),  # strictly below the threshold
+            ([], []),
+        ],
+    )
+    def test_edge_profiles(self, profile, runs):
+        profile = np.array(profile, dtype=np.float64)
+        assert _dark_runs(profile, 100.0) == runs
+        assert dark_runs_by_loop(profile, 100.0) == runs
+
+    def test_matches_loop_on_random_profiles(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            profile = rng.integers(0, 256, size=int(rng.integers(1, 60))).astype(np.float64)
+            threshold = float(rng.integers(0, 257))
+            assert _dark_runs(profile, threshold) == dark_runs_by_loop(profile, threshold)
 
 
 class TestMeasureScale:
