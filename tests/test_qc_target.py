@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,72 @@ class TestRender:
     def test_canvas_size(self, target_1200):
         assert target_1200.width == round(250 / 25.4 * 1200)
         assert target_1200.height == round(25 / 25.4 * 1200)
+
+
+# (geometry, ppi, distortions, seed) -> sha256 of the PGM bytes. Any
+# change to these bytes is a change in rendering, not a refactor.
+COARSE_GEOM = CalibrationGeometry(
+    groups=tuple(ResolutionGroup(w, 3) for w in (800.0, 400.0, 200.0, 100.0))
+)
+GOLDEN_RENDERS = {
+    "300_blur40_noise": (
+        GEOM,
+        300,
+        Distortions(noise_sigma=2.0, blur_radius_px=40.0),
+        11,
+        "b7713223591b6e476cc0c389e9e7c89639435c007725a367810c2983a12b8ac9",
+    ),
+    "600_noise": (
+        GEOM,
+        600,
+        Distortions(noise_sigma=1.5),
+        3,
+        "a461d13e8289cca0b194169d51ae191e3e744d48d2519c53a099a09cf0f026dc",
+    ),
+    "1200_noise": (
+        GEOM,
+        1200,
+        Distortions(noise_sigma=2.0),
+        3,
+        "40d86179c289be9e861aa8c17c6b9d715beaa61ab8f73c3ef0fd8ada2643665d",
+    ),
+    "600_scale_error": (
+        GEOM,
+        600,
+        Distortions(scale_error_fraction=0.002),
+        0,
+        "a250e14c657d23a15bfc9605f84d422c9ce74f09557f25c5bb519941ec394263",
+    ),
+    "1200_plain": (
+        GEOM,
+        1200,
+        Distortions(),
+        0,
+        "bd4b24b3b8b6cea1b943f2da24e92d40779657812d466dbab5f237426e6a4073",
+    ),
+    "2400_blur": (
+        GEOM,
+        2400,
+        Distortions(blur_radius_px=0.5),
+        0,
+        "60bdb7bc119c6f31973ee8a378ecb321bb8e06f7d12cef408bae946ac9090db5",
+    ),
+    "coarse_negative_scale_error": (
+        COARSE_GEOM,
+        600,
+        Distortions(scale_error_fraction=-0.003, noise_sigma=1.0, blur_radius_px=1.0),
+        9,
+        "fc53a7bc35d751680dee40e085f04dd7ab227a3f42879ddf686931885d4a1aae",
+    ),
+}
+
+
+class TestGoldenRenders:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RENDERS))
+    def test_pgm_bytes_pinned(self, name):
+        geom, ppi, distortions, seed, pgm_sha256 = GOLDEN_RENDERS[name]
+        data = render_target(geom, ppi, distortions, seed).to_pgm_bytes()
+        assert hashlib.sha256(data).hexdigest() == pgm_sha256
 
 
 def dark_runs_by_loop(profile, threshold):
