@@ -42,7 +42,11 @@ EXIT_USAGE = 2
 
 
 def _dump_json(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # finite inputs whose result overflows to infinity
+        raise DomainError(f"result is not finite: {exc}") from None
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -455,6 +459,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DomainError, ParseError, AnalysisError) as exc:
         sys.stderr.write(f"{module}: {exc}\n")
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        # an integer argument beyond the float range, e.g. a 400-digit --fleet
+        sys.stderr.write(f"{module}: numeric overflow: {exc}\n")
         return EXIT_DOMAIN
     except OSError as exc:
         sys.stderr.write(f"{module}: i/o error: {exc}\n")

@@ -3,6 +3,12 @@
 The portable graymap (P5) container is used for all raster I/O; the
 samples-per-inch figure rides in a header comment (`# ppi 1200`) so files
 round-trip bit-exactly with their physical scale.
+
+The float filters take an image as `(rows, row_of)`: `k` distinct rows and
+the index of the distinct row behind each image row. `blur_rows` costs
+and allocates in proportion to the distinct rows, not the pixels, which
+keeps a target render at about one byte per pixel (at most 2 B/px plus
+16 MB); `gaussian_blur` is the same blur on a plain 2-D image.
 """
 from __future__ import annotations
 
@@ -55,7 +61,8 @@ class GrayRaster:
 
     def to_pgm_bytes(self) -> bytes:
         header = f"P5\n# ppi {self.ppi:g}\n{self.width} {self.height}\n255\n"
-        return header.encode("ascii") + self.pixels.tobytes()
+        # join reads the array's buffer, so the pixels are copied once
+        return b"".join((header.encode("ascii"), np.ascontiguousarray(self.pixels)))
 
     @classmethod
     def from_pgm_bytes(cls, data: bytes, ppi: float | None = None) -> "GrayRaster":
@@ -84,19 +91,23 @@ class GrayRaster:
                 pos = end
         if tokens[0] != b"P5":
             raise AnalysisError(f"not a binary PGM (magic {tokens[0]!r})")
-        width, height, maxval = (int(t) for t in tokens[1:4])
+        try:
+            width, height, maxval = (int(t) for t in tokens[1:4])
+        except ValueError:
+            raise AnalysisError(f"PGM size and maxval must be integers: {tokens[1:4]}") from None
+        if width < 0 or height < 0:
+            raise AnalysisError(f"PGM size must be non-negative, got {width}x{height}")
         if maxval != 255:
             raise AnalysisError(f"only 8-bit graymaps are supported, maxval {maxval}")
         pos += 1  # single whitespace after maxval
         expected = width * height
-        raw = data[pos : pos + expected]
-        if len(raw) != expected:
+        if len(data) - pos < expected:
             raise AnalysisError("PGM pixel data shorter than header promises")
-        pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
         resolved = ppi if ppi is not None else found_ppi
         if resolved is None:
             raise AnalysisError("PGM carries no ppi comment; pass ppi explicitly")
-        return cls(pixels.copy(), resolved)
+        pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+        return cls(pixels.reshape(height, width).copy(), resolved)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_pgm_bytes())
@@ -108,31 +119,50 @@ class GrayRaster:
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur on a float image, kernel truncated at 3 sigma."""
+    rows, row_of = blur_rows(image, np.arange(image.shape[0]), sigma)
+    return rows[row_of]
+
+
+def blur_rows(
+    rows: np.ndarray, row_of: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`gaussian_blur` of the image `rows[row_of]`, returned in the same form.
+
+    The horizontal pass runs once per distinct row, the vertical pass once
+    per distinct window of source rows, so an image of a few distinct rows
+    costs a few rows. Tap order and edge clamping are those of a full-image
+    pass, so `rows[row_of]` is bit-identical to blurring the full image.
+    """
     if sigma <= 0:
-        return image
+        return rows, row_of
     radius = max(1, int(np.ceil(3.0 * sigma)))
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
-    return _convolve_axis(_convolve_axis(image, kernel, axis=1), kernel, axis=0)
+    rows = _convolve_rows(rows, kernel)
+    taps = np.clip(np.arange(len(row_of))[:, None] + offsets, 0, len(row_of) - 1)
+    windows, window_of = np.unique(row_of[taps], axis=0, return_inverse=True)
+    out = np.zeros((len(windows), rows.shape[1]), dtype=np.float64)
+    for i, weight in enumerate(kernel):
+        out += weight * rows[windows[:, i]]
+    return out, window_of.reshape(-1)
 
 
-def _convolve_axis(image: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _convolve_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(image, pad, mode="edge")
+    padded = np.pad(image, [(0, 0), (radius, radius)], mode="edge")
     out = np.zeros_like(image, dtype=np.float64)
     for i, weight in enumerate(kernel):
-        if axis == 1:
-            out += weight * padded[:, i : i + image.shape[1]]
-        else:
-            out += weight * padded[i : i + image.shape[0], :]
+        out += weight * padded[:, i : i + image.shape[1]]
     return out
 
 
-def add_noise(image: np.ndarray, sigma: float, seed: int) -> np.ndarray:
-    """Additive Gaussian noise on a float image."""
+def add_noise(image: np.ndarray, sigma: float, seed: int | np.random.Generator) -> np.ndarray:
+    """Additive Gaussian noise on a float image.
+
+    Given a `Generator` as `seed`, draws continue its stream, so noise added
+    strip by strip from one generator equals noise added to the whole image.
+    """
     if sigma <= 0:
         return image
     rng = np.random.default_rng(seed)

@@ -19,6 +19,13 @@ do):
 - an injected scale error stretches all horizontal positions, matching a
   carriage-speed miscalibration; injected blur and noise are applied
   after the optics, then the image quantizes to 8 bits.
+
+Before quantizing, the target has three distinct rows (white, the scale
+band, the element band), so `render_target` draws and blurs those rows
+only and expands them to the full image as 8-bit pixels, adding noise in
+strips of `NOISE_STRIP_PIXELS`. A render therefore needs about one byte
+per pixel, at most 2 B/px plus 16 MB, and the `MAX_RASTER_PIXELS` guard
+of 300 Mpx bounds it to about 300 MB.
 """
 from __future__ import annotations
 
@@ -28,11 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .raster import GrayRaster, add_noise, gaussian_blur, quantize
+from .raster import GrayRaster, add_noise, blur_rows, quantize
 
 SENSOR_SIGMA_PX = 0.65
 BAR_JITTER_PX = 0.30
 MAX_RASTER_PIXELS = 300_000_000
+# pixels per strip of a noisy render: bounds its float64 temporaries to a few MB
+NOISE_STRIP_PIXELS = 1 << 18
 
 # strip layout anchors, millimetres
 SCALE_TICK_X0_MM = 12.0
@@ -197,15 +206,11 @@ def _coverage(a: float, b: float, size: int) -> tuple[int, np.ndarray]:
     return lo, np.clip(cov, 0.0, 1.0)
 
 
-def _fill_rect(canvas: np.ndarray, x0: float, x1: float, y0: float, y1: float, value: float) -> None:
-    cx, xcov = _coverage(x0, x1, canvas.shape[1])
-    cy, ycov = _coverage(y0, y1, canvas.shape[0])
-    if xcov.size == 0 or ycov.size == 0:
-        return
-    weight = np.outer(ycov, xcov)
-    region = canvas[cy : cy + ycov.size, cx : cx + xcov.size]
-    region *= 1.0 - weight
-    region += value * weight
+def _fill_span(row: np.ndarray, x0: float, x1: float, value: float) -> None:
+    cx, xcov = _coverage(x0, x1, row.size)
+    region = row[cx : cx + xcov.size]
+    region *= 1.0 - xcov
+    region += value * xcov
 
 
 def wedge_level(segment: int) -> int:
@@ -221,6 +226,10 @@ def render_target(
 ) -> GrayRaster:
     """Render the calibration target at `ppi`; deterministic given `seed`."""
     layout = TargetLayout.compute(geom, ppi)
+    if layout.width_px < 1 or layout.height_px < 1:
+        raise DomainError(
+            f"geometry at {ppi} ppi rounds to {layout.width_px}x{layout.height_px} px"
+        )
     if layout.width_px * layout.height_px > MAX_RASTER_PIXELS:
         raise DomainError(
             f"geometry at {ppi} ppi needs {layout.width_px}x{layout.height_px} px, "
@@ -228,34 +237,50 @@ def render_target(
         )
     px = ppi / MM_PER_INCH
     stretch = 1.0 + distortions.scale_error_fraction
-    canvas = np.full((layout.height_px, layout.width_px), 255.0, dtype=np.float64)
+    # Both bands have whole-pixel row bounds and every element spans its
+    # band's full height, so the canvas is three distinct rows: white, the
+    # scale band and the element band; `row_of` maps each image row to one.
+    rows = np.full((3, layout.width_px), 255.0, dtype=np.float64)
+    _, scale_row, element_row = rows
+    row_of = np.zeros(layout.height_px, dtype=np.intp)
+    row_of[slice(*layout.scale_band_rows)] = 1
+    row_of[slice(*layout.element_band_rows)] = 2
 
     tick_half = SCALE_TICK_WIDTH_MM * px / 2.0
-    y0, y1 = layout.scale_band_rows
     for center in layout.scale_tick_centers_px:
-        _fill_rect(canvas, center * stretch - tick_half, center * stretch + tick_half, y0, y1, 0.0)
+        _fill_span(scale_row, center * stretch - tick_half, center * stretch + tick_half, 0.0)
 
-    ey0, ey1 = layout.element_band_rows
     bar_index = 0
     for box in layout.group_boxes:
         w_px = box.group.line_width_um / 1000.0 * px
         for j in range(box.group.bar_count):
             jitter = BAR_JITTER_PX if bar_index % 2 else -BAR_JITTER_PX
             left = (box.x0_px + j * 2.0 * w_px) * stretch + jitter
-            _fill_rect(canvas, left, left + w_px, ey0, ey1, 0.0)
+            _fill_span(element_row, left, left + w_px, 0.0)
             bar_index += 1
 
     edges = layout.wedge_segment_edges_px
     for k in range(geom.wedge_segments):
-        _fill_rect(
-            canvas, edges[k] * stretch, edges[k + 1] * stretch, ey0, ey1, float(wedge_level(k))
-        )
+        _fill_span(element_row, edges[k] * stretch, edges[k + 1] * stretch, float(wedge_level(k)))
 
-    canvas = gaussian_blur(canvas, SENSOR_SIGMA_PX)
+    rows, row_of = blur_rows(rows, row_of, SENSOR_SIGMA_PX)
     if distortions.blur_radius_px > 0:
-        canvas = gaussian_blur(canvas, distortions.blur_radius_px / 2.0)
-    canvas = add_noise(canvas, distortions.noise_sigma, seed)
-    return GrayRaster(quantize(canvas), ppi)
+        rows, row_of = blur_rows(rows, row_of, distortions.blur_radius_px / 2.0)
+    return GrayRaster(_quantize_rows(rows, row_of, distortions.noise_sigma, seed), ppi)
+
+
+def _quantize_rows(
+    rows: np.ndarray, row_of: np.ndarray, noise_sigma: float, seed: int
+) -> np.ndarray:
+    """The 8-bit image `rows[row_of]`, with noise added strip by strip."""
+    if noise_sigma <= 0:
+        return quantize(rows)[row_of]
+    rng = np.random.default_rng(seed)
+    out = np.empty((row_of.size, rows.shape[1]), dtype=np.uint8)
+    step = max(1, NOISE_STRIP_PIXELS // rows.shape[1])
+    for y in range(0, row_of.size, step):
+        out[y : y + step] = quantize(add_noise(rows[row_of[y : y + step]], noise_sigma, rng))
+    return out
 
 
 def render_print_scan(

@@ -421,6 +421,9 @@ def test_documented_outputs_byte_identical(capsys, tmp_path, command):
         ["utilization", "--observed-daily", "9090", "--observed-weekly", "inf"],
         ["photogrammetry", "feature", "--lp-per-mm", "inf"],
         ["photogrammetry", "grd", "--lp-per-mm", "10", "--scale-denominator", "inf"],
+        # finite inputs whose result overflows to infinity
+        ["photogrammetry", "feature", "--lp-per-mm", "1e-308"],
+        ["photogrammetry", "grd", "--lp-per-mm", "1e-300", "--scale-denominator", "1e300"],
     ],
 )
 def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
@@ -481,7 +484,9 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "0", "-1", pytest.param("9" * 400, id="400-digits")]
+)
 @pytest.mark.parametrize("command", NUMERIC_OPTIONS)
 def test_numeric_options_never_print_non_json(capsys, command, value):
     *argv, option = command.split()

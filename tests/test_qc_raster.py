@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scancell.errors import AnalysisError, DomainError
 from scancell.qc import GrayRaster
-from scancell.qc.raster import add_noise, gaussian_blur, quantize
+from scancell.qc.raster import add_noise, blur_rows, gaussian_blur, quantize
 
 
 def checkerboard(w=8, h=6):
@@ -50,8 +52,46 @@ class TestGrayRaster:
         with pytest.raises(AnalysisError, match="shorter"):
             GrayRaster.from_pgm_bytes(data, ppi=300)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n-1 -1\n255\n", b"P5\nab 2\n255\n", b"P5\n" + b"9" * 5000 + b" 1\n255\n"],
+        ids=["negative", "not-a-number", "5000-digits"],
+    )
+    def test_malformed_size_is_an_analysis_error(self, header):
+        with pytest.raises(AnalysisError, match="PGM size"):
+            GrayRaster.from_pgm_bytes(header + bytes(4), ppi=300)
+
+    def test_decode_copies_the_payload_once(self):
+        data = GrayRaster(np.zeros((1000, 1000), dtype=np.uint8), 300).to_pgm_bytes()
+        tracemalloc.start()
+        try:
+            raster = GrayRaster.from_pgm_bytes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raster.pixels.flags.owndata
+        assert peak < 1.1 * 1000 * 1000
+
     def test_pitch(self):
         assert GrayRaster(checkerboard(), 1200).pitch_um == pytest.approx(21.1667, abs=1e-3)
+
+
+def blur_full_image(image, sigma):
+    """Reference: each axis padded at its edges, the taps summed over the whole image."""
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    height, width = image.shape
+    for axis in (1, 0):
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        padded = np.pad(image, pad, mode="edge")
+        out = np.zeros_like(image)
+        for i, weight in enumerate(kernel):
+            out += weight * (padded[:, i : i + width] if axis == 1 else padded[i : i + height])
+        image = out
+    return image
 
 
 class TestFilters:
@@ -64,6 +104,26 @@ class TestFilters:
         image[:, 10:] = 255.0
         blurred = gaussian_blur(image, 1.0)
         assert 0 < blurred[5, 10] < 255
+
+    @pytest.mark.parametrize(
+        "shape, sigma", [((1, 7), 0.65), ((9, 13), 0.65), ((5, 6), 3.0), ((40, 30), 1.7)]
+    )
+    def test_blur_bit_identical_to_full_image_reference(self, shape, sigma):
+        image = np.random.default_rng(4).uniform(0.0, 255.0, size=shape)
+        assert np.array_equal(gaussian_blur(image, sigma), blur_full_image(image, sigma))
+
+    def test_blur_rows_computes_each_distinct_window_once(self):
+        rows = np.random.default_rng(4).uniform(0.0, 255.0, size=(3, 20))
+        row_of = np.repeat([0, 1, 2, 0], [8, 5, 9, 6])
+        blurred, blurred_of = blur_rows(rows, row_of, 1.2)
+        assert np.array_equal(blurred[blurred_of], blur_full_image(rows[row_of], 1.2))
+        assert len(blurred) < len(row_of)
+
+    def test_noise_in_strips_from_one_generator_equals_one_draw(self):
+        image = np.full((7, 5), 128.0)
+        rng = np.random.default_rng(9)
+        strips = [add_noise(image[a:b], 2.0, rng) for a, b in ((0, 3), (3, 4), (4, 7))]
+        assert np.array_equal(np.vstack(strips), add_noise(image, 2.0, seed=9))
 
     def test_noise_deterministic_per_seed(self):
         image = np.full((5, 5), 128.0)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,11 @@ class TestGeometry:
         with pytest.raises(DomainError, match="raster limit"):
             render_target(GEOM, 6000)
 
+    @pytest.mark.parametrize("ppi", [0.5, 0.05])  # 5x0 and 0x0 px
+    def test_empty_raster_rejected(self, ppi):
+        with pytest.raises(DomainError, match="rounds to"):
+            render_target(GEOM, ppi)
+
 
 class TestRender:
     def test_deterministic_given_seed(self):
@@ -75,6 +81,16 @@ class TestRender:
     def test_canvas_size(self, target_1200):
         assert target_1200.width == round(250 / 25.4 * 1200)
         assert target_1200.height == round(25 / 25.4 * 1200)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
+    def test_peak_memory_two_bytes_per_pixel(self, noise_sigma):
+        tracemalloc.start()
+        try:
+            raster = render_target(GEOM, 1200, Distortions(noise_sigma=noise_sigma), seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * raster.width * raster.height + 16 * 2**20
 
 
 # (geometry, ppi, distortions, seed) -> sha256 of the PGM bytes. Any
