@@ -237,9 +237,8 @@ def render_target(
         )
     px = ppi / MM_PER_INCH
     stretch = 1.0 + distortions.scale_error_fraction
-    # Both bands have whole-pixel row bounds and every element spans its
-    # band's full height, so the canvas is three distinct rows: white, the
-    # scale band and the element band; `row_of` maps each image row to one.
+    # exact only because both bands have whole-pixel row bounds and every
+    # element spans its band's full height
     rows = np.full((3, layout.width_px), 255.0, dtype=np.float64)
     _, scale_row, element_row = rows
     row_of = np.zeros(layout.height_px, dtype=np.intp)
