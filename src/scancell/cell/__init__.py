@@ -7,7 +7,7 @@ from .config import (
     HandlingTime,
     WeeklySchedule,
 )
-from .sim import Event, SimTrace, simulate
+from .sim import SimTrace, simulate
 from .throughput import (
     HUMAN_OPERATED,
     ROBOTIC,
@@ -29,7 +29,6 @@ __all__ = [
     "CellConfig",
     "HandlingTime",
     "WeeklySchedule",
-    "Event",
     "SimTrace",
     "simulate",
     "HUMAN_OPERATED",

@@ -3,8 +3,8 @@
 Replays a trace once, independently of the engine's internal state, and
 reports each place where it breaks one of the cell's invariants:
 
-- events in time order, numbered by position, each but
-  `program_initiated` caused by an earlier one;
+- events in time order, each but `program_initiated` caused by an
+  earlier one;
 - print and plate flow: items move one at a time between a scanner's
   hopper, bed and output and the robot's arm; no count goes negative, a
   bed holds one print and the arm one item at most, and a reload refills
@@ -59,26 +59,21 @@ def check_trace_invariants(trace: SimTrace, config: CellConfig) -> list[str]:
     last_time = -1
     violations: list[str] = []
 
-    for i, e in enumerate(trace.events):
-        t = e.transition
-        time_ms = e.time_ms
+    for i, (time_ms, entity, t, cause) in enumerate(trace.events):
         if time_ms < last_time:
             violations.append(f"event {i} ({t}) time went backwards")
         last_time = time_ms
-        if e.event_id != i:
-            violations.append(f"event id {e.event_id} not positional at index {i}")
-        cause = e.cause_id
         if cause is None:
             if t != "program_initiated":
                 violations.append(f"event {i} ({t}) lacks a cause")
         elif not 0 <= cause < i:
             violations.append(f"event {i} ({t}) caused by event {cause}, not an earlier one")
 
-        state = scanners.get(e.entity)
+        state = scanners.get(entity)
         if state is None:
-            if e.entity != "robot":
-                if e.entity != "cell":
-                    violations.append(f"event {i} names unknown entity {e.entity!r}")
+            if entity != "robot":
+                if entity != "cell":
+                    violations.append(f"event {i} names unknown entity {entity!r}")
                 continue
             verb, _, target = t.partition("@")
             if target not in scanners or verb not in ("arrive", "depart"):
@@ -108,10 +103,10 @@ def check_trace_invariants(trace: SimTrace, config: CellConfig) -> list[str]:
                 taker[dst] = min(taker[dst], limit)
         elif t == "hopper_reloaded":
             if state["prints"] or state["plates"]:
-                violations.append(f"{e.entity} reloaded before its hopper was empty (event {i})")
+                violations.append(f"{entity} reloaded before its hopper was empty (event {i})")
             state["prints"], state["plates"] = capacity, capacity - 1
         elif (lid := _LID.get(t)) is not None:
             if state["lid"] != lid[0]:
-                violations.append(f"event {i} ({t}) on {e.entity} with the lid {state['lid']}")
+                violations.append(f"event {i} ({t}) on {entity} with the lid {state['lid']}")
             state["lid"] = lid[1]
     return violations

@@ -54,71 +54,50 @@ PLATE_LIFT = ("plate_lift_attempt", "plate_lift_failed", "plate_lift_ok")
 
 
 @dataclass(frozen=True)
-class Event:
-    """One trace record; `cause_id` names the earlier event that triggered it."""
-
-    event_id: int
-    time_ms: int
-    entity: str
-    transition: str
-    cause_id: int | None
-
-
-@dataclass(frozen=True)
 class SimTrace:
-    """Ordered event log of one run plus terminal statistics."""
+    """Ordered event log of one run.
 
-    events: tuple[Event, ...]
+    Each event is a plain `(time_ms, entity, transition, cause_id)` tuple,
+    the four CSV columns in order. An event's id is its position in
+    `events`; `cause_id` is the id of the earlier event that triggered it,
+    or None for `program_initiated`.
+    """
+
+    events: tuple[tuple[int, str, str, int | None], ...]
     horizon_ms: int
-    scans_completed: int
 
     CSV_HEADER = "time_ms,entity,transition,cause_event_id"
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
-        for e in self.events:
-            cause = "" if e.cause_id is None else str(e.cause_id)
-            lines.append(f"{e.time_ms},{e.entity},{e.transition},{cause}")
+        for time_ms, entity, transition, cause_id in self.events:
+            cause = "" if cause_id is None else cause_id
+            lines.append(f"{time_ms},{entity},{transition},{cause}")
         return "\n".join(lines) + "\n"
 
 
 class _Hopper:
     """Input stack of prints interleaved with plates; plates sit between
     consecutive prints, so a stack of n prints carries n-1 plates and the
-    top item is always a print after a (re)load."""
+    top item is always a print after a (re)load. An unlimited hopper holds
+    math.inf of each and never empties."""
 
     __slots__ = ("prints", "plates", "next_kind")
 
     def __init__(self, capacity: int | None):
-        if capacity is None:
-            self.prints = None
-            self.plates = None
-        else:
-            self.prints = capacity
-            self.plates = capacity - 1
-        self.next_kind = "print"
-
-    @property
-    def unlimited(self) -> bool:
-        return self.prints is None
+        self.refill(math.inf if capacity is None else capacity)
 
     def take_print(self) -> bool:
         """Remove the top print; True when it was the last one."""
-        if self.unlimited:
-            self.next_kind = "plate"
-            return False
         self.prints -= 1
         self.next_kind = "plate" if self.plates > 0 else "empty"
         return self.prints == 0
 
     def take_plate(self) -> None:
-        if self.unlimited:
-            self.next_kind = "print"
-            return
         self.plates -= 1
         self.next_kind = "print" if self.prints > 0 else "empty"
 
-    def refill(self, capacity: int) -> None:
+    def refill(self, capacity: float) -> None:
         self.prints = capacity
         self.plates = capacity - 1
         self.next_kind = "print"
@@ -154,7 +133,7 @@ class _Scanner:
         self.bed = BED_EMPTY
         self.empty_acknowledged = False
         self.ready_event = start_event
-        self.lamp_event = -1
+        self.lamp_event: int | None = None
         self.scanning_ms = 0
         self.scans_done = 0
         self.starved_since_ms: int | None = None
@@ -166,11 +145,11 @@ class _Simulation:
         self.config = config
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
-        # (time_ms, entity, transition, cause index or -1), in emission order
-        self.events: list[tuple[int, str, str, int]] = []
+        # (time_ms, entity, transition, cause index or None), in emission order
+        self.events: list[tuple[int, str, str, int | None]] = []
         self.heap: list[tuple[int, int, object]] = []
         self.seq = 0
-        self.start_event = self.emit(0, "cell", "program_initiated", -1)
+        self.start_event = self.emit(0, "cell", "program_initiated", None)
         self.scanners = [
             _Scanner(i, config.hopper_capacity, self.start_event)
             for i in range(config.scanners_per_robot)
@@ -186,8 +165,8 @@ class _Simulation:
 
     # -- plumbing ---------------------------------------------------------
 
-    def emit(self, time_ms: int, entity: str, transition: str, cause: int) -> int:
-        """Record an event and return its index; `cause` is -1 for none."""
+    def emit(self, time_ms: int, entity: str, transition: str, cause: int | None) -> int:
+        """Record an event and return its index; `cause` is None for none."""
         self.events.append((time_ms, entity, transition, cause))
         return len(self.events) - 1
 
@@ -397,11 +376,7 @@ class _Simulation:
         """Open or close the scanner's starvation interval. An unload opens
         it at the visit's end, ahead of the clock; a reload that lands
         before then cancels it, so it adds nothing."""
-        starving = (
-            scanner.bed == BED_EMPTY
-            and not scanner.hopper.unlimited
-            and scanner.hopper.next_kind == "empty"
-        )
+        starving = scanner.bed == BED_EMPTY and scanner.hopper.next_kind == "empty"
         if starving and scanner.starved_since_ms is None:
             scanner.starved_since_ms = now_ms
         elif not starving and scanner.starved_since_ms is not None:
@@ -421,15 +396,15 @@ class _Simulation:
         records = self.events
         kept = [i for i, record in enumerate(records) if record[0] <= self.horizon_ms]
         kept.sort(key=lambda i: records[i][0])
-        event_id = [-1] * len(records)
+        event_id: list[int | None] = [None] * len(records)
         for position, i in enumerate(kept):
             event_id[i] = position
         events = []
-        for position, i in enumerate(kept):
+        for i in kept:
             time_ms, entity, transition, cause = records[i]
-            cause_id = None if cause < 0 else event_id[cause]
-            events.append(Event(position, time_ms, entity, transition, cause_id))
-        return SimTrace(tuple(events), self.horizon_ms, self.scans_completed)
+            cause_id = None if cause is None else event_id[cause]
+            events.append((time_ms, entity, transition, cause_id))
+        return SimTrace(tuple(events), self.horizon_ms)
 
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
@@ -471,20 +446,7 @@ def simulate(
         raise ConfigError("horizon must be non-negative")
     horizon_ms = round(horizon_seconds * MS_PER_SECOND)
     if horizon_ms == 0:
-        trace = SimTrace((), 0, 0)
-        report = ThroughputReport(
-            mode="simulated",
-            scans_per_scanner_hour=0.0,
-            scans_per_hour=0.0,
-            scans_per_scanner_week=0.0,
-            scans_per_worker_week=None,
-            scans_completed=0,
-            per_scanner_scans=tuple(0 for _ in range(config.scanners_per_robot)),
-            horizon_hours=0.0,
-            robot_utilization=0.0,
-            scanner_utilization=0.0,
-        )
-        return trace, report
+        return SimTrace((), 0), _Simulation(config, seed, 0).build_report()
     sim = _Simulation(config, seed, horizon_ms)
     sim.run()
     sim.finalize_accounting()

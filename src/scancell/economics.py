@@ -129,15 +129,6 @@ ROBOTIC_WEEKLY_CAPACITY = 36_288.0  # 8 scanners around the clock
 MANUAL_WEEKLY_CAPACITY = 3_500.0  # 2 scanners, 35-hour week
 
 
-def itemized_fixed_cost(scenario: str) -> Money:
-    """Sum of the itemized capital costs for a benchmark scenario."""
-    if scenario == "robotic_benchmark":
-        return sum((item.total for item in ROBOTIC_BENCHMARK_ITEMS), Fraction(0))
-    if scenario == "manual_benchmark":
-        return sum((item.total for item in MANUAL_BENCHMARK_ITEMS), Fraction(0))
-    raise DomainError(f"unknown scenario {scenario!r}")
-
-
 def robotic_benchmark(headline: bool = True) -> CostParams:
     """Benchmark robotic pipeline: 4 robots, 8 scanners, 1 manual spare.
 

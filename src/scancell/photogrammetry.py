@@ -175,10 +175,3 @@ def storage_estimate(n_images: int, bytes_per_image: int) -> StorageEstimate:
     if n_images < 0 or bytes_per_image < 0:
         raise DomainError("image count and size must be non-negative")
     return StorageEstimate(int(n_images) * int(bytes_per_image))
-
-
-def round_sig(value: float, figures: int = 3) -> float:
-    """Round to a number of significant figures, for display only."""
-    if value == 0 or not math.isfinite(value):
-        return value
-    return round(value, figures - 1 - int(math.floor(math.log10(abs(value)))))

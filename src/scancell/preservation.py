@@ -53,37 +53,6 @@ class ScanRoute(enum.Enum):
     UNSCANNABLE = "unscannable"
 
 
-class ArtefactClass(enum.Enum):
-    """Image artefact taxonomy for scanned prints.
-
-    The first three arise during exposure, printing, or storage of the
-    original and cannot be remediated; the rest respond to conservation
-    treatment.
-    """
-
-    STATIC_MARKS = "static_marks"
-    PRINT_EXPOSURE_ERROR = "print_exposure_error"
-    PROCESSING_ERROR = "processing_error"
-    BLOCKING_DAMAGE = "blocking_damage"
-    SILVER_MIGRATION = "silver_migration"
-    HISTORICAL_ANNOTATIONS = "historical_annotations"
-    ADHESIVE_DAMAGE = "adhesive_damage"
-    EMULSION_PEELING = "emulsion_peeling"
-
-    @property
-    def remediable(self) -> bool:
-        return self not in _NON_REMEDIABLE
-
-
-_NON_REMEDIABLE = frozenset(
-    {
-        ArtefactClass.STATIC_MARKS,
-        ArtefactClass.PRINT_EXPOSURE_ERROR,
-        ArtefactClass.PROCESSING_ERROR,
-    }
-)
-
-
 @dataclass(frozen=True)
 class PrintCondition(JsonRecord):
     """Condition flags for one box or print."""
@@ -266,32 +235,6 @@ def _draw_condition(
     )
 
 
-def sample_box(
-    seed: int,
-    rates: IssueRates,
-    *,
-    dependence: float = 0.0,
-    active_mould_share: float = 0.5,
-    extensive_share: float = 0.0,
-) -> PrintCondition:
-    """Draw one box condition; identical seeds yield identical conditions.
-
-    `dependence` in [-1, 1] mixes the independent draw with a fully
-    comonotone draw (positive values: issues co-occur more) or a disjoint
-    draw (negative values: issues spread over more boxes). Marginal rates
-    are preserved exactly in both directions. The disjoint mixture needs
-    the issue rates to sum to at most 1.
-    """
-    return sample_boxes(
-        1,
-        seed,
-        rates,
-        dependence=dependence,
-        active_mould_share=active_mould_share,
-        extensive_share=extensive_share,
-    )[0]
-
-
 def sample_boxes(
     n: int,
     seed: int,
@@ -301,7 +244,15 @@ def sample_boxes(
     active_mould_share: float = 0.5,
     extensive_share: float = 0.0,
 ) -> list[PrintCondition]:
-    """Draw `n` box conditions from a single stream seeded with `seed`."""
+    """Draw `n` box conditions from a single stream seeded with `seed`;
+    identical seeds yield identical conditions.
+
+    `dependence` in [-1, 1] mixes the independent draw with a fully
+    comonotone draw (positive values: issues co-occur more) or a disjoint
+    draw (negative values: issues spread over more boxes). Marginal rates
+    are preserved exactly in both directions. The disjoint mixture needs
+    the issue rates to sum to at most 1.
+    """
     if n < 0:
         raise DomainError("sample count must be non-negative")
     if not -1.0 <= dependence <= 1.0:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -25,7 +26,8 @@ CALIBRATED = CellConfig(
 
 
 def transitions(trace, name):
-    return [e for e in trace.events if e.transition == name]
+    """The (time_ms, entity, transition, cause_id) records of one transition."""
+    return [event for event in trace.events if event[2] == name]
 
 
 class TestConfig:
@@ -214,7 +216,7 @@ class TestHandlingPhases:
 
         def durations(start, end):
             pairs = zip(transitions(trace, start), transitions(trace, end))
-            return [b.time_ms - a.time_ms for a, b in pairs]
+            return [b[0] - a[0] for a, b in pairs]
 
         unload = durations("print_lifted_from_bed", "print_unloaded")
         plate = durations("sense_plate", "plate_transferred")
@@ -338,13 +340,20 @@ class TestTraceStructure:
 
     def test_absolute_reference_chain(self):
         trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
-        by_id = {e.event_id: e for e in trace.events}
         scan_started = transitions(trace, "scan_started")
         assert scan_started
-        for event in scan_started:
-            assert by_id[event.cause_id].transition == "lid_closed"
-        for event in transitions(trace, "lid_opened"):
-            assert by_id[event.cause_id].transition == "scan_done"
+        for _, _, _, cause_id in scan_started:
+            assert trace.events[cause_id][2] == "lid_closed"
+        for _, _, _, cause_id in transitions(trace, "lid_opened"):
+            assert trace.events[cause_id][2] == "scan_done"
+
+    def test_records_are_untracked_by_gc(self):
+        # records of ints, strings and None leave the collector's lists
+        # once collected, so a long trace adds nothing to each GC pass
+        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
+        gc.collect()
+        assert trace.events
+        assert not any(gc.is_tracked(event) for event in trace.events)
 
 
 # a 3 h run with reloads, and the same cell with unlimited hoppers
@@ -372,20 +381,20 @@ DROPPED_TRANSITIONS = (
 
 
 def renamed(transition):
-    return lambda event: {"transition": transition}
+    return lambda position, event: (event[0], event[1], transition, event[3])
 
 
-# name -> (hoppers, transition of the first event to change, the fields to
-# change on it); renaming an event to robot_clear, which moves nothing,
-# drops its effect
+# name -> (hoppers, transition of the first event to change, the function
+# from that event's position and record to its broken record); renaming an
+# event to robot_clear, which moves nothing, drops its effect
 TRACE_DEFECTS = {
     **{f"drop_{name}": ("limited", name, renamed("robot_clear")) for name in DROPPED_TRANSITIONS},
     "drop_print_on_bed_unlimited": ("unlimited", "print_on_bed", renamed("robot_clear")),
     "depart_wrong_scanner": ("limited", "depart@scanner0", renamed("depart@scanner1")),
     "unknown_robot_transition": ("limited", "arrive@scanner0", renamed("wave@scanner0")),
-    "time_moved_backwards": ("limited", "scan_done", lambda event: {"time_ms": 0}),
+    "time_moved_backwards": ("limited", "scan_done", lambda position, event: (0, *event[1:])),
     "cause_points_forward": (
-        "limited", "print_on_bed", lambda event: {"cause_id": event.event_id + 1}
+        "limited", "print_on_bed", lambda position, event: (*event[:3], position + 1)
     ),
 }
 
@@ -408,9 +417,9 @@ class TestInvariantReplay:
         hoppers, transition, change = TRACE_DEFECTS[defect]
         trace = replay_traces[hoppers]
         events = list(trace.events)
-        target = transitions(trace, transition)[0]
-        events[target.event_id] = dataclasses.replace(target, **change(target))
-        broken = SimTrace(tuple(events), trace.horizon_ms, trace.scans_completed)
+        position = next(i for i, event in enumerate(events) if event[2] == transition)
+        events[position] = change(position, events[position])
+        broken = SimTrace(tuple(events), trace.horizon_ms)
         assert check_trace_invariants(broken, REPLAY_CONFIGS[hoppers]) != []
 
 
@@ -492,7 +501,7 @@ class TestGoldenTraces:
         def times(name, transition):
             config, seed, horizon = GOLDEN_RUNS[name][:3]
             trace, _ = simulate(config, seed=seed, horizon_seconds=horizon)
-            return [e.time_ms for e in transitions(trace, transition)]
+            return [event[0] for event in transitions(trace, transition)]
 
         assert times("lift_failures_with_stalls", "stall_resolved")
         assert times("reloads_under_part_time_attendance", "hopper_reloaded")

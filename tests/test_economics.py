@@ -11,7 +11,6 @@ from scancell.economics import (
     cost_halving_point,
     cost_per_scan,
     geometric_counts,
-    itemized_fixed_cost,
     manual_benchmark,
     robotic_benchmark,
     total_cost,
@@ -48,22 +47,15 @@ class TestMoney:
 
 class TestBenchmarks:
     def test_itemized_robotic_total(self):
-        assert itemized_fixed_cost("robotic_benchmark") == 511_800
+        assert robotic_benchmark(headline=False).fixed_total == 511_800
 
     def test_itemized_manual_total(self):
-        assert itemized_fixed_cost("manual_benchmark") == 10_000
+        assert manual_benchmark().itemized_total == 10_000
 
     def test_headline_override_preserved(self):
         params = robotic_benchmark()
         assert params.fixed_total == 512_150
         assert params.itemized_total == 511_800
-
-    def test_itemization_without_override(self):
-        assert robotic_benchmark(headline=False).fixed_total == 511_800
-
-    def test_unknown_scenario(self):
-        with pytest.raises(DomainError):
-            itemized_fixed_cost("hovercraft")
 
     @pytest.mark.parametrize("make_params", [robotic_benchmark, manual_benchmark])
     def test_json_round_trip(self, make_params):

@@ -15,7 +15,6 @@ from scancell.photogrammetry import (
     ground_resolved_distance,
     optimal_pixel_range,
     pixel_pitch_from_ppi,
-    round_sig,
     sampling_adequacy,
     scale_from_focal_and_altitude,
     smallest_resolvable_feature,
@@ -189,9 +188,3 @@ class TestStorage:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             storage_estimate(-1, 1)
-
-
-def test_round_sig_display_only():
-    assert round_sig(2.12895) == 2.13
-    assert round_sig(18.5185) == 18.5
-    assert round_sig(0.0) == 0.0

@@ -2,7 +2,6 @@ import pytest
 
 from scancell.errors import DomainError
 from scancell.preservation import (
-    ArtefactClass,
     IssueRates,
     MouldState,
     PrintCondition,
@@ -16,7 +15,6 @@ from scancell.preservation import (
     implied_rips_or_peeling_rate,
     independent_any_intervention_rate,
     plan_remediation,
-    sample_box,
     sample_boxes,
 )
 
@@ -95,11 +93,11 @@ class TestPlanner:
 class TestSampler:
     def test_degenerate_zero_rates(self):
         zero = IssueRates(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert sample_box(7, zero) == PrintCondition()
+        assert sample_boxes(1, 7, zero)[0] == PrintCondition()
 
     def test_degenerate_unit_rates(self):
         one = IssueRates(1, 1, 1, 1, 1, 1, 1, 1, 0)
-        condition = sample_box(7, one)
+        condition = sample_boxes(1, 7, one)[0]
         assert condition.mould is not MouldState.NONE
         assert condition.blocking and condition.silver_dust
         assert condition.annotations_or_adhesives and condition.curling_or_creases
@@ -128,7 +126,7 @@ class TestSampler:
 
     def test_extensive_share(self):
         rates = IssueRates(0, 0, 0, 0, 0, 1.0, 0, 0, 0)
-        condition = sample_box(3, rates, extensive_share=1.0)
+        condition = sample_boxes(1, 3, rates, extensive_share=1.0)[0]
         assert condition.rips_or_peeling is RipDamage.EXTENSIVE
 
     def test_negative_dependence_raises_any_intervention(self):
@@ -189,15 +187,3 @@ class TestAggregation:
         indep = independent_any_intervention_rate(rates)
         assert indep == pytest.approx(0.371, abs=0.002)
         assert indep < rates.any_intervention
-
-
-def test_artefact_remediability():
-    assert not ArtefactClass.STATIC_MARKS.remediable
-    assert not ArtefactClass.PRINT_EXPOSURE_ERROR.remediable
-    assert not ArtefactClass.PROCESSING_ERROR.remediable
-    assert ArtefactClass.BLOCKING_DAMAGE.remediable
-    assert ArtefactClass.SILVER_MIGRATION.remediable
-    assert ArtefactClass.HISTORICAL_ANNOTATIONS.remediable
-    assert ArtefactClass.ADHESIVE_DAMAGE.remediable
-    assert ArtefactClass.EMULSION_PEELING.remediable
-    assert len(ArtefactClass) == 8
