@@ -126,6 +126,24 @@ class TestCalibration:
         assert trace.events == ()
         assert report.scans_completed == 0
 
+    @pytest.mark.parametrize("scanners", [1, 3])
+    def test_zero_horizon_report_covers_every_scanner(self, scanners):
+        config = dataclasses.replace(CALIBRATED, scanners_per_robot=scanners)
+        trace, report = simulate(config, seed=1, horizon_seconds=0)
+        assert trace == SimTrace((), 0)
+        assert report.per_scanner_scans == (0,) * scanners
+        assert report.scans_per_hour == 0
+        assert report.horizon_hours == 0
+        assert report.robot_utilization == report.scanner_utilization == 0
+        assert report.stall_seconds == report.starved_seconds == 0
+
+    def test_unlimited_hopper_never_empties(self):
+        config = dataclasses.replace(CALIBRATED, attendance=NEVER_PRESENT)
+        trace, report = simulate(config, seed=1, horizon_seconds=24 * 3600)
+        assert report.scans_completed > 2 * 300
+        assert transitions(trace, "hopper_empty_lamp_on") == []
+        assert report.starved_seconds == 0
+
     def test_short_horizon_no_scan(self):
         trace, report = simulate(CALIBRATED, seed=1, horizon_seconds=30)
         assert report.scans_completed == 0
@@ -346,6 +364,17 @@ class TestTraceStructure:
             assert trace.events[cause_id][2] == "lid_closed"
         for _, _, _, cause_id in transitions(trace, "lid_opened"):
             assert trace.events[cause_id][2] == "scan_done"
+
+    def test_trace_holds_only_records_and_horizon(self):
+        import scancell.cell
+
+        assert [field.name for field in dataclasses.fields(SimTrace)] == [
+            "events",
+            "horizon_ms",
+        ]
+        assert not hasattr(scancell.cell, "Event")
+        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
+        assert all(type(event) is tuple and len(event) == 4 for event in trace.events)
 
     def test_records_are_untracked_by_gc(self):
         # records of ints, strings and None leave the collector's lists

@@ -57,6 +57,11 @@ class TestBenchmarks:
         assert params.fixed_total == 512_150
         assert params.itemized_total == 511_800
 
+    def test_itemization_without_override(self):
+        params = robotic_benchmark(headline=False)
+        assert params.fixed_total_override is None
+        assert params.fixed_total == params.itemized_total == 511_800
+
     @pytest.mark.parametrize("make_params", [robotic_benchmark, manual_benchmark])
     def test_json_round_trip(self, make_params):
         params = make_params()
