@@ -35,6 +35,7 @@ from .qc import (
     default_geometry,
     render_target,
 )
+from .qc.analyze import BORDER_MM
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -198,7 +199,7 @@ def _cmd_qc(args: argparse.Namespace) -> int:
 
 def _cmd_parse_id(args: argparse.Namespace) -> int:
     parsed = sortie.parse(args.identifier, usaaf=args.usaaf)
-    payload = sortie.to_json_dict(parsed)
+    payload = parsed.to_json_dict()
     payload["canonical"] = sortie.canonical_format(parsed)
     _dump_json(payload, args.out)
     return EXIT_OK
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     crop = qc_sub.add_parser("crop", help="crop a scan to the print plus border")
     crop.add_argument("raster")
     crop.add_argument("--out", required=True)
-    crop.add_argument("--border-mm", type=float, default=5.0)
+    crop.add_argument("--border-mm", type=float, default=BORDER_MM)
     crop.set_defaults(func=_cmd_qc)
 
     pid = sub.add_parser("parse-id", help="parse a sortie identifier")

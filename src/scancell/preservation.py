@@ -184,12 +184,11 @@ def implied_rips_or_peeling_rate(rates: IssueRates) -> float:
     return 1.0 - (1.0 - rates.ripped) * (1.0 - rates.emulsion_peeling)
 
 
+ACTIVE_MOULD_SHARE = 0.5  # share of sampled mould that is active, not dormant
+
+
 def _draw_condition(
-    rng: random.Random,
-    rates: IssueRates,
-    dependence: float,
-    active_mould_share: float,
-    extensive_share: float,
+    rng: random.Random, rates: IssueRates, dependence: float, extensive_share: float
 ) -> PrintCondition:
     probabilities = rates.issue_probabilities()
     mode = "independent"
@@ -217,7 +216,7 @@ def _draw_condition(
     if mould_hit:
         mould = (
             MouldState.ACTIVE
-            if rng.random() < active_mould_share
+            if rng.random() < ACTIVE_MOULD_SHARE
             else MouldState.DORMANT
         )
     rips = RipDamage.NONE
@@ -241,7 +240,6 @@ def sample_boxes(
     rates: IssueRates,
     *,
     dependence: float = 0.0,
-    active_mould_share: float = 0.5,
     extensive_share: float = 0.0,
 ) -> list[PrintCondition]:
     """Draw `n` box conditions from a single stream seeded with `seed`;
@@ -251,7 +249,8 @@ def sample_boxes(
     comonotone draw (positive values: issues co-occur more) or a disjoint
     draw (negative values: issues spread over more boxes). Marginal rates
     are preserved exactly in both directions. The disjoint mixture needs
-    the issue rates to sum to at most 1.
+    the issue rates to sum to at most 1. Sampled mould is active with
+    probability `ACTIVE_MOULD_SHARE`, otherwise dormant.
     """
     if n < 0:
         raise DomainError("sample count must be non-negative")
@@ -259,13 +258,11 @@ def sample_boxes(
         raise DomainError(f"dependence must lie in [-1, 1], got {dependence}")
     if dependence < 0.0 and sum(rates.issue_probabilities()) > 1.0:
         raise DomainError("disjoint mixture requires issue rates summing to at most 1")
-    if not 0.0 <= active_mould_share <= 1.0:
-        raise DomainError("active_mould_share must lie in [0, 1]")
     if not 0.0 <= extensive_share <= 1.0:
         raise DomainError("extensive_share must lie in [0, 1]")
     rng = random.Random(seed)
     return [
-        _draw_condition(rng, rates, dependence, active_mould_share, extensive_share)
+        _draw_condition(rng, rates, dependence, extensive_share)
         for _ in range(n)
     ]
 

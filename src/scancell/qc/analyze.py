@@ -24,6 +24,7 @@ from .target import (
 )
 
 MIN_CONTRAST = 16  # intensity spread below this means no usable signal
+BORDER_MM = 5.0  # background kept around the print by crops and reports
 
 
 def _profile_threshold(profile: np.ndarray) -> float:
@@ -209,7 +210,7 @@ def expand_box(
     )
 
 
-def crop_to_border(raster: GrayRaster, border_mm: float = 5.0) -> GrayRaster:
+def crop_to_border(raster: GrayRaster, border_mm: float = BORDER_MM) -> GrayRaster:
     """Crop to the print plus a uniform dark border.
 
     The border is `border_mm` of background on each side, clamped at the
@@ -248,11 +249,10 @@ class CalibrationReport(JsonRecord):
 
 
 def analyze_target(
-    raster: GrayRaster,
-    geom: CalibrationGeometry | None = None,
-    border_mm: float = 5.0,
+    raster: GrayRaster, geom: CalibrationGeometry | None = None
 ) -> CalibrationReport:
-    """Full QC pass over a rendered or scanned calibration strip."""
+    """Full QC pass over a rendered or scanned calibration strip; the crop
+    box keeps `BORDER_MM` of background around the print."""
     geom = geom or default_geometry()
     layout = TargetLayout.compute(geom, raster.ppi)
     scale = measure_scale_px(raster, geom.measure_scale_inches)
@@ -264,7 +264,7 @@ def analyze_target(
         )
     try:
         box = find_print_box(raster)
-        box = expand_box(box, border_px(raster, border_mm), raster.width, raster.height)
+        box = expand_box(box, border_px(raster, BORDER_MM), raster.width, raster.height)
     except AnalysisError:
         box = (0, 0, raster.width, raster.height)
     return CalibrationReport(

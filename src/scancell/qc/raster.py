@@ -12,6 +12,7 @@ keeps a target render at about one byte per pixel (at most 2 B/px plus
 """
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -33,8 +34,8 @@ class GrayRaster:
             raise DomainError(f"raster must be 2-D, got shape {array.shape}")
         if array.dtype != np.uint8:
             raise DomainError(f"raster must be uint8, got {array.dtype}")
-        if not ppi > 0:
-            raise DomainError("ppi must be positive")
+        if not 0 < ppi < math.inf:
+            raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
         self.pixels = array
         self.ppi = float(ppi)
 
@@ -79,7 +80,7 @@ class GrayRaster:
                     raise AnalysisError("unterminated PGM comment")
                 match = _PPI_COMMENT.match(data[pos:end])
                 if match:
-                    found_ppi = float(match.group(1))
+                    found_ppi = match.group(1)
                 pos = end + 1
             elif ch.isspace():
                 pos += 1
@@ -103,11 +104,10 @@ class GrayRaster:
         expected = width * height
         if len(data) - pos < expected:
             raise AnalysisError("PGM pixel data shorter than header promises")
-        resolved = ppi if ppi is not None else found_ppi
-        if resolved is None:
-            raise AnalysisError("PGM carries no ppi comment; pass ppi explicitly")
+        if ppi is None:
+            ppi = _comment_ppi(found_ppi)
         pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
-        return cls(pixels.reshape(height, width).copy(), resolved)
+        return cls(pixels.reshape(height, width).copy(), ppi)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_pgm_bytes())
@@ -115,6 +115,20 @@ class GrayRaster:
     @classmethod
     def load(cls, path: str | Path, ppi: float | None = None) -> "GrayRaster":
         return cls.from_pgm_bytes(Path(path).read_bytes(), ppi)
+
+
+def _comment_ppi(text: bytes | None) -> float:
+    if text is None:
+        raise AnalysisError("PGM carries no ppi comment; pass ppi explicitly")
+    try:
+        ppi = float(text)
+    except ValueError:
+        ppi = math.nan
+    if not 0 < ppi < math.inf:
+        raise AnalysisError(
+            f"PGM ppi comment must be a finite positive number, got {text.decode()!r}"
+        )
+    return ppi
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:

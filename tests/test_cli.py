@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -19,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quietly(*argv):
+    """Run the CLI outside pytest's capture; returns (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 class TestDispatch:
@@ -281,6 +290,15 @@ class TestQcCommands:
         assert code == 1
         assert err.startswith("qc: ")
 
+    @pytest.mark.parametrize("comment", ["1.2.3", "1e999"])
+    @pytest.mark.parametrize("action", ["analyze", "crop"])
+    def test_malformed_ppi_comment_exits_1(self, capsys, tmp_path, action, comment):
+        scan = tmp_path / "scan.pgm"
+        scan.write_bytes(f"P5\n# ppi {comment}\n2 2\n255\n".encode() + bytes(4))
+        code, _, err = run(capsys, "qc", action, str(scan), "--out", str(tmp_path / "x.pgm"))
+        assert code == 1
+        assert err.startswith("qc: PGM ppi comment")
+
 
 def test_unwritable_output_exits_1(capsys, tmp_path):
     code, _, err = run(
@@ -523,14 +541,12 @@ MALFORMED_JSON = [
 
 def run_json_input(name, payload):
     """Run one JSON-reading command on `payload`; returns (exit code, stderr)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input.json"
         path.write_text(json.dumps(payload))
         argv = [str(path) if token == "@" else token for token in JSON_INPUTS[name][1]]
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-    return code, stderr.getvalue()
+        code, _, err = run_quietly(*argv)
+    return code, err
 
 
 @pytest.mark.parametrize("name, payload", MALFORMED_JSON, ids=lambda value: json.dumps(value))
@@ -586,3 +602,31 @@ def test_json_inputs_never_raise(name, payload):
     code, err = run_json_input(name, payload)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# identifier-shaped text, so that generated strings reach every family
+_NUMBER = st.sampled_from(["4", "0056", "64", "0000", "58\n", " 4"])
+_WORD = st.sampled_from(["BC", "GH", "RAF", "HSL", "K17", "bc", "BC\n", ""])
+_ID_TEXT = st.one_of(
+    st.tuples(_NUMBER, _WORD, _NUMBER),
+    st.tuples(_WORD, _WORD, _NUMBER),
+    st.tuples(_WORD, _WORD, _NUMBER, _NUMBER),
+).map("/".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_ID_TEXT | st.text(max_size=16), usaaf=st.booleans())
+@example(text="4/BC\n/0056", usaaf=False)
+@example(text="4/BC/0056\n", usaaf=False)
+@example(text="58\n/RAF/0456", usaaf=False)
+@example(text="9" * 5000 + "/BC/0056", usaaf=False)
+def test_parse_id_never_raises(text, usaaf):
+    flags = ["--usaaf"] if usaaf else []
+    # "--" keeps text such as "-h" an identifier rather than an option
+    code, out, err = run_quietly("parse-id", *flags, "--", text)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0 and not usaaf:
+        canonical = json.loads(out)["canonical"]
+        assert re.fullmatch("[A-Z0-9/]+", canonical)
+        assert run_quietly("parse-id", canonical) == (0, out, "")

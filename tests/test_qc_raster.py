@@ -61,6 +61,16 @@ class TestGrayRaster:
         with pytest.raises(AnalysisError, match="PGM size"):
             GrayRaster.from_pgm_bytes(header + bytes(4), ppi=300)
 
+    @pytest.mark.parametrize("comment", [b"# ppi 1.2.3", b"# ppi 1e999"], ids=["1.2.3", "1e999"])
+    def test_malformed_ppi_comment_is_an_analysis_error(self, comment):
+        with pytest.raises(AnalysisError, match="ppi comment"):
+            GrayRaster.from_pgm_bytes(b"P5\n" + comment + b"\n2 2\n255\n" + bytes(4))
+
+    @pytest.mark.parametrize("ppi", [float("inf"), float("nan"), 0.0])
+    def test_ppi_must_be_finite_and_positive(self, ppi):
+        with pytest.raises(DomainError, match="finite and positive"):
+            GrayRaster(np.zeros((2, 2), dtype=np.uint8), ppi)
+
     def test_decode_copies_the_payload_once(self):
         data = GrayRaster(np.zeros((1000, 1000), dtype=np.uint8), 300).to_pgm_bytes()
         tracemalloc.start()

@@ -11,9 +11,7 @@ from scancell.sortie import (
     MilitaryUnit,
     UsArmyAirForce,
     canonical_format,
-    from_json_dict,
     parse,
-    to_json_dict,
 )
 
 
@@ -55,6 +53,11 @@ class TestParseRules:
         assert "dos_contract" in message
         assert "military_unit" in message
         assert "commercial_survey" in message
+        # each family's expectation in words, not as a regex
+        assert "contract digits/two-letter country/film digits" in message
+        assert "service of three or more letters" in message
+        assert "two-digit year" in message
+        assert "uppercase" in message
 
     def test_precedence_dos_contract_over_military(self):
         # two-letter second segment with numeric first reads as contract imagery
@@ -67,6 +70,31 @@ class TestParseRules:
     def test_lowercase_country_rejected(self):
         with pytest.raises(ParseError):
             parse("4/bc/0056")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["4/BC\n/0056", "4/BC/0056\n", "58\n/RAF/0456", "9" * 5000 + "/BC/0056"],
+        ids=["newline-in-token", "trailing-newline", "newline-in-unit", "5000-digit-contract"],
+    )
+    def test_text_outside_the_grammar_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize(
+        "cls, args, match",
+        [
+            (DosContract, (4, "BC\n", 56), "country code"),
+            (MilitaryUnit, ("58\n", "RAF", 456), "unit"),
+            (MilitaryUnit, ("58", "RAF\n", 456), "service"),
+            (CommercialSurvey, ("HSL\n", "GH", 64, 34), "company"),
+            (CommercialSurvey, ("HSL", "GH\n", 64, 34), "country code"),
+        ],
+    )
+    def test_trailing_newline_in_a_token_rejected(self, cls, args, match):
+        with pytest.raises(ParseError, match=match):
+            cls(*args)
 
 
 class TestUsaaf:
@@ -133,10 +161,6 @@ class TestRoundTripProperty:
     @given(sortie_id=st.one_of(dos_ids, military_ids, survey_ids))
     def test_parse_inverts_canonical_format(self, sortie_id):
         assert parse(canonical_format(sortie_id)) == sortie_id
-
-    @given(sortie_id=st.one_of(dos_ids, military_ids, survey_ids))
-    def test_json_round_trip(self, sortie_id):
-        assert from_json_dict(to_json_dict(sortie_id)) == sortie_id
 
     def test_bulk_generated_ids(self):
         rng = random.Random(2024)
