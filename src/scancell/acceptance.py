@@ -11,7 +11,7 @@ import math
 import random
 import string
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import economics, photogrammetry, preservation, sortie
 from .cell import (
@@ -139,13 +139,13 @@ def check_simulation_calibration() -> list[CheckResult]:
 # -- criterion 4: simulation property suite ------------------------------------
 
 
-def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
-    c = "4 simulation invariants"
+def simulation_property_cases(
+    n_configs: int = 1000,
+) -> Iterator[tuple[CellConfig, int, float]]:
+    """The randomized (config, seed, horizon seconds) cases of criterion 4,
+    drawn from a fixed seed so every run checks the same cells."""
     rng = random.Random(41_000)
-    violations = 0
-    determinism_breaks = 0
-    first_failure = ""
-    for case in range(n_configs):
+    for _ in range(n_configs):
         config = CellConfig(
             scanners_per_robot=rng.choice((1, 2, 2, 2, 3)),
             scan_seconds=rng.uniform(15, 60),
@@ -165,6 +165,15 @@ def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
         )
         seed = rng.randrange(2**31)
         horizon = rng.uniform(300, 1800)
+        yield config, seed, horizon
+
+
+def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
+    c = "4 simulation invariants"
+    violations = 0
+    determinism_breaks = 0
+    first_failure = ""
+    for case, (config, seed, horizon) in enumerate(simulation_property_cases(n_configs)):
         trace, _ = simulate(config, seed=seed, horizon_seconds=horizon)
         problems = check_trace_invariants(trace, config)
         if problems:
