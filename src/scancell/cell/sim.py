@@ -9,12 +9,15 @@ events (absolute references), never off timed margins; in the trace every
 event names the event that caused it.
 
 Timing model: each robot action happens at the instant its visit starts
-and the phase duration covers the arm movement that follows. The unload,
-plate-transfer and pick-and-place phases of one loading cycle each draw
-their own handling time h and take 0.3, 0.3 and 0.4 of it, so in steady
-state one completed scan consumes the mean of h in robot time. Only fixed
-handling keeps the three phases in a 3:3:4 ratio. Lid actuation is part of
-the event chain but consumes no separate time; it is folded into h.
+and the phase duration covers the arm movement that follows. The visit's
+closing events (print placed or unloaded, plate transferred, departure)
+are emitted when the clock reaches its end, so events are recorded in
+time order. The unload, plate-transfer and pick-and-place phases of one
+loading cycle each draw their own handling time h and take 0.3, 0.3 and
+0.4 of it, so in steady state one completed scan consumes the mean of h
+in robot time. Only fixed handling keeps the three phases in a 3:3:4
+ratio. Lid actuation is part of the event chain but consumes no separate
+time; it is folded into h.
 
 Failures: a hopper pick may fail per attempt; after the retry limit the
 cell stops and reports an error, which a worker resolves at the next
@@ -32,11 +35,15 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from .config import MS_PER_SECOND, CellConfig
 from .throughput import ThroughputReport
 
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
+# events one run may emit; each costs about 300 B until the trace CSV is
+# written, so a run at the budget peaks near 0.9 GB (a 4-week default run
+# emits about 763k)
+MAX_EVENTS = 3_000_000
 
 UNLOAD_SHARE = 0.3
 PLATE_SHARE = 0.3
@@ -51,6 +58,8 @@ BED_SCANNED = "scanned"
 # (attempt, failed, ok) transitions of a hopper pick
 PRINT_LIFT = ("print_lift_attempt", "print_lift_failed", "print_lift_ok")
 PLATE_LIFT = ("plate_lift_attempt", "plate_lift_failed", "plate_lift_ok")
+# scanner transitions at the end of a load visit, each caused by the one before
+LOAD_CHAIN = ("print_on_bed", "robot_clear", "lid_closed", "scan_started")
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,8 @@ class _Simulation:
         self.config = config
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
-        # (time_ms, entity, transition, cause index or None), in emission order
+        # (time_ms, entity, transition, cause index or None), emitted when the
+        # clock reaches time_ms, so in time order; an index is the event's id
         self.events: list[tuple[int, str, str, int | None]] = []
         self.heap: list[tuple[int, int, object]] = []
         self.seq = 0
@@ -167,15 +177,18 @@ class _Simulation:
 
     def emit(self, time_ms: int, entity: str, transition: str, cause: int | None) -> int:
         """Record an event and return its index; `cause` is None for none."""
-        self.events.append((time_ms, entity, transition, cause))
-        return len(self.events) - 1
+        events = self.events
+        events.append((time_ms, entity, transition, cause))
+        if len(events) > MAX_EVENTS:
+            raise DomainError(
+                f"run exceeds {MAX_EVENTS:,} events at {time_ms / MS_PER_SECOND:.3f} s; "
+                "shorten the horizon or lengthen the cycle"
+            )
+        return len(events) - 1
 
     def schedule(self, time_ms: int, action) -> None:
         heapq.heappush(self.heap, (time_ms, self.seq, action))
         self.seq += 1
-
-    def clip(self, t_ms: int) -> int:
-        return min(t_ms, self.horizon_ms)
 
     def run(self) -> None:
         self.schedule(0, self.dispatch_robot)
@@ -192,8 +205,8 @@ class _Simulation:
             self.schedule(max(now_ms, self.robot_free_at_ms), self.dispatch_robot)
 
     def dispatch_robot(self, now_ms: int) -> None:
-        # visits are emitted atomically ahead of the clock, so a dispatch
-        # scheduled by an earlier wake may land inside one; skip it
+        # the robot is busy until robot_free_at_ms, so a dispatch queued
+        # before a visit started may land inside it; skip it
         if now_ms < self.robot_free_at_ms or self.stalled:
             return
         n = len(self.scanners)
@@ -225,11 +238,31 @@ class _Simulation:
         cause = enabling if self.events[enabling][0] >= self.events[last][0] else last
         return self.emit(now_ms, "robot", scanner.arrive, cause)
 
-    def end_visit(self, scanner: _Scanner, start_ms: int, end_ms: int, cause: int) -> None:
-        self.robot_last_event = self.emit(end_ms, "robot", scanner.depart, cause)
-        self.robot_busy_ms += self.clip(end_ms) - self.clip(start_ms)
+    def end_visit(self, scanner: _Scanner, arrive: int, end_ms: int, cause: int, chain) -> None:
+        """Book the robot from `arrive` until `end_ms` and finish the visit
+        then: the scanner transitions of `chain` follow `cause`, and the
+        robot departs."""
+        self.robot_busy_ms += min(end_ms, self.horizon_ms) - self.events[arrive][0]
         self.robot_free_at_ms = end_ms
         self.schedule(end_ms, self.dispatch_robot)
+
+        def visit_end(now_ms: int) -> None:
+            last = cause
+            for transition in chain:
+                last = self.emit(now_ms, scanner.entity, transition, last)
+            if scanner.bed == BED_SCANNING:  # a load: the scan starts now
+                scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
+                scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
+                self.schedule(scan_end_ms, self.make_scan_done(scanner, last))
+            elif scanner.ready_event < arrive:
+                # a reload that completed during the visit stays the enabling event
+                scanner.ready_event = last
+            self.update_starved(scanner, now_ms)
+            self.robot_last_event = self.emit(now_ms, "robot", scanner.depart, last)
+
+        # one visit is in flight at a time, and its end runs before any
+        # other action due in the same millisecond
+        heapq.heappush(self.heap, (end_ms, -1, visit_end))
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
@@ -260,11 +293,7 @@ class _Simulation:
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
         lifted = self.emit(now_ms, scanner.entity, "print_lifted_from_bed", arrive)
         scanner.bed = BED_EMPTY
-        done_ms = now_ms + duration
-        unloaded = self.emit(done_ms, scanner.entity, "print_unloaded", lifted)
-        scanner.ready_event = unloaded
-        self.update_starved(scanner, done_ms)
-        self.end_visit(scanner, now_ms, done_ms, unloaded)
+        self.end_visit(scanner, arrive, now_ms + duration, lifted, ("print_unloaded",))
 
     def visit_plate(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
@@ -274,10 +303,7 @@ class _Simulation:
         if lift is None:
             return
         scanner.hopper.take_plate()
-        done_ms = now_ms + duration
-        transferred = self.emit(done_ms, scanner.entity, "plate_transferred", lift)
-        scanner.ready_event = transferred
-        self.end_visit(scanner, now_ms, done_ms, transferred)
+        self.end_visit(scanner, arrive, now_ms + duration, lift, ("plate_transferred",))
 
     def visit_load(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
@@ -289,25 +315,14 @@ class _Simulation:
         if scanner.hopper.take_print():
             scanner.lamp_event = self.emit(now_ms, scanner.entity, "hopper_empty_lamp_on", lift)
             self.schedule_reload(scanner, now_ms)
-        done_ms = now_ms + duration
-        on_bed = self.emit(done_ms, scanner.entity, "print_on_bed", lift)
-        clear = self.emit(done_ms, scanner.entity, "robot_clear", on_bed)
-        lid = self.emit(done_ms, scanner.entity, "lid_closed", clear)
-        started = self.emit(done_ms, scanner.entity, "scan_started", lid)
         scanner.bed = BED_SCANNING
-        scan_ms = round(self.config.scan_seconds * MS_PER_SECOND)
-        end_ms = done_ms + scan_ms
-        scanner.scanning_ms += max(0, self.clip(end_ms) - self.clip(done_ms))
-        self.schedule(end_ms, self.make_scan_done(scanner, started))
-        self.end_visit(scanner, now_ms, done_ms, started)
+        self.end_visit(scanner, arrive, now_ms + duration, lift, LOAD_CHAIN)
 
     def visit_empty_check(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         sense = self.emit(now_ms, scanner.entity, "sense_empty", arrive)
         scanner.empty_acknowledged = True
-        scanner.ready_event = sense
-        self.update_starved(scanner, now_ms)
-        self.end_visit(scanner, now_ms, now_ms, sense)
+        self.end_visit(scanner, arrive, now_ms, sense, ())
 
     # -- scheduled continuations -----------------------------------------
 
@@ -362,7 +377,7 @@ class _Simulation:
         def stall_over(now_ms: int) -> None:
             resolved = self.emit(now_ms, "cell", "stall_resolved", error)
             self.stalled = False
-            self.stall_ms += self.clip(now_ms) - self.clip(self.stall_since_ms)
+            self.stall_ms += now_ms - self.stall_since_ms
             self.stall_since_ms = None
             scanner.ready_event = resolved
             self.robot_last_event = resolved
@@ -373,38 +388,21 @@ class _Simulation:
     # -- accounting -------------------------------------------------------
 
     def update_starved(self, scanner: _Scanner, now_ms: int) -> None:
-        """Open or close the scanner's starvation interval. An unload opens
-        it at the visit's end, ahead of the clock; a reload that lands
-        before then cancels it, so it adds nothing."""
+        """Open or close the scanner's starvation interval at `now_ms`: it
+        starves while its bed is empty and its hopper has run out."""
         starving = scanner.bed == BED_EMPTY and scanner.hopper.next_kind == "empty"
         if starving and scanner.starved_since_ms is None:
             scanner.starved_since_ms = now_ms
         elif not starving and scanner.starved_since_ms is not None:
-            scanner.starved_ms += max(0, self.clip(now_ms) - self.clip(scanner.starved_since_ms))
+            scanner.starved_ms += now_ms - scanner.starved_since_ms
             scanner.starved_since_ms = None
 
     def finalize_accounting(self) -> None:
         if self.stall_since_ms is not None:
-            self.stall_ms += self.horizon_ms - self.clip(self.stall_since_ms)
+            self.stall_ms += self.horizon_ms - self.stall_since_ms
         for scanner in self.scanners:
             if scanner.starved_since_ms is not None:
-                scanner.starved_ms += self.horizon_ms - self.clip(scanner.starved_since_ms)
-
-    def build_trace(self) -> SimTrace:
-        """Keep the events inside the horizon and number them in time order;
-        the sort is stable, so simultaneous events keep emission order."""
-        records = self.events
-        kept = [i for i, record in enumerate(records) if record[0] <= self.horizon_ms]
-        kept.sort(key=lambda i: records[i][0])
-        event_id: list[int | None] = [None] * len(records)
-        for position, i in enumerate(kept):
-            event_id[i] = position
-        events = []
-        for i in kept:
-            time_ms, entity, transition, cause = records[i]
-            cause_id = None if cause is None else event_id[cause]
-            events.append((time_ms, entity, transition, cause_id))
-        return SimTrace(tuple(events), self.horizon_ms)
+                scanner.starved_ms += self.horizon_ms - scanner.starved_since_ms
 
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
@@ -436,7 +434,8 @@ def simulate(
 
     Deterministic for a fixed (config, seed, horizon). A zero horizon gives
     an empty trace and a zero report; a horizon shorter than one loading
-    cycle gives a valid trace with no completed scans.
+    cycle gives a valid trace with no completed scans. A run that would
+    emit more than `MAX_EVENTS` events raises DomainError.
     """
     if not isinstance(config, CellConfig):
         raise ConfigError("config must be a CellConfig")
@@ -450,4 +449,4 @@ def simulate(
     sim = _Simulation(config, seed, horizon_ms)
     sim.run()
     sim.finalize_accounting()
-    return sim.build_trace(), sim.build_report()
+    return SimTrace(tuple(sim.events), horizon_ms), sim.build_report()

@@ -129,16 +129,16 @@ ROBOTIC_WEEKLY_CAPACITY = 36_288.0  # 8 scanners around the clock
 MANUAL_WEEKLY_CAPACITY = 3_500.0  # 2 scanners, 35-hour week
 
 
-def robotic_benchmark(headline: bool = True) -> CostParams:
+def robotic_benchmark() -> CostParams:
     """Benchmark robotic pipeline: 4 robots, 8 scanners, 1 manual spare.
 
-    With `headline=True` the published 512,150 GBP fixed total overrides
-    the 511,800 GBP itemization.
+    The published 512,150 GBP fixed total overrides the 511,800 GBP
+    itemization.
     """
     return CostParams(
         per_scan_variable=ROBOTIC_PER_SCAN_GBP,
         fixed_items=ROBOTIC_BENCHMARK_ITEMS,
-        fixed_total_override=ROBOTIC_HEADLINE_FIXED_GBP if headline else None,
+        fixed_total_override=ROBOTIC_HEADLINE_FIXED_GBP,
         weekly_capacity=ROBOTIC_WEEKLY_CAPACITY,
     )
 

@@ -8,7 +8,7 @@ The float filters take an image as `(rows, row_of)`: `k` distinct rows and
 the index of the distinct row behind each image row. `blur_rows` costs
 and allocates in proportion to the distinct rows, not the pixels, which
 keeps a target render at about one byte per pixel (at most 2 B/px plus
-16 MB); `gaussian_blur` is the same blur on a plain 2-D image.
+16 MB). A plain 2-D image `image` is `(image, arange(height))`.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import AnalysisError, DomainError
 
-_PPI_COMMENT = re.compile(rb"^#\s*ppi\s+([0-9.eE+-]+)\s*$")
+_PPI_COMMENT = re.compile(rb"^#\s*ppi\s+(\S.*?)\s*$")
 
 
 class GrayRaster:
@@ -126,21 +126,17 @@ def _comment_ppi(text: bytes | None) -> float:
         ppi = math.nan
     if not 0 < ppi < math.inf:
         raise AnalysisError(
-            f"PGM ppi comment must be a finite positive number, got {text.decode()!r}"
+            "PGM ppi comment must be a finite positive number, "
+            f"got {text.decode(errors='backslashreplace')!r}"
         )
     return ppi
-
-
-def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur on a float image, kernel truncated at 3 sigma."""
-    rows, row_of = blur_rows(image, np.arange(image.shape[0]), sigma)
-    return rows[row_of]
 
 
 def blur_rows(
     rows: np.ndarray, row_of: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`gaussian_blur` of the image `rows[row_of]`, returned in the same form.
+    """Separable Gaussian blur, kernel truncated at 3 sigma, of the float
+    image `rows[row_of]`, returned in the same form.
 
     The horizontal pass runs once per distinct row, the vertical pass once
     per distinct window of source rows, so an image of a few distinct rows

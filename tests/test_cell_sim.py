@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from scancell.acceptance import simulation_property_cases
 from scancell.cell import (
     ALWAYS_PRESENT,
     NEVER_PRESENT,
@@ -13,11 +14,11 @@ from scancell.cell import (
     HandlingTime,
     SimTrace,
     WeeklySchedule,
+    sim,
     simulate,
 )
-from scancell.acceptance import simulation_property_cases
 from scancell.cell.invariants import check_trace_invariants
-from scancell.errors import ConfigError
+from scancell.errors import ConfigError, DomainError
 
 CALIBRATED = CellConfig(
     handling_time=HandlingTime("fixed", 66.7),
@@ -169,6 +170,29 @@ class TestCalibration:
             report.scans_completed
         )
         assert report.scans_completed == sum(report.per_scanner_scans)
+
+
+# the shortest cycle the boundary accepts: 42,000 events per simulated second
+MILLISECOND_CYCLE = CellConfig(
+    scan_seconds=1e-3, handling_time=HandlingTime("fixed", 1e-3), hopper_capacity=None
+)
+
+
+class TestEventBudget:
+    def test_budget_admits_a_run_of_exactly_that_many_events(self, monkeypatch):
+        trace, report = simulate(MILLISECOND_CYCLE, seed=1, horizon_seconds=0.5)
+        monkeypatch.setattr(sim, "MAX_EVENTS", len(trace.events))
+        assert simulate(MILLISECOND_CYCLE, seed=1, horizon_seconds=0.5) == (trace, report)
+        monkeypatch.setattr(sim, "MAX_EVENTS", len(trace.events) - 1)
+        with pytest.raises(DomainError, match=f"exceeds {len(trace.events) - 1:,} events"):
+            simulate(MILLISECOND_CYCLE, seed=1, horizon_seconds=0.5)
+
+    def test_budget_stops_a_retry_loop_within_one_pick(self, monkeypatch):
+        # every pick fails and retries a billion times before the cell stalls
+        config = dataclasses.replace(CALIBRATED, lift_failure_prob=1.0, lift_retry_limit=10**9)
+        monkeypatch.setattr(sim, "MAX_EVENTS", 10_000)
+        with pytest.raises(DomainError, match="10,000 events"):
+            simulate(config, seed=1, horizon_seconds=3600)
 
 
 class TestDeterminism:

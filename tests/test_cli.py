@@ -193,6 +193,28 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("cell: configuration error: invalid JSON")
 
+    def test_millisecond_cycle_exits_1_at_the_event_budget(self, capsys, tmp_path):
+        # 42,000 events per simulated second: an hour would need 150 M events
+        config = tmp_path / "cell.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "scan_seconds": 0.001,
+                    "handling_time": {"kind": "fixed", "mean_seconds": 0.001, "spread": 0.0},
+                    "hopper_capacity": None,
+                }
+            )
+        )
+        trace = tmp_path / "trace.csv"
+        code, out, err = run(
+            capsys, "simulate", "--config", str(config), "--seed", "1", "--hours", "1",
+            "--trace", str(trace),
+        )
+        assert code == 1
+        assert err.startswith("cell: run exceeds 3,000,000 events")
+        assert out == ""
+        assert not trace.exists()
+
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--config", str(tmp_path / "nope.json"), "--seed", "1",
@@ -290,14 +312,14 @@ class TestQcCommands:
         assert code == 1
         assert err.startswith("qc: ")
 
-    @pytest.mark.parametrize("comment", ["1.2.3", "1e999"])
+    @pytest.mark.parametrize("comment", ["1.2.3", "1e999", "nan", "300dpi"])
     @pytest.mark.parametrize("action", ["analyze", "crop"])
     def test_malformed_ppi_comment_exits_1(self, capsys, tmp_path, action, comment):
         scan = tmp_path / "scan.pgm"
         scan.write_bytes(f"P5\n# ppi {comment}\n2 2\n255\n".encode() + bytes(4))
         code, _, err = run(capsys, "qc", action, str(scan), "--out", str(tmp_path / "x.pgm"))
         assert code == 1
-        assert err.startswith("qc: PGM ppi comment")
+        assert err == f"qc: PGM ppi comment must be a finite positive number, got {comment!r}\n"
 
 
 def test_unwritable_output_exits_1(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from scancell.errors import AnalysisError, DomainError
 from scancell.qc import GrayRaster
-from scancell.qc.raster import add_noise, blur_rows, gaussian_blur, quantize
+from scancell.qc.raster import add_noise, blur_rows, quantize
 
 
 def checkerboard(w=8, h=6):
@@ -61,10 +62,21 @@ class TestGrayRaster:
         with pytest.raises(AnalysisError, match="PGM size"):
             GrayRaster.from_pgm_bytes(header + bytes(4), ppi=300)
 
-    @pytest.mark.parametrize("comment", [b"# ppi 1.2.3", b"# ppi 1e999"], ids=["1.2.3", "1e999"])
-    def test_malformed_ppi_comment_is_an_analysis_error(self, comment):
-        with pytest.raises(AnalysisError, match="ppi comment"):
-            GrayRaster.from_pgm_bytes(b"P5\n" + comment + b"\n2 2\n255\n" + bytes(4))
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (b"1.2.3", "1.2.3"),
+            (b"1e999", "1e999"),
+            (b"nan", "nan"),
+            (b"300dpi", "300dpi"),
+            (b"300 dpi", "300 dpi"),
+            (b"\xff", "\\xff"),
+        ],
+    )
+    def test_malformed_ppi_comment_is_an_analysis_error(self, value, shown):
+        message = f"ppi comment must be a finite positive number, got {shown!r}"
+        with pytest.raises(AnalysisError, match=re.escape(message)):
+            GrayRaster.from_pgm_bytes(b"P5\n# ppi " + value + b"\n2 2\n255\n" + bytes(4))
 
     @pytest.mark.parametrize("ppi", [float("inf"), float("nan"), 0.0])
     def test_ppi_must_be_finite_and_positive(self, ppi):
@@ -84,6 +96,12 @@ class TestGrayRaster:
 
     def test_pitch(self):
         assert GrayRaster(checkerboard(), 1200).pitch_um == pytest.approx(21.1667, abs=1e-3)
+
+
+def blur_image(image, sigma):
+    """`blur_rows` on a plain 2-D image."""
+    rows, row_of = blur_rows(image, np.arange(image.shape[0]), sigma)
+    return rows[row_of]
 
 
 def blur_full_image(image, sigma):
@@ -107,12 +125,12 @@ def blur_full_image(image, sigma):
 class TestFilters:
     def test_blur_preserves_constant_regions(self):
         image = np.full((20, 20), 200.0)
-        assert np.allclose(gaussian_blur(image, 0.8), 200.0)
+        assert np.allclose(blur_image(image, 0.8), 200.0)
 
     def test_blur_softens_edges(self):
         image = np.zeros((10, 20))
         image[:, 10:] = 255.0
-        blurred = gaussian_blur(image, 1.0)
+        blurred = blur_image(image, 1.0)
         assert 0 < blurred[5, 10] < 255
 
     @pytest.mark.parametrize(
@@ -120,7 +138,7 @@ class TestFilters:
     )
     def test_blur_bit_identical_to_full_image_reference(self, shape, sigma):
         image = np.random.default_rng(4).uniform(0.0, 255.0, size=shape)
-        assert np.array_equal(gaussian_blur(image, sigma), blur_full_image(image, sigma))
+        assert np.array_equal(blur_image(image, sigma), blur_full_image(image, sigma))
 
     def test_blur_rows_computes_each_distinct_window_once(self):
         rows = np.random.default_rng(4).uniform(0.0, 255.0, size=(3, 20))
