@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scancell import acceptance
+from scancell.acceptance import CheckResult
 from scancell.cell import CellConfig, HandlingTime
 from scancell.cli import main
 from scancell.preservation import IssueRates, PrintCondition
@@ -384,8 +386,8 @@ DOC_INPUTS = {
     "rates.json": {"mould": 0.05, "ripped": 0.1, "emulsion_peeling": 0.02, "total_boxes": 1000},
 }
 
-# sha256 of the stdout of every JSON-emitting command shown in docs/cli.md;
-# `@name` stands for the path of DOC_INPUTS[name].
+# sha256 of the stdout of every command shown in docs/cli.md that prints its
+# result; `@name` stands for the path of `name` in `doc_dir`.
 GOLDEN_STDOUT = {
     "simulate --seed 7 --hours 24 --config @cell.json":
         "ab4b28851c954455639ec4de3131fab9b0c23cfcb3598b33b4f6d530ffecf79e",
@@ -429,23 +431,115 @@ GOLDEN_STDOUT = {
         "f65c68e13b388ca06d8eeb0495088fc9f4b7bb6a35603c6a3d95acaa3d55a934",
     "preserve sample --n 200 --seed 42 --rates @rates.json":
         "2da91cd3875249d133a33bae43437fcbfef505249f04555619badf9d7ec790a0",
+    "photogrammetry scale --focal-in 6 --altitude-ft 5000":
+        "32f2c593c8c472a34e8844c272888f2f3d07750cbcc35be206dbe8be75de040e",
+    "photogrammetry feature --lp-per-mm 10":
+        "ad2c52e0750adf214da4313494ca13fef6efabdee4282ad09edfba0f1b71e634",
+    "photogrammetry grd --lp-per-mm 10 --scale-denominator 42579":
+        "e839e05224f80d8fb1799cc5d3d51e8405ab92557c8c56b4a04540c39a4f49e0",
+    "photogrammetry pixel-range --lp-per-mm 27":
+        "9eb478ccf618417166e52284682a73697f7a9ac40ff4d35bfd1455f0e83258f3",
+    "photogrammetry adequacy --ppi 1200 --lp-per-mm 27":
+        "2e001857639561b730fc4227dc9cab09a779c38d2a1549ac8cde2f4985b91a44",
+    "photogrammetry storage --images 1700000 --bytes-per-image 250000000":
+        "25b544c6ebf81419d85a4c4c67ef6ecd14faad13ea6e015f1ffd4cdb92cc4a62",
+    "qc analyze @target.pgm":
+        "95e42851fda3888f20d2afd616a1e17028bade70a1784adafa833f2380bf4121",
+    "qc analyze @rasters":
+        "07b71f73b70c106debb655c5171821490fb679275dbbe7caba9843dc3572c7e1",
+}
+
+# sha256 of the file each documented command writes: the `@` path that is
+# not one of the inputs `doc_dir` makes.
+GOLDEN_FILES = {
+    "simulate --seed 7 --hours 24 --config @cell.json --trace @trace.csv --report @report.json":
+        ("trace.csv", "bff62273d61f67f0161deb20aee75932330c47354a568cda397a7016b6a10702"),
+    "cost curve --start 1000 --stop 10000000 --points 60 --out @curve.csv":
+        ("curve.csv", "5299d003223429e1b4c4f05eb1b36b5407038d67f1c392373047e6b9d7eb3527"),
+    "qc render --ppi 300 --out @render.pgm":
+        ("render.pgm", "daaa88b1aff6823198a8249cfaaa04a3729c68a3e67bfd28a2f0872da08fb4a8"),
+    "qc analyze @rasters --out @batch.csv":
+        ("batch.csv", "07b71f73b70c106debb655c5171821490fb679275dbbe7caba9843dc3572c7e1"),
+    "qc crop @scan.pgm --out @cropped.pgm --border-mm 5":
+        ("cropped.pgm", "8eb87b61e38bcb448418fac73a0011b5b1aec37d4098a2591c2ebbe2bc112596"),
+    "preserve sample --n 200 --seed 42 --csv @conditions.csv":
+        ("conditions.csv", "b13c763c726f3bb90a99f8320bf9c40e9321d182112a83482ec3a4e2fd2dcf72"),
 }
 
 
-def _argv(command, directory):
-    return [
-        str(directory / token[1:]) if token.startswith("@") else token
-        for token in command.split()
-    ]
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    """DOC_INPUTS as files, a 300 ppi target (alone and in a batch directory
+    beside a raster too dark to analyze) and a 100 ppi print scan."""
+    import numpy as np
+    from scancell.qc import GrayRaster, default_geometry, render_print_scan, render_target
+
+    directory = tmp_path_factory.mktemp("doc")
+    for name, payload in DOC_INPUTS.items():
+        (directory / name).write_text(json.dumps(payload))
+    target = render_target(default_geometry(), 300.0)
+    target.save(directory / "target.pgm")
+    (directory / "rasters").mkdir()
+    target.save(directory / "rasters" / "target.pgm")
+    GrayRaster(np.full((50, 50), 3, dtype=np.uint8), 300).save(directory / "rasters" / "dark.pgm")
+    render_print_scan(100.0).save(directory / "scan.pgm")
+    return directory
+
+
+def _argv(command, inputs, outputs=None):
+    """`command` split into argv; `@name` is inputs/name when that exists,
+    else outputs/name."""
+    def path(name):
+        return str(inputs / name if outputs is None or (inputs / name).exists() else outputs / name)
+
+    return [path(token[1:]) if token.startswith("@") else token for token in command.split()]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
-def test_documented_outputs_byte_identical(capsys, tmp_path, command):
-    for name, payload in DOC_INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(payload))
-    code, out, err = run(capsys, *_argv(command, tmp_path))
+def test_documented_outputs_byte_identical(capsys, doc_dir, command):
+    code, out, err = run(capsys, *_argv(command, doc_dir))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_FILES))
+def test_documented_files_byte_identical(capsys, doc_dir, tmp_path, command):
+    name, digest = GOLDEN_FILES[command]
+    code, _, err = run(capsys, *_argv(command, doc_dir, tmp_path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+CANNED_CHECKS = [
+    CheckResult("1 throughput identities", "robotic scans/hour", True, "54.0"),
+    CheckResult("10 storage", "total terabytes", True, "425.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "checks, code, table",
+    [
+        (
+            CANNED_CHECKS,
+            0,
+            "[PASS] 1 throughput identities  robotic scans/hour: 54.0\n"
+            "[PASS] 10 storage               total terabytes: 425.0\n"
+            "2/2 checks passed\n",
+        ),
+        (
+            CANNED_CHECKS + [CheckResult("4 simulation", "ledger", False, "off by 1 ms")],
+            1,
+            "[PASS] 1 throughput identities  robotic scans/hour: 54.0\n"
+            "[PASS] 10 storage               total terabytes: 425.0\n"
+            "[FAIL] 4 simulation             ledger: off by 1 ms\n"
+            "2/3 checks passed\n",
+        ),
+    ],
+    ids=["all-pass", "one-failure"],
+)
+def test_paper_check_table(capsys, monkeypatch, checks, code, table):
+    monkeypatch.setattr(acceptance, "run_all", lambda: checks)
+    assert run(capsys, "paper-check")[:2] == (code, table)
 
 
 @pytest.mark.parametrize(
