@@ -161,8 +161,8 @@ def _cmd_qc(args: argparse.Namespace) -> int:
             noise_sigma=args.noise_sigma,
             blur_radius_px=args.blur_px,
         )
-        if args.noise_sigma > 0 and args.seed is None:
-            raise ConfigError("qc render with noise requires an explicit --seed")
+        if args.noise_sigma > 0 and (args.seed is None or args.seed < 0):
+            raise ConfigError("qc render with noise requires an explicit --seed of 0 or more")
         raster = render_target(
             default_geometry(), args.ppi, distortions, seed=args.seed or 0
         )

@@ -217,8 +217,8 @@ def crop_to_border(raster: GrayRaster, border_mm: float = BORDER_MM) -> GrayRast
     raster edges (a print flush against an edge keeps whatever margin
     exists there).
     """
-    if border_mm < 0:
-        raise DomainError("border must be non-negative")
+    if not 0 <= border_mm < np.inf:
+        raise DomainError("border must be finite and non-negative")
     box = find_print_box(raster)
     left, top, right, bottom = expand_box(
         box, border_px(raster, border_mm), raster.width, raster.height

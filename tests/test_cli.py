@@ -2,10 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from scancell import acceptance
 from scancell.acceptance import CheckResult
-from scancell.cell import CellConfig, HandlingTime
+from scancell.cell import CellConfig, HandlingTime, sim
 from scancell.cli import main
 from scancell.preservation import IssueRates, PrintCondition
 
@@ -25,11 +27,13 @@ def run(capsys, *argv):
 
 
 def run_quietly(*argv):
-    """Run the CLI outside pytest's capture; returns (exit code, stdout, stderr)."""
-    stdout, stderr = io.StringIO(), io.StringIO()
+    """Run the CLI outside pytest's capture; returns (exit code, stdout bytes,
+    stderr text)."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
-    return code, stdout.getvalue(), stderr.getvalue()
+    stdout.flush()
+    return code, stdout.buffer.getvalue(), stderr.getvalue()
 
 
 class TestDispatch:
@@ -486,13 +490,17 @@ def doc_dir(tmp_path_factory):
     return directory
 
 
-def _argv(command, inputs, outputs=None):
-    """`command` split into argv; `@name` is inputs/name when that exists,
-    else outputs/name."""
-    def path(name):
-        return str(inputs / name if outputs is None or (inputs / name).exists() else outputs / name)
+def _resolve(token, inputs, outputs=None):
+    """`@name` as inputs/name when that exists, else as outputs/name; any
+    other token as it is."""
+    if not token.startswith("@"):
+        return token
+    name = token[1:]
+    return str(inputs / name if outputs is None or (inputs / name).exists() else outputs / name)
 
-    return [path(token[1:]) if token.startswith("@") else token for token in command.split()]
+
+def _argv(command, inputs, outputs=None):
+    return [_resolve(token, inputs, outputs) for token in command.split()]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
@@ -746,3 +754,79 @@ def test_parse_id_never_raises(text, usaaf):
         canonical = json.loads(out)["canonical"]
         assert re.fullmatch("[A-Z0-9/]+", canonical)
         assert run_quietly("parse-id", canonical) == (0, out, "")
+
+
+# The argv of every subcommand: its leading words, the options (or, under "",
+# the positional) it needs, and those it may take, each with the values it may
+# get. "@name" is a file or directory of `doc_dir`, or else a path in a scratch
+# directory; None marks a flag.
+_OUT = ["@x.out", "-", "", "@missing/x", "@rasters"]
+_JSON = ["@cell.json", "@robotic.json", "@condition.json", "@rates.json", "@target.pgm",
+         "@rasters", "@missing.json", ""]
+_RASTER = ["@target.pgm", "@rasters", "@scan.pgm", "@cell.json", "@missing.pgm", ""]
+_INT = ["0", "1", "14", "-3", "9" * 400, "1.5", "x"]
+_FLOAT = ["0", "1", "27", "-1", "nan", "inf", "1e-308", "1e308", "x"]
+_COUNT = ["0", "1", "3", "-2", "x"]  # counts kept small: they size the work
+FUZZ_COMMANDS = [
+    ("simulate", {"--seed": _INT, "--hours": ["0", "0.01", "2", "1e9", "-1", "nan", "x"]},
+     {"--config": _JSON, "--trace": _OUT, "--report": _OUT}),
+    ("throughput", {"--mode": ["robotic", "human_operated", "x"]}, {"--fleet": _INT, "--out": _OUT}),
+    ("ratio", {}, {"--out": _OUT}),
+    ("utilization", {"--observed-daily": _FLOAT, "--observed-weekly": _FLOAT},
+     {"--scanners": _INT, "--out": _OUT}),
+    ("cost", {"": ["curve", "breakeven", "halving", "weeks", "x"]},
+     {"--a": _JSON, "--b": _JSON, "--start": _INT, "--stop": _INT, "--points": _COUNT,
+      "--scans": _INT, "--capacity": _FLOAT, "--out": _OUT}),
+    ("qc render", {"--out": _OUT},
+     {"--ppi": ["300", "100", "1", "0", "-5", "nan", "1e-9", "x"], "--seed": _INT,
+      "--scale-error": ["0", "0.002", "-0.5", "-1", "3", "nan"],
+      "--noise-sigma": ["0", "2", "-1", "nan"], "--blur-px": ["0", "1.5", "-1", "nan"]}),
+    ("qc analyze", {"": _RASTER}, {"--out": _OUT}),
+    ("qc crop", {"": _RASTER, "--out": _OUT}, {"--border-mm": ["5", "0", "-1", "nan", "1e9", "x"]}),
+    ("parse-id", {"": ["4/BC/0056", "K17/LOCAL/NOTES", "x", "", "é"]},
+     {"--usaaf": [None], "--out": _OUT}),
+    ("preserve plan", {"": _JSON}, {"--out": _OUT}),
+    ("preserve sample", {"--n": _COUNT, "--seed": _INT},
+     {"--rates": _JSON, "--dependence": ["0", "-0.7", "-1", "2", "nan", "x"], "--csv": _OUT,
+      "--out": _OUT}),
+    ("photogrammetry scale", {},
+     {"--focal-mm": _FLOAT, "--focal-in": _FLOAT, "--altitude-m": _FLOAT,
+      "--altitude-ft": _FLOAT, "--out": _OUT}),
+    ("photogrammetry feature", {"--lp-per-mm": _FLOAT}, {"--out": _OUT}),
+    ("photogrammetry grd", {"--lp-per-mm": _FLOAT, "--scale-denominator": _FLOAT}, {"--out": _OUT}),
+    ("photogrammetry pixel-range", {"--lp-per-mm": _FLOAT}, {"--out": _OUT}),
+    ("photogrammetry adequacy", {"--ppi": _FLOAT, "--lp-per-mm": _FLOAT}, {"--out": _OUT}),
+    ("photogrammetry storage", {"--images": _INT, "--bytes-per-image": _INT}, {"--out": _OUT}),
+    ("paper-check", {}, {}),
+]
+
+
+@st.composite
+def cli_argv(draw):
+    words, required, optional = draw(st.sampled_from(FUZZ_COMMANDS))
+    names = [*required, *(name for name in sorted(optional) if draw(st.booleans()))]
+    options = {**required, **optional}
+    argv = words.split()
+    for name in draw(st.permutations(names)):
+        value = draw(st.sampled_from(options[name]))
+        argv += [name] if name else []
+        argv += [value] if value is not None else []
+    return argv + draw(st.lists(st.sampled_from(["-h", "--bogus", "extra", ""]), max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["qc", "crop", "@target.pgm", "--border-mm", "nan", "--out", "@x.out"])
+@example(argv=["qc", "render", "--ppi", "100", "--noise-sigma", "2", "--seed", "-3", "--out", "@x.out"])
+def test_argv_never_raises(doc_dir, argv):
+    with tempfile.TemporaryDirectory() as scratch, \
+            mock.patch.object(sim, "MAX_EVENTS", 20_000), \
+            mock.patch.object(acceptance, "run_all", lambda: CANNED_CHECKS):
+        cwd = os.getcwd()
+        os.chdir(scratch)  # a PGM written to "-" stays in the scratch directory
+        try:
+            code, _, err = run_quietly(*(_resolve(token, doc_dir, Path(scratch)) for token in argv))
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
