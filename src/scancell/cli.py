@@ -17,290 +17,268 @@ Every randomized command requires an explicit --seed, and there is no
 environment-variable configuration, so identical argv and input files
 give byte-identical outputs. Exit codes: 0 success, 1 domain or analysis
 error, 2 usage or configuration error.
+
+Each subcommand's handler returns what it produces, bytes (PGM), text
+(CSV) or a JSON record or dict, and `main` writes it to `--out` (stdout
+when absent or "-"). A handler that also writes `--trace` or `--csv`
+returns a list of (path, result) pairs; paper-check returns (text, exit code).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import cell, economics, photogrammetry, preservation, sortie
+from . import acceptance, cell, economics, photogrammetry, preservation, qc, sortie
+from .codec import JsonRecord
 from .errors import AnalysisError, ConfigError, DomainError, ParseError
-from .qc import (
-    Distortions,
-    GrayRaster,
-    analyze_target,
-    crop_to_border,
-    default_geometry,
-    render_target,
-)
-from .qc.analyze import BORDER_MM
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _dump_json(payload, out: str | None) -> None:
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        # finite inputs whose result overflows to infinity
-        raise DomainError(f"result is not finite: {exc}") from None
-    if out is None or out == "-":
-        sys.stdout.write(text)
+def _write(result, path: str | None) -> None:
+    """Write one result to `path`, or to stdout when `path` is None or "-";
+    text as UTF-8, a record or dict as JSON with finite numbers only."""
+    if isinstance(result, JsonRecord):
+        result = result.to_json_dict()
+    if isinstance(result, dict):
+        try:
+            result = json.dumps(result, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            # finite inputs whose result overflows to infinity
+            raise DomainError(f"result is not finite: {exc}") from None
+    if path is not None and path != "-":
+        Path(path).write_bytes(result if isinstance(result, bytes) else result.encode())
+    elif isinstance(result, bytes):
+        sys.stdout.buffer.write(result)
     else:
-        Path(out).write_text(text, encoding="ascii")
+        sys.stdout.write(result)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="ascii")
-
-
-def _load_json(path: str) -> dict:
+def _load(record, path: str | None, default=None):
+    """`record` decoded from the JSON file at `path`, or `default()` when no
+    path is given; a missing or malformed file is a configuration error."""
+    if path is None:
+        return default()
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {path}")
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an over-long integer,
         # nesting deeper than the decoder's recursion limit
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+    return record.from_json_dict(data)
 
 
 # -- simulate ---------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = (
-        cell.CellConfig.from_json_dict(_load_json(args.config))
-        if args.config
-        else cell.CellConfig()
-    )
+def _cmd_simulate(args: argparse.Namespace):
+    config = _load(cell.CellConfig, args.config, cell.CellConfig)
     trace, report = cell.simulate(config, seed=args.seed, horizon_seconds=args.hours * 3600.0)
-    if args.trace:
-        _write_text(trace.to_csv(), args.trace)
-    _dump_json(report.to_json_dict(), args.report)
-    return EXIT_OK
+    outputs = [(args.trace, trace.to_csv())] if args.trace else []
+    return outputs + [(args.out, report)]
 
 
-def _cmd_throughput(args: argparse.Namespace) -> int:
+def _cmd_throughput(args: argparse.Namespace):
     payload = cell.theoretical_throughput(args.mode).to_json_dict()
     if args.fleet is not None:
         payload["fleet"] = cell.fleet_throughput(args.fleet).to_json_dict()
-    _dump_json(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_ratio(args: argparse.Namespace) -> int:
-    ratio = cell.productivity_ratio(
+def _cmd_ratio(args: argparse.Namespace):
+    return cell.productivity_ratio(
         cell.theoretical_throughput("robotic"),
         cell.theoretical_throughput("human_operated"),
     )
-    _dump_json(ratio.to_json_dict(), args.out)
-    return EXIT_OK
 
 
-def _cmd_utilization(args: argparse.Namespace) -> int:
-    report = cell.observed_vs_theoretical(
+def _cmd_utilization(args: argparse.Namespace):
+    return cell.observed_vs_theoretical(
         args.observed_daily, args.observed_weekly, cell.fleet_throughput(args.scanners)
     )
-    _dump_json(report.to_json_dict(), args.out)
-    return EXIT_OK
 
 
 # -- cost ---------------------------------------------------------------------
 
 
-def _cost_params(path: str | None, benchmark: str) -> economics.CostParams:
-    if path:
-        return economics.CostParams.from_json_dict(_load_json(path))
-    if benchmark == "robotic":
-        return economics.robotic_benchmark()
-    return economics.manual_benchmark()
+def _cost_curve(args: argparse.Namespace, a, b):
+    counts = economics.geometric_counts(args.start, args.stop, args.points)
+    rows = [f"{n},{ca:.6f},{cb:.6f}\n" for n, ca, cb in economics.cost_curve(a, b, counts)]
+    return "n,cost_per_scan_a,cost_per_scan_b\n" + "".join(rows)
 
 
-def _cmd_cost(args: argparse.Namespace) -> int:
-    a = _cost_params(args.a, "robotic")
-    b = _cost_params(args.b, "manual")
-    if args.action == "curve":
-        counts = economics.geometric_counts(args.start, args.stop, args.points)
-        lines = ["n,cost_per_scan_a,cost_per_scan_b"]
-        for n, cost_a, cost_b in economics.cost_curve(a, b, counts):
-            lines.append(f"{n},{cost_a:.6f},{cost_b:.6f}")
-        _write_text("\n".join(lines) + "\n", args.out)
-    elif args.action == "breakeven":
-        n = economics.break_even(a, b)
-        _dump_json({"break_even_scans": n}, args.out)
-    elif args.action == "halving":
-        n = economics.cost_halving_point(a, b)
-        _dump_json({"cost_halving_scans": n}, args.out)
-    else:  # weeks
-        if args.scans is None:
-            raise ConfigError("cost weeks requires --scans")
-        capacity = args.capacity
-        if capacity is None:
-            if a.weekly_capacity is None:
-                raise ConfigError("no weekly capacity given or present in params")
-            capacity = a.weekly_capacity
-        _dump_json(economics.weeks_to_volume(args.scans, capacity).to_json_dict(), args.out)
-    return EXIT_OK
+def _cost_weeks(args: argparse.Namespace, a, b):
+    if args.scans is None:
+        raise ConfigError("cost weeks requires --scans")
+    capacity = args.capacity if args.capacity is not None else a.weekly_capacity
+    if capacity is None:
+        raise ConfigError("no weekly capacity given or present in params")
+    return economics.weeks_to_volume(args.scans, capacity)
+
+
+_COST_ACTIONS = {
+    "curve": _cost_curve,
+    "breakeven": lambda args, a, b: {"break_even_scans": economics.break_even(a, b)},
+    "halving": lambda args, a, b: {"cost_halving_scans": economics.cost_halving_point(a, b)},
+    "weeks": _cost_weeks,
+}
+
+
+def _cmd_cost(args: argparse.Namespace):
+    a = _load(economics.CostParams, args.a, economics.robotic_benchmark)
+    b = _load(economics.CostParams, args.b, economics.manual_benchmark)
+    return _COST_ACTIONS[args.action](args, a, b)
 
 
 # -- qc ------------------------------------------------------------------------
 
 
-def _cmd_qc(args: argparse.Namespace) -> int:
-    if args.action == "render":
-        distortions = Distortions(
-            scale_error_fraction=args.scale_error,
-            noise_sigma=args.noise_sigma,
-            blur_radius_px=args.blur_px,
-        )
-        if args.noise_sigma > 0 and (args.seed is None or args.seed < 0):
-            raise ConfigError("qc render with noise requires an explicit --seed of 0 or more")
-        raster = render_target(
-            default_geometry(), args.ppi, distortions, seed=args.seed or 0
-        )
-        raster.save(args.out)
-        return EXIT_OK
-    if args.action == "analyze":
-        source = Path(args.raster)
-        if source.is_dir():
-            rows = ["file,measured_scale_px,scale_verdict,wedge_monotone,smallest_resolvable_um,error"]
-            for path in sorted(source.glob("*.pgm")):
-                try:
-                    report = analyze_target(GrayRaster.load(path))
-                    rows.append(
-                        f"{path.name},{report.measured_scale_px:.2f},"
-                        f"{'pass' if report.scale_verdict else 'fail'},"
-                        f"{report.wedge_monotone},{report.smallest_resolvable_um:.2f},"
-                    )
-                except (AnalysisError, DomainError) as exc:
-                    rows.append(f"{path.name},,,,,{exc}")
-            _write_text("\n".join(rows) + "\n", args.out)
-            return EXIT_OK
-        report = analyze_target(GrayRaster.load(source))
-        _dump_json(report.to_json_dict(), args.out)
-        return EXIT_OK
-    # crop
-    raster = GrayRaster.load(args.raster)
-    cropped = crop_to_border(raster, border_mm=args.border_mm)
-    cropped.save(args.out)
-    return EXIT_OK
+def _cmd_qc_render(args: argparse.Namespace):
+    distortions = qc.Distortions(
+        scale_error_fraction=args.scale_error,
+        noise_sigma=args.noise_sigma,
+        blur_radius_px=args.blur_px,
+    )
+    if args.noise_sigma > 0 and (args.seed is None or args.seed < 0):
+        raise ConfigError("qc render with noise requires an explicit --seed of 0 or more")
+    raster = qc.render_target(qc.default_geometry(), args.ppi, distortions, seed=args.seed or 0)
+    return raster.to_pgm_bytes()
+
+
+def _cmd_qc_analyze(args: argparse.Namespace):
+    source = Path(args.raster)
+    if not source.is_dir():
+        return qc.analyze_target(qc.GrayRaster.load(source))
+    rows = ["file,measured_scale_px,scale_verdict,wedge_monotone,smallest_resolvable_um,error\n"]
+    for path in sorted(source.glob("*.pgm")):
+        try:
+            report = qc.analyze_target(qc.GrayRaster.load(path))
+            rows.append(
+                f"{path.name},{report.measured_scale_px:.2f},"
+                f"{'pass' if report.scale_verdict else 'fail'},"
+                f"{report.wedge_monotone},{report.smallest_resolvable_um:.2f},\n"
+            )
+        except (AnalysisError, DomainError) as exc:
+            rows.append(f"{path.name},,,,,{exc}\n")
+    return "".join(rows)
+
+
+def _cmd_qc_crop(args: argparse.Namespace):
+    cropped = qc.crop_to_border(qc.GrayRaster.load(args.raster), border_mm=args.border_mm)
+    return cropped.to_pgm_bytes()
 
 
 # -- parse-id / preserve --------------------------------------------------------
 
 
-def _cmd_parse_id(args: argparse.Namespace) -> int:
+def _cmd_parse_id(args: argparse.Namespace):
     parsed = sortie.parse(args.identifier, usaaf=args.usaaf)
     payload = parsed.to_json_dict()
     payload["canonical"] = sortie.canonical_format(parsed)
-    _dump_json(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_preserve(args: argparse.Namespace) -> int:
-    if args.action == "plan":
-        condition = preservation.PrintCondition.from_json_dict(_load_json(args.condition))
-        plan = preservation.plan_remediation(condition)
-        _dump_json(plan.to_json_dict(), args.out)
-        return EXIT_OK
-    # sample
-    rates = (
-        preservation.IssueRates.from_json_dict(_load_json(args.rates))
-        if args.rates
-        else preservation.IssueRates()
-    )
+def _cmd_preserve_plan(args: argparse.Namespace):
+    return preservation.plan_remediation(_load(preservation.PrintCondition, args.condition))
+
+
+def _cmd_preserve_sample(args: argparse.Namespace):
+    rates = _load(preservation.IssueRates, args.rates, preservation.IssueRates)
     conditions = preservation.sample_boxes(
         args.n, args.seed, rates, dependence=args.dependence
     )
     observed = preservation.aggregate_rates(conditions)
+    outputs = []
     if args.csv:
-        lines = [
-            "mould,blocking,silver_dust,annotations_or_adhesives,"
-            "curling_or_creases,rips_or_peeling"
-        ]
-        for c in conditions:
-            lines.append(
-                f"{c.mould.value},{c.blocking},{c.silver_dust},"
-                f"{c.annotations_or_adhesives},{c.curling_or_creases},"
-                f"{c.rips_or_peeling.value}"
-            )
-        _write_text("\n".join(lines) + "\n", args.csv)
+        header = ",".join(f.name for f in dataclasses.fields(preservation.PrintCondition))
+        rows = (",".join(map(str, c.to_json_dict().values())) for c in conditions)
+        outputs.append((args.csv, "\n".join([header, *rows]) + "\n"))
     payload = observed.to_json_dict()
     payload["independent_any_intervention"] = preservation.independent_any_intervention_rate(rates)
     payload["configured_any_intervention"] = rates.any_intervention
-    _dump_json(payload, args.out)
-    return EXIT_OK
+    return outputs + [(args.out, payload)]
 
 
 # -- photogrammetry ---------------------------------------------------------------
 
 
-def _cmd_photogrammetry(args: argparse.Namespace) -> int:
+def _cmd_scale(args: argparse.Namespace):
     p = photogrammetry
-    if args.action == "scale":
-        if args.focal_mm is not None:
-            f = p.FocalLength(args.focal_mm)
-        else:
-            f = p.FocalLength.from_inches(args.focal_in)
-        if args.altitude_m is not None:
-            h = p.FlyingAltitude(args.altitude_m)
-        else:
-            h = p.FlyingAltitude.from_feet(args.altitude_ft)
-        s = p.scale_from_focal_and_altitude(f, h)
-        _dump_json({"scale_denominator": s.denominator, "display": str(s)}, args.out)
-    elif args.action == "feature":
-        value = p.smallest_resolvable_feature(p.LinePairResolution(args.lp_per_mm))
-        _dump_json({"smallest_resolvable_um": value}, args.out)
-    elif args.action == "grd":
-        value = p.ground_resolved_distance(
-            p.LinePairResolution(args.lp_per_mm), p.ScaleRatio(args.scale_denominator)
-        )
-        _dump_json({"ground_resolved_m": value}, args.out)
-    elif args.action == "pixel-range":
-        lo, hi = p.optimal_pixel_range(p.LinePairResolution(args.lp_per_mm))
-        _dump_json({"min_um": lo.micrometers, "max_um": hi.micrometers}, args.out)
-    elif args.action == "adequacy":
-        verdict = p.sampling_adequacy(args.ppi, p.LinePairResolution(args.lp_per_mm))
-        pitch = p.pixel_pitch_from_ppi(args.ppi)
-        _dump_json({"pixel_pitch_um": pitch.micrometers, "verdict": verdict.value}, args.out)
-    else:  # storage
-        estimate = p.storage_estimate(args.images, args.bytes_per_image)
-        _dump_json(
-            {
-                "total_bytes": estimate.total_bytes,
-                "terabytes_decimal": estimate.terabytes(),
-                "terabytes_binary": estimate.terabytes(binary=True),
-            },
-            args.out,
-        )
-    return EXIT_OK
+    if args.focal_mm is not None:
+        f = p.FocalLength(args.focal_mm)
+    else:
+        f = p.FocalLength.from_inches(args.focal_in)
+    if args.altitude_m is not None:
+        h = p.FlyingAltitude(args.altitude_m)
+    else:
+        h = p.FlyingAltitude.from_feet(args.altitude_ft)
+    s = p.scale_from_focal_and_altitude(f, h)
+    return {"scale_denominator": s.denominator, "display": str(s)}
 
 
-def _cmd_paper_check(args: argparse.Namespace) -> int:
-    from .acceptance import run_all
+def _cmd_feature(args: argparse.Namespace):
+    p = photogrammetry
+    value = p.smallest_resolvable_feature(p.LinePairResolution(args.lp_per_mm))
+    return {"smallest_resolvable_um": value}
 
-    results = run_all()
+
+def _cmd_grd(args: argparse.Namespace):
+    p = photogrammetry
+    value = p.ground_resolved_distance(
+        p.LinePairResolution(args.lp_per_mm), p.ScaleRatio(args.scale_denominator)
+    )
+    return {"ground_resolved_m": value}
+
+
+def _cmd_pixel_range(args: argparse.Namespace):
+    p = photogrammetry
+    lo, hi = p.optimal_pixel_range(p.LinePairResolution(args.lp_per_mm))
+    return {"min_um": lo.micrometers, "max_um": hi.micrometers}
+
+
+def _cmd_adequacy(args: argparse.Namespace):
+    p = photogrammetry
+    verdict = p.sampling_adequacy(args.ppi, p.LinePairResolution(args.lp_per_mm))
+    pitch = p.pixel_pitch_from_ppi(args.ppi)
+    return {"pixel_pitch_um": pitch.micrometers, "verdict": verdict.value}
+
+
+def _cmd_storage(args: argparse.Namespace):
+    estimate = photogrammetry.storage_estimate(args.images, args.bytes_per_image)
+    return {
+        "total_bytes": estimate.total_bytes,
+        "terabytes_decimal": estimate.terabytes(),
+        "terabytes_binary": estimate.terabytes(binary=True),
+    }
+
+
+def _cmd_paper_check(args: argparse.Namespace):
+    results = acceptance.run_all()
     width = max(len(r.criterion) for r in results)
-    failures = 0
+    lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"[{status}] {r.criterion:<{width}}  {r.name}: {r.detail}\n")
-        failures += not r.passed
-    sys.stdout.write(
-        f"{len(results) - failures}/{len(results)} checks passed\n"
-    )
-    return EXIT_OK if failures == 0 else EXIT_DOMAIN
+        lines.append(f"[{status}] {r.criterion:<{width}}  {r.name}: {r.detail}\n")
+    passed = sum(r.passed for r in results)
+    lines.append(f"{passed}/{len(results)} checks passed\n")
+    return "".join(lines), EXIT_OK if passed == len(results) else EXIT_DOMAIN
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _command(subparsers, name: str, func, **kwargs) -> argparse.ArgumentParser:
+    """Add the subcommand `name`, whose handler is `func`."""
+    command = subparsers.add_parser(name, **kwargs)
+    command.set_defaults(func=func)
+    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,33 +289,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run the scanning-cell simulation")
+    sim = _command(sub, "simulate", _cmd_simulate, help="run the scanning-cell simulation")
     sim.add_argument("--config", help="CellConfig JSON file (defaults apply if omitted)")
     sim.add_argument("--seed", type=int, required=True, help="random seed (required)")
     sim.add_argument("--hours", type=float, required=True, help="horizon in hours")
     sim.add_argument("--trace", help="write the event trace CSV here")
-    sim.add_argument("--report", help="write the throughput report JSON here (default stdout)")
-    sim.set_defaults(func=_cmd_simulate)
+    sim.add_argument(
+        "--report", dest="out", metavar="REPORT",
+        help="write the throughput report JSON here (default stdout)",
+    )
 
-    thr = sub.add_parser("throughput", help="closed-form throughput rates")
+    thr = _command(sub, "throughput", _cmd_throughput, help="closed-form throughput rates")
     thr.add_argument("--mode", choices=("human_operated", "robotic"), required=True)
     thr.add_argument("--fleet", type=int, help="also report rates for a fleet of N scanners")
-    thr.add_argument("--out")
-    thr.set_defaults(func=_cmd_throughput)
 
-    rat = sub.add_parser("ratio", help="robotic over manual productivity ratios")
-    rat.add_argument("--out")
-    rat.set_defaults(func=_cmd_ratio)
+    rat = _command(sub, "ratio", _cmd_ratio, help="robotic over manual productivity ratios")
 
-    util = sub.add_parser("utilization", help="observed vs theoretical fleet rates")
+    util = _command(sub, "utilization", _cmd_utilization, help="observed vs theoretical fleet rates")
     util.add_argument("--observed-daily", type=float, required=True)
     util.add_argument("--observed-weekly", type=float, required=True)
     util.add_argument("--scanners", type=int, default=14)
-    util.add_argument("--out")
-    util.set_defaults(func=_cmd_utilization)
 
-    cost = sub.add_parser("cost", help="cost model")
-    cost.add_argument("action", choices=("curve", "breakeven", "halving", "weeks"))
+    cost = _command(sub, "cost", _cmd_cost, help="cost model")
+    cost.add_argument("action", choices=_COST_ACTIONS)
     cost.add_argument("--a", help="cost params JSON for variant a (default robotic benchmark)")
     cost.add_argument("--b", help="cost params JSON for variant b (default manual benchmark)")
     cost.add_argument("--start", type=int, default=1000, help="curve: first scan count")
@@ -345,90 +319,69 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--points", type=int, default=60, help="curve: grid size")
     cost.add_argument("--scans", type=int, help="weeks: target volume")
     cost.add_argument("--capacity", type=float, help="weeks: scans per week")
-    cost.add_argument("--out")
-    cost.set_defaults(func=_cmd_cost)
 
-    qc = sub.add_parser("qc", help="calibration-target rendering and analysis")
-    qc_sub = qc.add_subparsers(dest="action", required=True)
-    render = qc_sub.add_parser("render", help="render a synthetic calibration target")
+    qc_cmd = sub.add_parser("qc", help="calibration-target rendering and analysis")
+    qc_sub = qc_cmd.add_subparsers(dest="action", required=True)
+    render = _command(qc_sub, "render", _cmd_qc_render, help="render a synthetic calibration target")
     render.add_argument("--ppi", type=float, default=1200.0)
     render.add_argument("--out", required=True, help="output PGM path")
     render.add_argument("--scale-error", type=float, default=0.0)
     render.add_argument("--noise-sigma", type=float, default=0.0)
     render.add_argument("--blur-px", type=float, default=0.0)
     render.add_argument("--seed", type=int, help="required when noise is injected")
-    render.set_defaults(func=_cmd_qc)
-    analyze = qc_sub.add_parser("analyze", help="analyze a target PGM (or directory)")
+    analyze = _command(qc_sub, "analyze", _cmd_qc_analyze, help="analyze a target PGM (or directory)")
     analyze.add_argument("raster", help="PGM file, or directory for batch CSV")
-    analyze.add_argument("--out")
-    analyze.set_defaults(func=_cmd_qc)
-    crop = qc_sub.add_parser("crop", help="crop a scan to the print plus border")
+    crop = _command(qc_sub, "crop", _cmd_qc_crop, help="crop a scan to the print plus border")
     crop.add_argument("raster")
     crop.add_argument("--out", required=True)
-    crop.add_argument("--border-mm", type=float, default=BORDER_MM)
-    crop.set_defaults(func=_cmd_qc)
+    crop.add_argument("--border-mm", type=float, default=qc.analyze.BORDER_MM)
 
-    pid = sub.add_parser("parse-id", help="parse a sortie identifier")
+    pid = _command(sub, "parse-id", _cmd_parse_id, help="parse a sortie identifier")
     pid.add_argument("identifier")
     pid.add_argument("--usaaf", action="store_true", help="treat as a pre-standardization USAAF label")
-    pid.add_argument("--out")
-    pid.set_defaults(func=_cmd_parse_id)
 
     pres = sub.add_parser("preserve", help="remediation planning and sampling")
     pres_sub = pres.add_subparsers(dest="action", required=True)
-    plan = pres_sub.add_parser("plan", help="plan remediation for a condition JSON")
+    plan = _command(pres_sub, "plan", _cmd_preserve_plan, help="plan remediation for a condition JSON")
     plan.add_argument("condition", help="PrintCondition JSON file")
-    plan.add_argument("--out")
-    plan.set_defaults(func=_cmd_preserve)
-    samp = pres_sub.add_parser("sample", help="draw synthetic box conditions")
+    samp = _command(pres_sub, "sample", _cmd_preserve_sample, help="draw synthetic box conditions")
     samp.add_argument("--n", type=int, required=True)
     samp.add_argument("--seed", type=int, required=True)
     samp.add_argument("--rates", help="IssueRates JSON file (defaults to archive rates)")
     samp.add_argument("--dependence", type=float, default=0.0)
     samp.add_argument("--csv", help="write sampled conditions CSV here")
-    samp.add_argument("--out")
-    samp.set_defaults(func=_cmd_preserve)
 
     photo = sub.add_parser("photogrammetry", help="scale and resolution arithmetic")
     photo_sub = photo.add_subparsers(dest="action", required=True)
-    scale = photo_sub.add_parser("scale")
+    scale = _command(photo_sub, "scale", _cmd_scale)
     focal = scale.add_mutually_exclusive_group(required=True)
     focal.add_argument("--focal-mm", type=float)
     focal.add_argument("--focal-in", type=float)
     altitude = scale.add_mutually_exclusive_group(required=True)
     altitude.add_argument("--altitude-m", type=float)
     altitude.add_argument("--altitude-ft", type=float)
-    scale.add_argument("--out")
-    scale.set_defaults(func=_cmd_photogrammetry)
-    feature = photo_sub.add_parser("feature")
+    feature = _command(photo_sub, "feature", _cmd_feature)
     feature.add_argument("--lp-per-mm", type=float, required=True)
-    feature.add_argument("--out")
-    feature.set_defaults(func=_cmd_photogrammetry)
-    grd = photo_sub.add_parser("grd")
+    grd = _command(photo_sub, "grd", _cmd_grd)
     grd.add_argument("--lp-per-mm", type=float, required=True)
     grd.add_argument("--scale-denominator", type=float, required=True)
-    grd.add_argument("--out")
-    grd.set_defaults(func=_cmd_photogrammetry)
-    prange = photo_sub.add_parser("pixel-range")
+    prange = _command(photo_sub, "pixel-range", _cmd_pixel_range)
     prange.add_argument("--lp-per-mm", type=float, required=True)
-    prange.add_argument("--out")
-    prange.set_defaults(func=_cmd_photogrammetry)
-    adeq = photo_sub.add_parser("adequacy")
+    adeq = _command(photo_sub, "adequacy", _cmd_adequacy)
     adeq.add_argument("--ppi", type=float, required=True)
     adeq.add_argument("--lp-per-mm", type=float, required=True)
-    adeq.add_argument("--out")
-    adeq.set_defaults(func=_cmd_photogrammetry)
-    storage = photo_sub.add_parser("storage")
+    storage = _command(photo_sub, "storage", _cmd_storage)
     storage.add_argument("--images", type=int, required=True)
     storage.add_argument("--bytes-per-image", type=int, required=True)
-    storage.add_argument("--out")
-    storage.set_defaults(func=_cmd_photogrammetry)
 
-    check = sub.add_parser(
-        "paper-check", help="verify the toolkit against the published reference figures"
+    # every command whose result is JSON or CSV; --out comes last in its help
+    for command in (thr, rat, util, cost, analyze, pid, plan, samp, *photo_sub.choices.values()):
+        command.add_argument("--out")
+
+    _command(
+        sub, "paper-check", _cmd_paper_check,
+        help="verify the toolkit against the published reference figures",
     )
-    check.set_defaults(func=_cmd_paper_check)
-
     return parser
 
 
@@ -454,7 +407,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     module = _MODULE_BY_COMMAND.get(args.command, args.command)
     try:
-        return args.func(args)
+        result, code = args.func(args), EXIT_OK
+        if isinstance(result, tuple):  # paper-check: (table, exit code)
+            result, code = result
+        if not isinstance(result, list):
+            result = [(getattr(args, "out", None), result)]
+        for path, output in result:
+            _write(output, path)
+        return code
     except ConfigError as exc:
         sys.stderr.write(f"{module}: configuration error: {exc}\n")
         return EXIT_USAGE

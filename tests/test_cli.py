@@ -318,6 +318,32 @@ class TestQcCommands:
         assert code == 1
         assert err.startswith("qc: ")
 
+    def test_batch_csv_out_is_utf8(self, capsys, tmp_path):
+        import numpy as np
+        from scancell.qc import GrayRaster
+
+        rasters = tmp_path / "rasters"
+        rasters.mkdir()
+        GrayRaster(np.full((50, 50), 3, dtype=np.uint8), 300).save(rasters / "é.pgm")
+        code, out, _ = run(capsys, "qc", "analyze", str(rasters))
+        assert code == 0
+        assert out.startswith("file,") and "\né.pgm,,,,," in out
+        batch = tmp_path / "batch.csv"
+        assert run(capsys, "qc", "analyze", str(rasters), "--out", str(batch)) == (0, "", "")
+        assert batch.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("action", ["render", "crop"])
+    def test_out_dash_writes_the_pgm_to_stdout(self, capsysbinary, tmp_path, monkeypatch, action):
+        from scancell.qc import render_print_scan
+
+        monkeypatch.chdir(tmp_path)
+        render_print_scan(50.0).save(tmp_path / "scan.pgm")
+        argv = ["qc", "render", "--ppi", "100"] if action == "render" else ["qc", "crop", "scan.pgm"]
+        assert main(argv + ["--out", "-"]) == 0
+        assert main(argv + ["--out", "file.pgm"]) == 0
+        assert capsysbinary.readouterr() == ((tmp_path / "file.pgm").read_bytes(), b"")
+        assert not (tmp_path / "-").exists()
+
     @pytest.mark.parametrize("comment", ["1.2.3", "1e999", "nan", "300dpi"])
     @pytest.mark.parametrize("action", ["analyze", "crop"])
     def test_malformed_ppi_comment_exits_1(self, capsys, tmp_path, action, comment):
@@ -587,6 +613,11 @@ def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
         (["photogrammetry", "scale", "--focal-mm", "0", "--altitude-ft", "5000"], 1),
         (["photogrammetry", "scale", "--focal-in", "6", "--altitude-m", "0"], 1),
         (["throughput", "--mode", "robotic", "--fleet", "0"], 1),
+        # an empty path names no file, so reading it fails
+        (["simulate", "--config", "", "--seed", "1", "--hours", "1"], 1),
+        (["cost", "breakeven", "--a", ""], 1),
+        (["cost", "breakeven", "--b", ""], 1),
+        (["preserve", "sample", "--n", "10", "--seed", "1", "--rates", ""], 1),
     ],
 )
 def test_zero_is_a_value_not_an_absence(capsys, argv, exit_code):
