@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,69 @@ class TestGoldenRenders:
         geom, ppi, distortions, seed, pgm_sha256 = GOLDEN_RENDERS[name]
         data = render_target(geom, ppi, distortions, seed).to_pgm_bytes()
         assert hashlib.sha256(data).hexdigest() == pgm_sha256
+
+
+# name -> sha256 of analyze_target's JSON dict (sorted keys), or the
+# AnalysisError it raises; every golden render crops to itself
+GOLDEN_ANALYSES = {
+    "300_blur40_noise": "no resolution group could be counted",
+    "600_noise": "1565df6da998022bdef0350dac7140d3ae52d4a0d4ec328f360c3880121c734f",
+    "1200_noise": "4383dba71cbb9a503f065fbdba01d7c9d2d50d874c7a2bed3ccbf2c2d87116b6",
+    "600_scale_error": "1d57e2cf6d9da6a2e313de7f0df38ba213a15519d8652a01b8ae6d0105e7a5b2",
+    "1200_plain": "4383dba71cbb9a503f065fbdba01d7c9d2d50d874c7a2bed3ccbf2c2d87116b6",
+    "2400_blur": "736cec8323a8944bac6332f8ea497e737ab7f63a3bb9261534e18e9c155138f2",
+    "coarse_negative_scale_error": (
+        "4cd148a9bd1a497ffffe6907664b8f912dfef60d7feb1778d6bb6e6b8d9fb1fb"
+    ),
+}
+# (ppi, scan_area_mm) -> (sha256 of the print scan PGM, size of its crop,
+# sha256 of the cropped PGM)
+CROPPED_300 = "b05f0a8cf7c11ecff93fb3e0cc023e9d226fb5559e8259321a14d2f92c703c7d"
+GOLDEN_PRINT_SCANS = {
+    (300, (340.0, 315.0)): (
+        "5106bf5c7bb712c8dac05e4c2616e9be3736deb097f2bf38ca330650476b3563",
+        (2818, 2818),
+        CROPPED_300,
+    ),
+    (300, (250.0, 250.0)): (
+        "8a61e81cdfae7af2edb7112033b037600014349793354ddd8a729357e6e93303",
+        (2818, 2818),
+        CROPPED_300,
+    ),
+    (1200, (250.0, 250.0)): (
+        "d698a9097e0047cc3f7b093f5189baa8b3b3e868e5dbf20e073270c14c84d0a9",
+        (11272, 11272),
+        "5597ea2b21d69db30b900abaa3a1570e5b6c7abfa6342fd1db56ca99980db2f5",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenAnalyses:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RENDERS))
+    def test_report_and_crop_pinned(self, name):
+        geom, ppi, distortions, seed, _ = GOLDEN_RENDERS[name]
+        raster = render_target(geom, ppi, distortions, seed)
+        try:
+            report = analyze_target(raster, geom).to_json_dict()
+        except AnalysisError as exc:
+            assert str(exc) == GOLDEN_ANALYSES[name]
+        else:
+            assert _sha256(json.dumps(report, sort_keys=True).encode()) == GOLDEN_ANALYSES[name]
+        assert crop_to_border(raster) == raster
+
+    @pytest.mark.parametrize("ppi, area", sorted(GOLDEN_PRINT_SCANS))
+    def test_print_scan_and_crop_pinned(self, ppi, area):
+        scan_sha256, crop_size, crop_sha256 = GOLDEN_PRINT_SCANS[ppi, area]
+        scan = render_print_scan(ppi, scan_area_mm=area)
+        assert _sha256(scan.to_pgm_bytes()) == scan_sha256
+        cropped = crop_to_border(scan)
+        del scan
+        assert (cropped.width, cropped.height) == crop_size
+        assert _sha256(cropped.to_pgm_bytes()) == crop_sha256
 
 
 def dark_runs_by_loop(profile, threshold):
