@@ -479,7 +479,7 @@ def check_calibration_qc() -> list[CheckResult]:
     scale = measure_scale_px(raster)
     tones = wedge_tones(raster, layout.wedge_first_centroid, layout.wedge_last_centroid)
     expected_tones = tuple(wedge_level(k) for k in range(21))
-    smallest = smallest_resolvable_um(raster, geom, layout)
+    smallest = smallest_resolvable_um(raster, geom)
     ratio = smallest / (2 * raster.pitch_um)
     distorted = measure_scale_px(render_target(geom, 1200, Distortions(scale_error_fraction=0.002)))
     scan = render_print_scan(1200, scan_area_mm=(250.0, 250.0))

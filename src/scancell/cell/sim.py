@@ -157,21 +157,19 @@ class _Simulation:
         # (time_ms, entity, transition, cause index or None), emitted when the
         # clock reaches time_ms, so in time order; an index is the event's id
         self.events: list[tuple[int, str, str, int | None]] = []
-        self.heap: list[tuple[int, int, object]] = []
+        # (time_ms, seq, action, args): action(time_ms, *args) runs at time_ms
+        self.heap: list[tuple[int, int, object, tuple]] = []
         self.seq = 0
-        self.start_event = self.emit(0, "cell", "program_initiated", None)
+        start = self.emit(0, "cell", "program_initiated", None)
         self.scanners = [
-            _Scanner(i, config.hopper_capacity, self.start_event)
-            for i in range(config.scanners_per_robot)
+            _Scanner(i, config.hopper_capacity, start) for i in range(config.scanners_per_robot)
         ]
         self.robot_free_at_ms = 0
-        self.robot_last_event = self.start_event
+        self.robot_last_event = start
         self.robot_last_served = -1
         self.robot_busy_ms = 0
-        self.stalled = False
-        self.stall_since_ms: int | None = None
+        self.stall_since_ms: int | None = None  # None while the cell runs
         self.stall_ms = 0
-        self.scans_completed = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -186,28 +184,28 @@ class _Simulation:
             )
         return len(events) - 1
 
-    def schedule(self, time_ms: int, action) -> None:
-        heapq.heappush(self.heap, (time_ms, self.seq, action))
+    def schedule(self, time_ms: int, action, *args) -> None:
+        heapq.heappush(self.heap, (time_ms, self.seq, action, args))
         self.seq += 1
 
     def run(self) -> None:
         self.schedule(0, self.dispatch_robot)
         while self.heap:
-            time_ms, _, action = heapq.heappop(self.heap)
+            time_ms, _, action, args = heapq.heappop(self.heap)
             if time_ms > self.horizon_ms:
                 break
-            action(time_ms)
+            action(time_ms, *args)
 
     # -- robot dispatch ---------------------------------------------------
 
     def wake_robot(self, now_ms: int) -> None:
-        if not self.stalled:
+        if self.stall_since_ms is None:
             self.schedule(max(now_ms, self.robot_free_at_ms), self.dispatch_robot)
 
     def dispatch_robot(self, now_ms: int) -> None:
         # the robot is busy until robot_free_at_ms, so a dispatch queued
         # before a visit started may land inside it; skip it
-        if now_ms < self.robot_free_at_ms or self.stalled:
+        if now_ms < self.robot_free_at_ms or self.stall_since_ms is not None:
             return
         n = len(self.scanners)
         for offset in range(1, n + 1):
@@ -245,24 +243,23 @@ class _Simulation:
         self.robot_busy_ms += min(end_ms, self.horizon_ms) - self.events[arrive][0]
         self.robot_free_at_ms = end_ms
         self.schedule(end_ms, self.dispatch_robot)
-
-        def visit_end(now_ms: int) -> None:
-            last = cause
-            for transition in chain:
-                last = self.emit(now_ms, scanner.entity, transition, last)
-            if scanner.bed == BED_SCANNING:  # a load: the scan starts now
-                scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
-                scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
-                self.schedule(scan_end_ms, self.make_scan_done(scanner, last))
-            elif scanner.ready_event < arrive:
-                # a reload that completed during the visit stays the enabling event
-                scanner.ready_event = last
-            self.update_starved(scanner, now_ms)
-            self.robot_last_event = self.emit(now_ms, "robot", scanner.depart, last)
-
         # one visit is in flight at a time, and its end runs before any
         # other action due in the same millisecond
-        heapq.heappush(self.heap, (end_ms, -1, visit_end))
+        heapq.heappush(self.heap, (end_ms, -1, self.visit_end, (scanner, arrive, cause, chain)))
+
+    def visit_end(self, now_ms: int, scanner: _Scanner, arrive: int, cause: int, chain) -> None:
+        last = cause
+        for transition in chain:
+            last = self.emit(now_ms, scanner.entity, transition, last)
+        if scanner.bed == BED_SCANNING:  # a load: the scan starts now
+            scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
+            scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
+            self.schedule(scan_end_ms, self.scan_done, scanner, last)
+        elif scanner.ready_event < arrive:
+            # a reload that completed during the visit stays the enabling event
+            scanner.ready_event = last
+        self.update_starved(scanner, now_ms)
+        self.robot_last_event = self.emit(now_ms, "robot", scanner.depart, last)
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
@@ -324,19 +321,15 @@ class _Simulation:
         scanner.empty_acknowledged = True
         self.end_visit(scanner, arrive, now_ms, sense, ())
 
-    # -- scheduled continuations -----------------------------------------
+    # -- scheduled actions -----------------------------------------------
 
-    def make_scan_done(self, scanner: _Scanner, started: int):
-        def scan_done(now_ms: int) -> None:
-            done = self.emit(now_ms, scanner.entity, "scan_done", started)
-            opened = self.emit(now_ms, scanner.entity, "lid_opened", done)
-            scanner.bed = BED_SCANNED
-            scanner.ready_event = opened
-            scanner.scans_done += 1
-            self.scans_completed += 1
-            self.wake_robot(now_ms)
-
-        return scan_done
+    def scan_done(self, now_ms: int, scanner: _Scanner, started: int) -> None:
+        done = self.emit(now_ms, scanner.entity, "scan_done", started)
+        opened = self.emit(now_ms, scanner.entity, "lid_opened", done)
+        scanner.bed = BED_SCANNED
+        scanner.ready_event = opened
+        scanner.scans_done += 1
+        self.wake_robot(now_ms)
 
     def schedule_reload(self, scanner: _Scanner, now_ms: int) -> None:
         """Refill an exhausted hopper once a worker is present; a hopper
@@ -347,43 +340,35 @@ class _Simulation:
             return
         done_s = worker_at + self.config.reload_seconds
         done_ms = max(now_ms, round(done_s * MS_PER_SECOND))
-        self.schedule(done_ms, self.make_reload_done(scanner))
+        self.schedule(done_ms, self.reload_done, scanner)
 
-    def make_reload_done(self, scanner: _Scanner):
-        def reload_done(now_ms: int) -> None:
-            scanner.hopper.refill(self.config.hopper_capacity)
-            scanner.empty_acknowledged = False
-            reloaded = self.emit(now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event)
-            scanner.ready_event = reloaded
-            self.update_starved(scanner, now_ms)
-            self.wake_robot(now_ms)
-
-        return reload_done
+    def reload_done(self, now_ms: int, scanner: _Scanner) -> None:
+        scanner.hopper.refill(self.config.hopper_capacity)
+        scanner.empty_acknowledged = False
+        reloaded = self.emit(now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event)
+        scanner.ready_event = reloaded
+        self.update_starved(scanner, now_ms)
+        self.wake_robot(now_ms)
 
     def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: int) -> None:
         error = self.emit(now_ms, "cell", "error_stall", final_failure)
         self.emit(now_ms, "robot", scanner.depart, error)
         self.robot_last_event = error
         self.robot_free_at_ms = now_ms
-        self.stalled = True
         self.stall_since_ms = now_ms
         worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
         if worker_at == float("inf"):
             return
         resume_s = max(worker_at, now_ms / MS_PER_SECOND + MIN_STALL_RECOVERY_SECONDS)
-        self.schedule(round(resume_s * MS_PER_SECOND), self.make_stall_over(scanner, error))
+        self.schedule(round(resume_s * MS_PER_SECOND), self.stall_over, scanner, error)
 
-    def make_stall_over(self, scanner: _Scanner, error: int):
-        def stall_over(now_ms: int) -> None:
-            resolved = self.emit(now_ms, "cell", "stall_resolved", error)
-            self.stalled = False
-            self.stall_ms += now_ms - self.stall_since_ms
-            self.stall_since_ms = None
-            scanner.ready_event = resolved
-            self.robot_last_event = resolved
-            self.wake_robot(now_ms)
-
-        return stall_over
+    def stall_over(self, now_ms: int, scanner: _Scanner, error: int) -> None:
+        resolved = self.emit(now_ms, "cell", "stall_resolved", error)
+        self.stall_ms += now_ms - self.stall_since_ms
+        self.stall_since_ms = None
+        scanner.ready_event = resolved
+        self.robot_last_event = resolved
+        self.wake_robot(now_ms)
 
     # -- accounting -------------------------------------------------------
 
@@ -407,7 +392,8 @@ class _Simulation:
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
         n = len(self.scanners)
-        per_hour = self.scans_completed / hours if hours > 0 else 0.0
+        scans = sum(s.scans_done for s in self.scanners)
+        per_hour = scans / hours if hours > 0 else 0.0
         scanner_busy = sum(s.scanning_ms for s in self.scanners)
         return ThroughputReport(
             mode="simulated",
@@ -415,7 +401,7 @@ class _Simulation:
             scans_per_hour=per_hour,
             scans_per_scanner_week=per_hour / n * 168.0,
             scans_per_worker_week=None,
-            scans_completed=self.scans_completed,
+            scans_completed=scans,
             per_scanner_scans=tuple(s.scans_done for s in self.scanners),
             horizon_hours=hours,
             robot_utilization=self.robot_busy_ms / self.horizon_ms if self.horizon_ms else 0.0,

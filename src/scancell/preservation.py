@@ -12,6 +12,7 @@ worker: give each worker its own seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -312,22 +313,7 @@ def aggregate_rates(conditions: Sequence[PrintCondition]) -> ObservedRates:
 
 
 def all_conditions() -> list[PrintCondition]:
-    """Every condition combination (3 mould states x 4 flags x 3 rip states)."""
-    out = []
-    for mould in MouldState:
-        for blocking in (False, True):
-            for silver in (False, True):
-                for annotations in (False, True):
-                    for curling in (False, True):
-                        for rips in RipDamage:
-                            out.append(
-                                PrintCondition(
-                                    mould=mould,
-                                    blocking=blocking,
-                                    silver_dust=silver,
-                                    annotations_or_adhesives=annotations,
-                                    curling_or_creases=curling,
-                                    rips_or_peeling=rips,
-                                )
-                            )
-    return out
+    """Every condition combination (3 mould states x 4 flags x 3 rip states),
+    in field order with the last field varying fastest."""
+    flags = ((False, True),) * 4
+    return [PrintCondition(*values) for values in itertools.product(MouldState, *flags, RipDamage)]

@@ -16,8 +16,10 @@ from ..codec import JsonRecord
 from ..errors import AnalysisError, DomainError
 from .raster import GrayRaster
 from .target import (
+    MEASURE_SCALE_INCHES,
     MM_PER_INCH,
     SCALE_BAND_MM,
+    WEDGE_SEGMENTS,
     CalibrationGeometry,
     TargetLayout,
     default_geometry,
@@ -61,16 +63,14 @@ class ScaleMeasurement(JsonRecord):
     passed: bool
 
 
-def measure_scale_px(raster: GrayRaster, expected_inches: float = 6.0) -> ScaleMeasurement:
-    """Distance in pixels between the terminal ticks of the measure scale.
+def measure_scale_px(raster: GrayRaster) -> ScaleMeasurement:
+    """Distance in pixels between the terminal ticks of the 6-inch measure scale.
 
     The verdict passes when the measured length is within the scanner's
     rated accuracy of 0.1% plus one pixel of the expected length. Tick
     labeling itself is only accurate to a pixel or two, which the +1 px
     term absorbs.
     """
-    if expected_inches <= 0:
-        raise DomainError("expected scale length must be positive")
     px = raster.ppi / MM_PER_INCH
     r0, r1 = round(SCALE_BAND_MM[0] * px), min(raster.height, round(SCALE_BAND_MM[1] * px))
     if r1 <= r0:
@@ -90,7 +90,7 @@ def measure_scale_px(raster: GrayRaster, expected_inches: float = 6.0) -> ScaleM
     left = _run_centroid(profile, threshold, runs[0])
     right = _run_centroid(profile, threshold, runs[-1])
     length = right - left
-    expected_px = expected_inches * raster.ppi
+    expected_px = MEASURE_SCALE_INCHES * raster.ppi
     tolerance = 0.001 * expected_px + 1.0
     return ScaleMeasurement(length, expected_px, tolerance, abs(length - expected_px) <= tolerance)
 
@@ -112,8 +112,8 @@ def wedge_tones(
         if not (0 <= x < raster.width and 0 <= y < raster.height):
             raise DomainError(f"{name} centroid {x, y} lies outside the raster")
     r = max(2, round(0.4 * raster.ppi / MM_PER_INCH))
-    xs = np.linspace(first_centroid[0], last_centroid[0], 21)
-    ys = np.linspace(first_centroid[1], last_centroid[1], 21)
+    xs = np.linspace(first_centroid[0], last_centroid[0], WEDGE_SEGMENTS)
+    ys = np.linspace(first_centroid[1], last_centroid[1], WEDGE_SEGMENTS)
     tones = []
     for x, y in zip(xs, ys):
         cx, cy = round(x), round(y)
@@ -131,11 +131,7 @@ def is_monotone(values: tuple[int, ...]) -> bool:
     return ascending or descending
 
 
-def smallest_resolvable_um(
-    raster: GrayRaster,
-    geom: CalibrationGeometry | None = None,
-    layout: TargetLayout | None = None,
-) -> float:
+def smallest_resolvable_um(raster: GrayRaster, geom: CalibrationGeometry | None = None) -> float:
     """Line width of the finest bar group that still counts correctly.
 
     Groups are walked from coarsest to finest; a group counts when the
@@ -146,8 +142,7 @@ def smallest_resolvable_um(
     geom = geom or default_geometry()
     if not geom.groups:
         raise DomainError("geometry has no resolution groups")
-    if layout is None:
-        layout = TargetLayout.compute(geom, raster.ppi)
+    layout = TargetLayout.compute(geom, raster.ppi)
     px = raster.ppi / MM_PER_INCH
     r0, r1 = layout.element_band_rows
     inset = max(1, round((r1 - r0) * 0.15))
@@ -174,9 +169,13 @@ def smallest_resolvable_um(
     return last_counting
 
 
-def find_print_box(raster: GrayRaster) -> tuple[int, int, int, int]:
+def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int, int, int]:
     """Bounding box (left, top, right, bottom), half-open, of the light
-    print region against the dark background."""
+    print region against the dark background, widened by `border_mm` of
+    background on each side and clamped at the raster edges (a print flush
+    against an edge keeps whatever margin exists there)."""
+    if not 0 <= border_mm < np.inf:
+        raise DomainError("border must be finite and non-negative")
     pixels = raster.pixels
     p10, p90 = np.percentile(pixels, (10.0, 90.0))
     if p90 - p10 < MIN_CONTRAST:
@@ -191,38 +190,19 @@ def find_print_box(raster: GrayRaster) -> tuple[int, int, int, int]:
     cols = np.flatnonzero(mask.sum(axis=0) >= min_count_row)
     if rows.size == 0 or cols.size == 0:
         raise AnalysisError("no light print region found")
-    return int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1
-
-
-def border_px(raster: GrayRaster, border_mm: float) -> int:
-    return round(border_mm * raster.ppi / MM_PER_INCH)
-
-
-def expand_box(
-    box: tuple[int, int, int, int], margin: int, width: int, height: int
-) -> tuple[int, int, int, int]:
-    left, top, right, bottom = box
+    margin = round(border_mm * raster.ppi / MM_PER_INCH)
     return (
-        max(0, left - margin),
-        max(0, top - margin),
-        min(width, right + margin),
-        min(height, bottom + margin),
+        max(0, int(cols[0]) - margin),
+        max(0, int(rows[0]) - margin),
+        min(raster.width, int(cols[-1]) + 1 + margin),
+        min(raster.height, int(rows[-1]) + 1 + margin),
     )
 
 
 def crop_to_border(raster: GrayRaster, border_mm: float = BORDER_MM) -> GrayRaster:
-    """Crop to the print plus a uniform dark border.
-
-    The border is `border_mm` of background on each side, clamped at the
-    raster edges (a print flush against an edge keeps whatever margin
-    exists there).
-    """
-    if not 0 <= border_mm < np.inf:
-        raise DomainError("border must be finite and non-negative")
-    box = find_print_box(raster)
-    left, top, right, bottom = expand_box(
-        box, border_px(raster, border_mm), raster.width, raster.height
-    )
+    """Crop to the print plus a uniform dark border of `border_mm`, as
+    `find_print_box` bounds it."""
+    left, top, right, bottom = find_print_box(raster, border_mm)
     return GrayRaster(raster.pixels[top:bottom, left:right].copy(), raster.ppi)
 
 
@@ -240,8 +220,8 @@ class CalibrationReport(JsonRecord):
     crop_box: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.wedge_values) != 21:
-            raise DomainError("wedge_values must have exactly 21 entries")
+        if len(self.wedge_values) != WEDGE_SEGMENTS:
+            raise DomainError(f"wedge_values must have exactly {WEDGE_SEGMENTS} entries")
 
     def to_json_dict(self) -> dict:
         """The scale verdict is written as "pass" or "fail"."""
@@ -255,16 +235,15 @@ def analyze_target(
     box keeps `BORDER_MM` of background around the print."""
     geom = geom or default_geometry()
     layout = TargetLayout.compute(geom, raster.ppi)
-    scale = measure_scale_px(raster, geom.measure_scale_inches)
+    scale = measure_scale_px(raster)
     wedge = wedge_tones(raster, layout.wedge_first_centroid, layout.wedge_last_centroid)
-    smallest = smallest_resolvable_um(raster, geom, layout)
+    smallest = smallest_resolvable_um(raster, geom)
     if smallest < raster.pitch_um:
         raise AnalysisError(
             f"measured resolution {smallest:.1f} um finer than the pixel pitch"
         )
     try:
-        box = find_print_box(raster)
-        box = expand_box(box, border_px(raster, BORDER_MM), raster.width, raster.height)
+        box = find_print_box(raster, BORDER_MM)
     except AnalysisError:
         box = (0, 0, raster.width, raster.height)
     return CalibrationReport(

@@ -113,8 +113,8 @@ class GrayRaster:
         Path(path).write_bytes(self.to_pgm_bytes())
 
     @classmethod
-    def load(cls, path: str | Path, ppi: float | None = None) -> "GrayRaster":
-        return cls.from_pgm_bytes(Path(path).read_bytes(), ppi)
+    def load(cls, path: str | Path) -> "GrayRaster":
+        return cls.from_pgm_bytes(Path(path).read_bytes())
 
 
 def _comment_ppi(text: bytes | None) -> float:

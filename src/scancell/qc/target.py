@@ -43,6 +43,12 @@ MAX_RASTER_PIXELS = 300_000_000
 # pixels per strip of a noisy render: bounds its float64 temporaries to a few MB
 NOISE_STRIP_PIXELS = 1 << 18
 
+# the strip, its measure scale and its step wedge
+TARGET_WIDTH_MM = 250.0
+TARGET_HEIGHT_MM = 25.0
+MEASURE_SCALE_INCHES = 6
+WEDGE_SEGMENTS = 21
+
 # strip layout anchors, millimetres
 SCALE_TICK_X0_MM = 12.0
 SCALE_TICK_WIDTH_MM = 0.3
@@ -53,6 +59,11 @@ GROUP_SPACING_MM = 2.0
 WEDGE_GAP_MM = 6.0
 WEDGE_X1_MM = 244.0
 MM_PER_INCH = 25.4
+
+# print scan mock-up: a 9-inch print on the scan bed, as 8-bit levels
+PRINT_SIZE_MM = (228.6, 228.6)
+BACKGROUND_LEVEL = 8
+PRINT_LEVEL = 200
 
 
 @dataclass(frozen=True)
@@ -69,21 +80,12 @@ class ResolutionGroup:
 
 @dataclass(frozen=True)
 class CalibrationGeometry:
-    """Physical description of the calibration target."""
+    """The resolution groups of a calibration target; the strip, its
+    measure scale and its step wedge are fixed (the module constants)."""
 
-    target_width_mm: float = 250.0
-    target_height_mm: float = 25.0
-    measure_scale_inches: float = 6.0
-    wedge_segments: int = 21
     groups: tuple[ResolutionGroup, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.target_width_mm <= 0 or self.target_height_mm <= 0:
-            raise DomainError("target dimensions must be positive")
-        if self.measure_scale_inches <= 0:
-            raise DomainError("measure scale length must be positive")
-        if self.wedge_segments != 21:
-            raise DomainError("the tonal step wedge has exactly 21 segments")
         widths = [g.line_width_um for g in self.groups]
         if any(a <= b for a, b in zip(widths, widths[1:])):
             raise DomainError("group line widths must be strictly decreasing")
@@ -133,7 +135,6 @@ class GroupBox:
 class TargetLayout:
     """Undistorted pixel positions of every target element."""
 
-    ppi: float
     width_px: int
     height_px: int
     scale_tick_centers_px: tuple[float, ...]
@@ -153,12 +154,10 @@ class TargetLayout:
         if not 0 < ppi < math.inf:
             raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
         px = ppi / MM_PER_INCH  # px per mm
-        width_px = round(geom.target_width_mm * px)
-        height_px = round(geom.target_height_mm * px)
-
-        n_ticks = int(geom.measure_scale_inches) + 1
+        width_px = round(TARGET_WIDTH_MM * px)
+        height_px = round(TARGET_HEIGHT_MM * px)
         ticks = tuple(
-            (SCALE_TICK_X0_MM + i * MM_PER_INCH) * px for i in range(n_ticks)
+            (SCALE_TICK_X0_MM + i * MM_PER_INCH) * px for i in range(MEASURE_SCALE_INCHES + 1)
         )
 
         boxes = []
@@ -173,13 +172,12 @@ class TargetLayout:
         if wedge_x0_mm >= WEDGE_X1_MM:
             raise DomainError("resolution groups leave no room for the step wedge")
         edges = tuple(
-            np.linspace(wedge_x0_mm * px, WEDGE_X1_MM * px, geom.wedge_segments + 1)
+            np.linspace(wedge_x0_mm * px, WEDGE_X1_MM * px, WEDGE_SEGMENTS + 1)
         )
         mid_y = round((ELEMENT_BAND_MM[0] + ELEMENT_BAND_MM[1]) / 2.0 * px)
         first = (round((edges[0] + edges[1]) / 2.0), mid_y)
         last = (round((edges[-2] + edges[-1]) / 2.0), mid_y)
         return cls(
-            ppi=ppi,
             width_px=width_px,
             height_px=height_px,
             scale_tick_centers_px=ticks,
@@ -259,7 +257,7 @@ def render_target(
             bar_index += 1
 
     edges = layout.wedge_segment_edges_px
-    for k in range(geom.wedge_segments):
+    for k in range(WEDGE_SEGMENTS):
         _fill_span(element_row, edges[k] * stretch, edges[k + 1] * stretch, float(wedge_level(k)))
 
     rows, row_of = blur_rows(rows, row_of, SENSOR_SIGMA_PX)
@@ -283,24 +281,20 @@ def _quantize_rows(
 
 
 def render_print_scan(
-    ppi: float,
-    scan_area_mm: tuple[float, float] = (340.0, 315.0),
-    print_size_mm: tuple[float, float] = (228.6, 228.6),
-    background_level: int = 8,
-    print_level: int = 200,
+    ppi: float, scan_area_mm: tuple[float, float] = (340.0, 315.0)
 ) -> GrayRaster:
     """Mock scan: a light print centered on the dark scan-bed background."""
-    if print_size_mm[0] > scan_area_mm[0] or print_size_mm[1] > scan_area_mm[1]:
+    if PRINT_SIZE_MM[0] > scan_area_mm[0] or PRINT_SIZE_MM[1] > scan_area_mm[1]:
         raise DomainError("print does not fit in the scan area")
     px = ppi / MM_PER_INCH
     width = round(scan_area_mm[0] * px)
     height = round(scan_area_mm[1] * px)
     if width * height > MAX_RASTER_PIXELS:
         raise DomainError("scan area too large at this ppi")
-    canvas = np.full((height, width), background_level, dtype=np.uint8)
-    pw = round(print_size_mm[0] * px)
-    ph = round(print_size_mm[1] * px)
+    canvas = np.full((height, width), BACKGROUND_LEVEL, dtype=np.uint8)
+    pw = round(PRINT_SIZE_MM[0] * px)
+    ph = round(PRINT_SIZE_MM[1] * px)
     x0 = (width - pw) // 2
     y0 = (height - ph) // 2
-    canvas[y0 : y0 + ph, x0 : x0 + pw] = print_level
+    canvas[y0 : y0 + ph, x0 : x0 + pw] = PRINT_LEVEL
     return GrayRaster(canvas, ppi)

@@ -47,10 +47,6 @@ class TestGeometry:
         for a, b in zip(widths, widths[1:]):
             assert a / b == pytest.approx(GROUP_STEP, rel=1e-9)
 
-    def test_wedge_segment_count_fixed(self):
-        with pytest.raises(DomainError):
-            CalibrationGeometry(wedge_segments=20)
-
     def test_group_widths_must_decrease(self):
         with pytest.raises(DomainError):
             CalibrationGeometry(
