@@ -13,6 +13,8 @@ HANDLING_KINDS = ("fixed", "uniform", "lognormal")
 MS_PER_SECOND = 1000
 SECONDS_PER_WEEK = 7 * 24 * 3600.0
 SECONDS_PER_DAY = 24 * 3600.0
+# scanners one robot may serve; a run builds every scanner up front
+MAX_SCANNERS_PER_ROBOT = 1_000
 
 
 def _require_finite(owner: str, **values: float) -> None:
@@ -128,7 +130,8 @@ class CellConfig(JsonRecord):
     try plus two further attempts with added downward force.
     `ramp_multiplier` optionally scales productivity week on week
     (handling times divide by multiplier^week). Every float must be finite,
-    and a scan must round to at least 1 ms so that simulated time advances.
+    a scan must round to at least 1 ms so that simulated time advances, and
+    one robot serves at most `MAX_SCANNERS_PER_ROBOT` scanners.
     """
 
     scanners_per_robot: int = 2
@@ -149,8 +152,11 @@ class CellConfig(JsonRecord):
             reload_seconds=self.reload_seconds,
             ramp_multiplier=self.ramp_multiplier,
         )
-        if self.scanners_per_robot < 1:
-            raise ConfigError("need at least one scanner per robot")
+        if not 1 <= self.scanners_per_robot <= MAX_SCANNERS_PER_ROBOT:
+            raise ConfigError(
+                f"scanners per robot must lie in [1, {MAX_SCANNERS_PER_ROBOT:,}], "
+                f"got {self.scanners_per_robot}"
+            )
         if round(self.scan_seconds * MS_PER_SECOND) < 1:
             raise ConfigError("scan duration must round to at least 1 ms")
         if self.hopper_capacity is not None and self.hopper_capacity < 1:

@@ -265,8 +265,18 @@ class _Simulation:
         """Duration of one phase: `share` of a handling time drawn for this
         phase alone, sped up by the ramp for the current week."""
         handling = self.config.handling_time.sample(self.rng)
-        if self.config.ramp_multiplier != 1.0:
-            handling /= self.config.ramp_multiplier ** (now_ms // WEEK_MS)
+        ramp = self.config.ramp_multiplier
+        if ramp != 1.0:
+            week = now_ms // WEEK_MS
+            try:
+                handling /= ramp**week
+            except (OverflowError, ZeroDivisionError):  # ramp**week left the float range
+                handling = math.inf
+            if handling * MS_PER_SECOND == math.inf:
+                raise DomainError(
+                    f"ramp_multiplier {ramp!r} in week {week} takes the handling time "
+                    "out of the float range"
+                )
         return max(0, round(share * handling * MS_PER_SECOND))
 
     def attempt_lift(self, scanner: _Scanner, lift: tuple[str, str, str], now_ms: int, cause: int):

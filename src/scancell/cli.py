@@ -81,7 +81,7 @@ def _load(record, path: str | None, default=None):
 def _cmd_simulate(args: argparse.Namespace):
     config = _load(cell.CellConfig, args.config, cell.CellConfig)
     trace, report = cell.simulate(config, seed=args.seed, horizon_seconds=args.hours * 3600.0)
-    outputs = [(args.trace, trace.to_csv())] if args.trace else []
+    outputs = [(args.trace, trace.to_csv())] if args.trace is not None else []
     return outputs + [(args.out, report)]
 
 
@@ -196,7 +196,7 @@ def _cmd_preserve_sample(args: argparse.Namespace):
     )
     observed = preservation.aggregate_rates(conditions)
     outputs = []
-    if args.csv:
+    if args.csv is not None:
         header = ",".join(f.name for f in dataclasses.fields(preservation.PrintCondition))
         rows = (",".join(map(str, c.to_json_dict().values())) for c in conditions)
         outputs.append((args.csv, "\n".join([header, *rows]) + "\n"))

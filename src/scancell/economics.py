@@ -224,10 +224,17 @@ def cost_curve(
         yield n, float(cost_per_scan(a, n)), float(cost_per_scan(b, n))
 
 
+# points one cost curve may have; the grid is built one point at a time
+MAX_CURVE_POINTS = 100_000
+
+
 def geometric_counts(start: int, stop: int, points: int) -> list[int]:
-    """Roughly geometric grid of scan counts, deduplicated and sorted."""
+    """Roughly geometric grid of at most `MAX_CURVE_POINTS` scan counts,
+    deduplicated and sorted."""
     if start < 1 or stop < start or points < 2:
         raise DomainError("need 1 <= start <= stop and at least two points")
+    if points > MAX_CURVE_POINTS:
+        raise DomainError(f"a curve has at most {MAX_CURVE_POINTS:,} points, got {points}")
     ratio = (stop / start) ** (1.0 / (points - 1))
     counts = sorted({int(round(start * ratio**i)) for i in range(points)})
     return [max(1, c) for c in counts]

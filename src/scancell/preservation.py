@@ -186,6 +186,8 @@ def implied_rips_or_peeling_rate(rates: IssueRates) -> float:
 
 
 ACTIVE_MOULD_SHARE = 0.5  # share of sampled mould that is active, not dormant
+# boxes one sample may draw; each costs about 160 B while the sample is held
+MAX_SAMPLE_BOXES = 1_000_000
 
 
 def _draw_condition(
@@ -251,10 +253,11 @@ def sample_boxes(
     draw (negative values: issues spread over more boxes). Marginal rates
     are preserved exactly in both directions. The disjoint mixture needs
     the issue rates to sum to at most 1. Sampled mould is active with
-    probability `ACTIVE_MOULD_SHARE`, otherwise dormant.
+    probability `ACTIVE_MOULD_SHARE`, otherwise dormant. At most
+    `MAX_SAMPLE_BOXES` boxes are drawn in one call.
     """
-    if n < 0:
-        raise DomainError("sample count must be non-negative")
+    if not 0 <= n <= MAX_SAMPLE_BOXES:
+        raise DomainError(f"sample count must lie in [0, {MAX_SAMPLE_BOXES:,}], got {n}")
     if not -1.0 <= dependence <= 1.0:
         raise DomainError(f"dependence must lie in [-1, 1], got {dependence}")
     if dependence < 0.0 and sum(rates.issue_probabilities()) > 1.0:

@@ -14,10 +14,9 @@ padding.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
-from .codec import JsonRecord
 from .errors import ParseError
 
 # Segment tokens. Family patterns are built from them; records check their
@@ -42,14 +41,16 @@ def _validate_positive(name: str, value: int) -> None:
         raise ParseError(f"{name} must be a positive integer, got {value}")
 
 
-class _SortieRecord(JsonRecord):
-    """A sortie id is written with a leading `variant` tag, and with the
-    properties named in `derived` after its fields; it is never read back."""
+class _SortieRecord:
+    """A sortie id is written with a leading `variant` tag, then its fields,
+    then the properties named in `derived`. It is never read back, so it
+    has no JSON decoder."""
 
     derived = ()
 
     def to_json_dict(self) -> dict:
-        out = {"variant": self.variant, **super().to_json_dict()}
+        out = {"variant": self.variant}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self))
         out.update((name, getattr(self, name)) for name in self.derived)
         return out
 

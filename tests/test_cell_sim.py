@@ -17,6 +17,7 @@ from scancell.cell import (
     sim,
     simulate,
 )
+from scancell.cell.config import MAX_SCANNERS_PER_ROBOT
 from scancell.cell.invariants import check_trace_invariants
 from scancell.errors import ConfigError, DomainError
 
@@ -80,6 +81,11 @@ class TestConfig:
         for field in ("mean_seconds", "spread"):
             with pytest.raises(ConfigError, match="finite"):
                 HandlingTime("lognormal", **{field: value})
+
+    def test_scanners_per_robot_capped(self):
+        assert CellConfig(scanners_per_robot=MAX_SCANNERS_PER_ROBOT).scanners_per_robot == 1_000
+        with pytest.raises(ConfigError, match="1,000"):
+            CellConfig(scanners_per_robot=MAX_SCANNERS_PER_ROBOT + 1)
 
     def test_scan_must_round_to_one_millisecond(self):
         with pytest.raises(ConfigError, match="1 ms"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scancell import acceptance
+from scancell import acceptance, preservation
 from scancell.acceptance import CheckResult
 from scancell.cell import CellConfig, HandlingTime, sim
 from scancell.cli import main
@@ -618,9 +618,45 @@ def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
         (["cost", "breakeven", "--a", ""], 1),
         (["cost", "breakeven", "--b", ""], 1),
         (["preserve", "sample", "--n", "10", "--seed", "1", "--rates", ""], 1),
+        # nor can writing it
+        (["simulate", "--seed", "1", "--hours", "1", "--trace", ""], 1),
+        (["preserve", "sample", "--n", "10", "--seed", "1", "--csv", ""], 1),
     ],
 )
 def test_zero_is_a_value_not_an_absence(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ramp", [1e-170, 1e170])
+def test_ramp_out_of_float_range_exits_1(capsys, tmp_path, ramp):
+    # hopper reloads take 15 days, so the robot stays idle into week 2
+    config = tmp_path / "ramp.json"
+    config.write_text(json.dumps({
+        "hopper_capacity": 1,
+        "reload_seconds": 1300000.0,
+        "ramp_multiplier": ramp,
+        "attendance": [[day, 0.0, 24.0] for day in range(7)],
+    }))
+    code, out, err = run(capsys, "simulate", "--seed", "1", "--hours", "400", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert "ramp_multiplier" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["simulate", "--seed", "1", "--hours", "1", "--config", "scanners.json"], 2),
+        (["preserve", "sample", "--n", "1000001", "--seed", "1"], 1),
+        (["cost", "curve", "--points", "100001"], 1),
+    ],
+)
+def test_sizes_beyond_their_cap_rejected(capsys, tmp_path, monkeypatch, argv, exit_code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scanners.json").write_text('{"scanners_per_robot": 1001}')
+    monkeypatch.setattr(preservation, "_draw_condition", mock.Mock(side_effect=AssertionError))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (exit_code, "")
     assert "Traceback" not in err

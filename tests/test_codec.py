@@ -16,6 +16,7 @@ from scancell.cell import (
     simulate,
     theoretical_throughput,
 )
+from scancell.codec import JsonRecord
 from scancell.economics import CostItem, CostParams, manual_benchmark, weeks_to_volume
 from scancell.errors import ConfigError, DomainError
 from scancell.preservation import (
@@ -74,6 +75,19 @@ def test_fields_written_in_declaration_order_as_json_types():
         "label": "scanner",
         "unit_cost": 0.0075,
         "quantity": 2,
+    }
+
+
+def test_sortie_ids_are_written_only():
+    dos = sortie.parse("4/BC/0056")
+    assert not isinstance(dos, JsonRecord)
+    assert not hasattr(dos, "from_json_dict")
+    assert dos.to_json_dict() == {
+        "variant": "dos_contract", "contract_number": 4, "country_code": "BC", "film_number": 56
+    }
+    label = sortie.parse("K17/LOCAL/NOTES", usaaf=True).to_json_dict()
+    assert json.loads(json.dumps(label)) == {
+        "variant": "us_army_air_force", "raw": ["K17", "LOCAL", "NOTES"], "standardized": False
     }
 
 

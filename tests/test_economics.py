@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from scancell.economics import (
+    MAX_CURVE_POINTS,
     CostItem,
     CostParams,
     as_money,
@@ -91,6 +92,11 @@ class TestCostPerScan:
     def test_zero_scans_rejected(self):
         with pytest.raises(DomainError):
             cost_per_scan(manual_benchmark(), 0)
+
+    def test_curve_points_capped(self):
+        assert len(geometric_counts(1, 10**8, MAX_CURVE_POINTS)) <= MAX_CURVE_POINTS
+        with pytest.raises(DomainError, match="100,000"):
+            geometric_counts(1, 10**8, MAX_CURVE_POINTS + 1)
 
     def test_strictly_decreasing_converging(self):
         params = robotic_benchmark()

@@ -1,5 +1,6 @@
 import pytest
 
+from scancell import preservation
 from scancell.errors import DomainError
 from scancell.preservation import (
     IssueRates,
@@ -150,6 +151,14 @@ class TestSampler:
     def test_rate_validation(self):
         with pytest.raises(DomainError):
             IssueRates(mould=1.2)
+
+    def test_sample_size_capped_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a box was drawn")
+
+        monkeypatch.setattr(preservation, "_draw_condition", draw)
+        with pytest.raises(DomainError, match="1,000,000"):
+            sample_boxes(preservation.MAX_SAMPLE_BOXES + 1, 0, IssueRates())
 
 
 class TestAggregation:
