@@ -19,6 +19,11 @@ in robot time. Only fixed handling keeps the three phases in a 3:3:4
 ratio. Lid actuation is part of the event chain but consumes no separate
 time; it is folded into h.
 
+Dispatch: the robot is busy from the start of a visit to its end and
+through a stall, idle otherwise. It picks its next visit at t = 0, when a
+visit ends or a stall is resolved, and, while idle, when a scan completes
+or a hopper is reloaded; no dispatch lands while it is busy.
+
 Failures: a hopper pick may fail per attempt; after the retry limit the
 cell stops and reports an error, which a worker resolves at the next
 attended moment (in-flight scans still finish). An exhausted input hopper
@@ -85,44 +90,22 @@ class SimTrace:
         return "\n".join(lines) + "\n"
 
 
-class _Hopper:
-    """Input stack of prints interleaved with plates; plates sit between
-    consecutive prints, so a stack of n prints carries n-1 plates and the
-    top item is always a print after a (re)load. An unlimited hopper holds
-    math.inf of each and never empties."""
-
-    __slots__ = ("prints", "plates", "next_kind")
-
-    def __init__(self, capacity: int | None):
-        self.refill(math.inf if capacity is None else capacity)
-
-    def take_print(self) -> bool:
-        """Remove the top print; True when it was the last one."""
-        self.prints -= 1
-        self.next_kind = "plate" if self.plates > 0 else "empty"
-        return self.prints == 0
-
-    def take_plate(self) -> None:
-        self.plates -= 1
-        self.next_kind = "print" if self.prints > 0 else "empty"
-
-    def refill(self, capacity: float) -> None:
-        self.prints = capacity
-        self.plates = capacity - 1
-        self.next_kind = "print"
-
-
 class _Scanner:
     """One scanner and its input hopper. `bed` is BED_EMPTY (lid open),
     BED_SCANNING (print on the bed, lid closed) or BED_SCANNED (lid open,
-    awaiting unload); event fields hold indices into the event list."""
+    awaiting unload); event fields hold indices into the event list.
+
+    The hopper is `prints` left (math.inf when unlimited) and `plate_on_top`:
+    a plate sits between consecutive prints, so taking any print but the
+    last bares a plate, and a (re)load puts a print on top."""
 
     __slots__ = (
         "index",
         "entity",
         "arrive",
         "depart",
-        "hopper",
+        "prints",
+        "plate_on_top",
         "bed",
         "empty_acknowledged",
         "ready_event",
@@ -138,7 +121,8 @@ class _Scanner:
         self.entity = f"scanner{index}"
         self.arrive = f"arrive@{self.entity}"
         self.depart = f"depart@{self.entity}"
-        self.hopper = _Hopper(capacity)
+        self.prints = math.inf if capacity is None else capacity
+        self.plate_on_top = False
         self.bed = BED_EMPTY
         self.empty_acknowledged = False
         self.ready_event = start_event
@@ -164,7 +148,7 @@ class _Simulation:
         self.scanners = [
             _Scanner(i, config.hopper_capacity, start) for i in range(config.scanners_per_robot)
         ]
-        self.robot_free_at_ms = 0
+        self.robot_idle = False  # idle with no dispatch due; the first is at t = 0
         self.robot_last_event = start
         self.robot_last_served = -1
         self.robot_busy_ms = 0
@@ -199,19 +183,17 @@ class _Simulation:
     # -- robot dispatch ---------------------------------------------------
 
     def wake_robot(self, now_ms: int) -> None:
-        if self.stall_since_ms is None:
-            self.schedule(max(now_ms, self.robot_free_at_ms), self.dispatch_robot)
+        if self.robot_idle:
+            self.robot_idle = False
+            self.schedule(now_ms, self.dispatch_robot)
 
     def dispatch_robot(self, now_ms: int) -> None:
-        # the robot is busy until robot_free_at_ms, so a dispatch queued
-        # before a visit started may land inside it; skip it
-        if now_ms < self.robot_free_at_ms or self.stall_since_ms is not None:
-            return
         n = len(self.scanners)
         for offset in range(1, n + 1):
             scanner = self.scanners[(self.robot_last_served + offset) % n]
             if self.start_visit(scanner, now_ms):
                 return
+        self.robot_idle = True
 
     def start_visit(self, scanner: _Scanner, now_ms: int) -> bool:
         """Serve `scanner` if it needs the robot; False when it does not."""
@@ -219,9 +201,9 @@ class _Simulation:
             self.visit_unload(scanner, now_ms)
         elif scanner.bed == BED_SCANNING:
             return False
-        elif scanner.hopper.next_kind == "plate":
+        elif scanner.plate_on_top:
             self.visit_plate(scanner, now_ms)
-        elif scanner.hopper.next_kind == "print":
+        elif scanner.prints:
             self.visit_load(scanner, now_ms)
         elif not scanner.empty_acknowledged:
             self.visit_empty_check(scanner, now_ms)
@@ -241,8 +223,6 @@ class _Simulation:
         then: the scanner transitions of `chain` follow `cause`, and the
         robot departs."""
         self.robot_busy_ms += min(end_ms, self.horizon_ms) - self.events[arrive][0]
-        self.robot_free_at_ms = end_ms
-        self.schedule(end_ms, self.dispatch_robot)
         # one visit is in flight at a time, and its end runs before any
         # other action due in the same millisecond
         heapq.heappush(self.heap, (end_ms, -1, self.visit_end, (scanner, arrive, cause, chain)))
@@ -260,6 +240,7 @@ class _Simulation:
             scanner.ready_event = last
         self.update_starved(scanner, now_ms)
         self.robot_last_event = self.emit(now_ms, "robot", scanner.depart, last)
+        self.schedule(now_ms, self.dispatch_robot)
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
@@ -309,7 +290,7 @@ class _Simulation:
         lift = self.attempt_lift(scanner, PLATE_LIFT, now_ms, sense)
         if lift is None:
             return
-        scanner.hopper.take_plate()
+        scanner.plate_on_top = False
         self.end_visit(scanner, arrive, now_ms + duration, lift, ("plate_transferred",))
 
     def visit_load(self, scanner: _Scanner, now_ms: int) -> None:
@@ -319,7 +300,9 @@ class _Simulation:
         lift = self.attempt_lift(scanner, PRINT_LIFT, now_ms, sense)
         if lift is None:
             return
-        if scanner.hopper.take_print():
+        scanner.prints -= 1
+        scanner.plate_on_top = scanner.prints > 0
+        if not scanner.prints:
             scanner.lamp_event = self.emit(now_ms, scanner.entity, "hopper_empty_lamp_on", lift)
             self.schedule_reload(scanner, now_ms)
         scanner.bed = BED_SCANNING
@@ -353,7 +336,7 @@ class _Simulation:
         self.schedule(done_ms, self.reload_done, scanner)
 
     def reload_done(self, now_ms: int, scanner: _Scanner) -> None:
-        scanner.hopper.refill(self.config.hopper_capacity)
+        scanner.prints = self.config.hopper_capacity  # only a finite hopper empties
         scanner.empty_acknowledged = False
         reloaded = self.emit(now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event)
         scanner.ready_event = reloaded
@@ -364,7 +347,6 @@ class _Simulation:
         error = self.emit(now_ms, "cell", "error_stall", final_failure)
         self.emit(now_ms, "robot", scanner.depart, error)
         self.robot_last_event = error
-        self.robot_free_at_ms = now_ms
         self.stall_since_ms = now_ms
         worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
         if worker_at == float("inf"):
@@ -378,14 +360,14 @@ class _Simulation:
         self.stall_since_ms = None
         scanner.ready_event = resolved
         self.robot_last_event = resolved
-        self.wake_robot(now_ms)
+        self.schedule(now_ms, self.dispatch_robot)
 
     # -- accounting -------------------------------------------------------
 
     def update_starved(self, scanner: _Scanner, now_ms: int) -> None:
         """Open or close the scanner's starvation interval at `now_ms`: it
         starves while its bed is empty and its hopper has run out."""
-        starving = scanner.bed == BED_EMPTY and scanner.hopper.next_kind == "empty"
+        starving = scanner.bed == BED_EMPTY and not scanner.prints
         if starving and scanner.starved_since_ms is None:
             scanner.starved_since_ms = now_ms
         elif not starving and scanner.starved_since_ms is not None:

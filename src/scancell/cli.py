@@ -155,7 +155,7 @@ def _cmd_qc_render(args: argparse.Namespace):
 def _cmd_qc_analyze(args: argparse.Namespace):
     source = Path(args.raster)
     if not source.is_dir():
-        return qc.analyze_target(qc.GrayRaster.load(source))
+        return qc.analyze_target(qc.GrayRaster.load(source)).to_json_dict()
     rows = ["file,measured_scale_px,scale_verdict,wedge_monotone,smallest_resolvable_um,error\n"]
     for path in sorted(source.glob("*.pgm")):
         try:

@@ -11,9 +11,9 @@ only its values and a `Fraction` (money) what `economics.as_money` takes.
 Range checks stay in each record's `__post_init__`. A field's JSON key is
 its name unless its metadata names another under "json"; records with
 another documented layout override the two methods on top of these. A
-record that is only written, never read (a sortie id), builds its own
-dict and does not inherit `JsonRecord`: it has no decoder rather than one
-that rejects its own layout.
+record that is only written, never read (a sortie id, a calibration
+report), builds its own dict and does not inherit `JsonRecord`: it has no
+decoder rather than one that rejects its own layout.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
+from .cell.throughput import fleet_throughput, theoretical_throughput
 from .codec import JsonRecord
 from .errors import ConfigError, DomainError
 
@@ -125,8 +126,8 @@ ROBOTIC_HEADLINE_FIXED_GBP = as_money(512_150)
 MANUAL_FIXED_GBP = as_money(10_000)
 ROBOTIC_PER_SCAN_GBP = as_money("0.0075")
 MANUAL_PER_SCAN_GBP = as_money("0.22")
-ROBOTIC_WEEKLY_CAPACITY = 36_288.0  # 8 scanners around the clock
-MANUAL_WEEKLY_CAPACITY = 3_500.0  # 2 scanners, 35-hour week
+ROBOTIC_WEEKLY_CAPACITY = fleet_throughput(8).scans_per_week
+MANUAL_WEEKLY_CAPACITY = theoretical_throughput("human_operated").scans_per_worker_week
 
 
 def robotic_benchmark() -> CostParams:

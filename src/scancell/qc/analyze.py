@@ -8,7 +8,7 @@ tolerates moderate blur and noise and keeps results reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def measure_scale_px(raster: GrayRaster) -> ScaleMeasurement:
     r0, r1 = round(SCALE_BAND_MM[0] * px), min(raster.height, round(SCALE_BAND_MM[1] * px))
     if r1 <= r0:
         raise AnalysisError("scale row band lies outside the raster")
-    profile = np.median(raster.pixels[r0:r1, :].astype(np.float64), axis=0)
+    profile = np.median(raster.pixels[r0:r1, :], axis=0)
     # ticks are sparse against the band, so threshold on the profile
     # extrema rather than percentiles
     lo, hi = float(profile.min()), float(profile.max())
@@ -146,7 +146,7 @@ def smallest_resolvable_um(raster: GrayRaster, geom: CalibrationGeometry | None 
     px = raster.ppi / MM_PER_INCH
     r0, r1 = layout.element_band_rows
     inset = max(1, round((r1 - r0) * 0.15))
-    rows = raster.pixels[r0 + inset : r1 - inset, :].astype(np.float64)
+    rows = raster.pixels[r0 + inset : r1 - inset, :]
     # tight window: enough white margin to anchor the 90th percentile
     # without drowning the bars out of the 10th
     pad = 0.25 * px
@@ -177,12 +177,12 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
     if not 0 <= border_mm < np.inf:
         raise DomainError("border must be finite and non-negative")
     pixels = raster.pixels
-    p10, p90 = np.percentile(pixels, (10.0, 90.0))
-    if p90 - p10 < MIN_CONTRAST:
+    try:
+        threshold = _profile_threshold(pixels)
+    except AnalysisError:
         if np.median(pixels) > 127:
             return (0, 0, raster.width, raster.height)
-        raise AnalysisError("no light print region found")
-    threshold = (p10 + p90) / 2.0
+        raise AnalysisError("no light print region found") from None
     mask = pixels > threshold
     min_count_col = max(1, round(0.001 * raster.width))
     min_count_row = max(1, round(0.001 * raster.height))
@@ -207,8 +207,8 @@ def crop_to_border(raster: GrayRaster, border_mm: float = BORDER_MM) -> GrayRast
 
 
 @dataclass(frozen=True)
-class CalibrationReport(JsonRecord):
-    """Measured quality-control results for one calibration strip."""
+class CalibrationReport:
+    """Measured quality-control results for one calibration strip (written only)."""
 
     measured_scale_px: float
     expected_scale_px: float
@@ -224,8 +224,10 @@ class CalibrationReport(JsonRecord):
             raise DomainError(f"wedge_values must have exactly {WEDGE_SEGMENTS} entries")
 
     def to_json_dict(self) -> dict:
-        """The scale verdict is written as "pass" or "fail"."""
-        return {**super().to_json_dict(), "scale_verdict": "pass" if self.scale_verdict else "fail"}
+        """Fields in declaration order; the scale verdict as "pass" or "fail"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["scale_verdict"] = "pass" if self.scale_verdict else "fail"
+        return out
 
 
 def analyze_target(

@@ -66,7 +66,7 @@ class GrayRaster:
         return b"".join((header.encode("ascii"), np.ascontiguousarray(self.pixels)))
 
     @classmethod
-    def from_pgm_bytes(cls, data: bytes, ppi: float | None = None) -> "GrayRaster":
+    def from_pgm_bytes(cls, data: bytes) -> "GrayRaster":
         tokens: list[bytes] = []
         pos = 0
         found_ppi = None
@@ -104,8 +104,7 @@ class GrayRaster:
         expected = width * height
         if len(data) - pos < expected:
             raise AnalysisError("PGM pixel data shorter than header promises")
-        if ppi is None:
-            ppi = _comment_ppi(found_ppi)
+        ppi = _comment_ppi(found_ppi)
         pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
         return cls(pixels.reshape(height, width).copy(), ppi)
 
@@ -119,7 +118,7 @@ class GrayRaster:
 
 def _comment_ppi(text: bytes | None) -> float:
     if text is None:
-        raise AnalysisError("PGM carries no ppi comment; pass ppi explicitly")
+        raise AnalysisError('PGM carries no "# ppi N" header comment; add one after the P5 line')
     try:
         ppi = float(text)
     except ValueError:

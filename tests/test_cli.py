@@ -353,6 +353,14 @@ class TestQcCommands:
         assert code == 1
         assert err == f"qc: PGM ppi comment must be a finite positive number, got {comment!r}\n"
 
+    @pytest.mark.parametrize("action", ["analyze", "crop"])
+    def test_missing_ppi_comment_exits_1(self, capsys, tmp_path, action):
+        scan = tmp_path / "scan.pgm"
+        scan.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        code, _, err = run(capsys, "qc", action, str(scan), "--out", str(tmp_path / "x.pgm"))
+        assert code == 1
+        assert err == 'qc: PGM carries no "# ppi N" header comment; add one after the P5 line\n'
+
 
 def test_unwritable_output_exits_1(capsys, tmp_path):
     code, _, err = run(

@@ -28,7 +28,7 @@ from scancell.preservation import (
     all_conditions,
     plan_remediation,
 )
-from scancell.qc.analyze import ScaleMeasurement
+from scancell.qc.analyze import CalibrationReport, ScaleMeasurement
 
 CONDITION = PrintCondition(mould=MouldState.ACTIVE, rips_or_peeling=RipDamage.MINOR)
 
@@ -88,6 +88,25 @@ def test_sortie_ids_are_written_only():
     label = sortie.parse("K17/LOCAL/NOTES", usaaf=True).to_json_dict()
     assert json.loads(json.dumps(label)) == {
         "variant": "us_army_air_force", "raw": ["K17", "LOCAL", "NOTES"], "standardized": False
+    }
+
+
+def test_calibration_report_is_written_only():
+    wedge = tuple(range(0, 210, 10))
+    report = CalibrationReport(7199.5, 7200.0, 8.2, False, wedge, True, 42.3, (1, 2, 30, 40))
+    assert not isinstance(report, JsonRecord)
+    assert not hasattr(report, "from_json_dict")
+    data = report.to_json_dict()
+    assert list(data) == [f.name for f in fields(CalibrationReport)]
+    assert json.loads(json.dumps(data)) == {
+        "measured_scale_px": 7199.5,
+        "expected_scale_px": 7200.0,
+        "scale_tolerance_px": 8.2,
+        "scale_verdict": "fail",
+        "wedge_values": list(wedge),
+        "wedge_monotone": True,
+        "smallest_resolvable_um": 42.3,
+        "crop_box": [1, 2, 30, 40],
     }
 
 

@@ -28,12 +28,11 @@ class TestGrayRaster:
         data = GrayRaster(checkerboard(), ppi=1200).to_pgm_bytes()
         assert data.startswith(b"P5\n# ppi 1200\n8 6\n255\n")
 
-    def test_missing_ppi_requires_argument(self):
+    def test_missing_ppi_comment_is_an_analysis_error(self):
         plain = b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0])
-        with pytest.raises(AnalysisError, match="ppi"):
+        message = 'PGM carries no "# ppi N" header comment; add one after the P5 line'
+        with pytest.raises(AnalysisError, match=re.escape(message)):
             GrayRaster.from_pgm_bytes(plain)
-        raster = GrayRaster.from_pgm_bytes(plain, ppi=300)
-        assert raster.width == 2 and raster.ppi == 300
 
     def test_rejects_wrong_shape_and_dtype(self):
         with pytest.raises(DomainError):
@@ -46,12 +45,12 @@ class TestGrayRaster:
     def test_rejects_16_bit_pgm(self):
         data = b"P5\n1 1\n65535\n" + bytes([1, 0])
         with pytest.raises(AnalysisError, match="8-bit"):
-            GrayRaster.from_pgm_bytes(data, ppi=300)
+            GrayRaster.from_pgm_bytes(data)
 
     def test_truncated_payload(self):
         data = b"P5\n4 4\n255\n" + bytes(3)
         with pytest.raises(AnalysisError, match="shorter"):
-            GrayRaster.from_pgm_bytes(data, ppi=300)
+            GrayRaster.from_pgm_bytes(data)
 
     @pytest.mark.parametrize(
         "header",
@@ -60,7 +59,7 @@ class TestGrayRaster:
     )
     def test_malformed_size_is_an_analysis_error(self, header):
         with pytest.raises(AnalysisError, match="PGM size"):
-            GrayRaster.from_pgm_bytes(header + bytes(4), ppi=300)
+            GrayRaster.from_pgm_bytes(header + bytes(4))
 
     @pytest.mark.parametrize(
         "value, shown",
