@@ -5,9 +5,17 @@ The analyzer works from intensity profiles and never assumes generator
 step values, only ordering and contrast. Thresholds sit midway between
 the 10th and 90th intensity percentiles of the profile under test, which
 tolerates moderate blur and noise and keeps results reproducible.
+
+The print crop thresholds the whole scan the same way. Its percentiles,
+and the median of its no-contrast fallback, come from a 256-bin count of
+the 8-bit pixels, taken a strip of rows at a time, and equal those of
+`np.percentile` and `np.median` exactly. The row and column counts of
+light pixels are also summed strip by strip, so finding the box makes no
+temporary the size of the scan.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,13 +35,73 @@ from .target import (
 
 MIN_CONTRAST = 16  # intensity spread below this means no usable signal
 BORDER_MM = 5.0  # background kept around the print by crops and reports
+STRIP_PX = 1 << 18  # pixels per strip of a whole-scan pass, bounding its temporaries
 
 
-def _profile_threshold(profile: np.ndarray) -> float:
-    p10, p90 = np.percentile(profile, (10.0, 90.0))
+def _midway(p10: float, p90: float) -> float:
     if p90 - p10 < MIN_CONTRAST:
         raise AnalysisError("profile has no usable contrast")
     return (p10 + p90) / 2.0
+
+
+def _profile_threshold(profile: np.ndarray) -> float:
+    return _midway(*np.percentile(profile, (10.0, 90.0)))
+
+
+def _tiles(pixels: np.ndarray):
+    """Row-major tiles `(row, col, tile)` of at most `STRIP_PX` pixels:
+    strips of whole rows, split across columns only when one row is wider."""
+    height, width = pixels.shape
+    cols = min(width, STRIP_PX) or 1
+    rows = max(1, STRIP_PX // cols)
+    for r in range(0, height, rows):
+        for c in range(0, width, cols):
+            yield r, c, pixels[r : r + rows, c : c + cols]
+
+
+def _histogram(pixels: np.ndarray) -> np.ndarray:
+    """Count of each of the 256 intensities of a uint8 array."""
+    # bincount over uint16 pairs of neighbouring pixels handles half as many
+    # elements as over the pixels; each pair then counts for both its bytes
+    pairs = np.zeros(1 << 16, dtype=np.intp)
+    hist = np.zeros(256, dtype=np.intp)
+    for _, _, tile in _tiles(pixels):
+        flat = np.ascontiguousarray(tile).reshape(-1)
+        even = flat.size & ~1
+        pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
+        if even < flat.size:
+            hist[flat[-1]] += 1
+    folded = pairs.reshape(256, 256)
+    return hist + folded.sum(axis=0) + folded.sum(axis=1)
+
+
+def _order_stat(cumulative: np.ndarray, k: int) -> float:
+    """The k-th smallest (0-based) of the values counted by `cumulative`."""
+    return float(np.searchsorted(cumulative, k, side="right"))
+
+
+def _histogram_percentiles(hist: np.ndarray, qs: tuple[float, ...]) -> tuple[float, ...]:
+    """`np.percentile` of the counted values, with its default linear
+    interpolation taken step for step so the result is bit-identical."""
+    cumulative = np.cumsum(hist)
+    n = int(cumulative[-1])
+    out = []
+    for q in qs:
+        q = q / 100
+        index = (n - 1) * q
+        lo = min(max(math.floor(index), 0), n - 1)
+        a = _order_stat(cumulative, lo)
+        b = _order_stat(cumulative, min(lo + 1, n - 1))
+        gamma = index - lo
+        out.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return tuple(out)
+
+
+def _histogram_median(hist: np.ndarray) -> float:
+    """`np.median` of the counted values."""
+    cumulative = np.cumsum(hist)
+    n = int(cumulative[-1])
+    return (_order_stat(cumulative, (n - 1) // 2) + _order_stat(cumulative, n // 2)) / 2
 
 
 def _dark_runs(profile: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -177,17 +245,27 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
     if not 0 <= border_mm < np.inf:
         raise DomainError("border must be finite and non-negative")
     pixels = raster.pixels
+    hist = _histogram(pixels)
+    if not hist.any():
+        raise AnalysisError("no light print region found")
     try:
-        threshold = _profile_threshold(pixels)
+        threshold = _midway(*_histogram_percentiles(hist, (10.0, 90.0)))
     except AnalysisError:
-        if np.median(pixels) > 127:
+        if _histogram_median(hist) > 127:
             return (0, 0, raster.width, raster.height)
         raise AnalysisError("no light print region found") from None
-    mask = pixels > threshold
+    # an integer pixel exceeds the threshold exactly when it exceeds its floor
+    cut = np.uint8(math.floor(threshold))
+    row_counts = np.zeros(raster.height, dtype=np.intp)
+    col_counts = np.zeros(raster.width, dtype=np.intp)
+    for r, c, tile in _tiles(pixels):
+        light = tile > cut
+        row_counts[r : r + light.shape[0]] += np.count_nonzero(light, axis=1)
+        col_counts[c : c + light.shape[1]] += light.sum(axis=0, dtype=np.int32)
     min_count_col = max(1, round(0.001 * raster.width))
     min_count_row = max(1, round(0.001 * raster.height))
-    rows = np.flatnonzero(mask.sum(axis=1) >= min_count_col)
-    cols = np.flatnonzero(mask.sum(axis=0) >= min_count_row)
+    rows = np.flatnonzero(row_counts >= min_count_col)
+    cols = np.flatnonzero(col_counts >= min_count_row)
     if rows.size == 0 or cols.size == 0:
         raise AnalysisError("no light print region found")
     margin = round(border_mm * raster.ppi / MM_PER_INCH)

@@ -362,6 +362,20 @@ class TestQcCommands:
         assert err == 'qc: PGM carries no "# ppi N" header comment; add one after the P5 line\n'
 
 
+    @pytest.mark.parametrize(
+        "action, message",
+        [("analyze", "scale row band lies outside the raster"), ("crop", "no light print region found")],
+    )
+    @pytest.mark.parametrize("size", ["0 0", "3 0"])
+    def test_empty_raster_exits_1(self, capsys, tmp_path, action, message, size):
+        scan = tmp_path / "scan.pgm"
+        scan.write_bytes(f"P5\n# ppi 300\n{size}\n255\n".encode())
+        out_path = tmp_path / "x.pgm"
+        code, out, err = run(capsys, "qc", action, str(scan), "--out", str(out_path))
+        assert (code, out, err) == (1, "", f"qc: {message}\n")
+        assert not out_path.exists()
+
+
 def test_unwritable_output_exits_1(capsys, tmp_path):
     code, _, err = run(
         capsys, "ratio", "--out", str(tmp_path / "missing_dir" / "ratio.json")

@@ -23,7 +23,13 @@ from scancell.qc import (
     wedge_level,
     wedge_tones,
 )
-from scancell.qc.analyze import _dark_runs
+from scancell.qc import analyze
+from scancell.qc.analyze import (
+    _dark_runs,
+    _histogram,
+    _histogram_median,
+    _histogram_percentiles,
+)
 
 GEOM = default_geometry()
 GROUP_STEP = 2.0 ** (1.0 / 6.0)
@@ -256,6 +262,132 @@ class TestDarkRuns:
             profile = rng.integers(0, 256, size=int(rng.integers(1, 60))).astype(np.float64)
             threshold = float(rng.integers(0, 257))
             assert _dark_runs(profile, threshold) == dark_runs_by_loop(profile, threshold)
+
+
+def sample_rasters():
+    """Seeded uint8 rasters of odd and even sizes, 1x1, constant and
+    two-level ones, each also as the non-contiguous views [:, ::3] and [::2]."""
+    rng = np.random.default_rng(11)
+    bases = [
+        np.zeros((1, 1), dtype=np.uint8),
+        np.full((1, 1), 200, dtype=np.uint8),
+        np.full((7, 9), 131, dtype=np.uint8),
+        np.full((8, 6), 255, dtype=np.uint8),
+    ]
+    for _ in range(40):
+        height, width = (int(n) for n in rng.integers(1, 50, size=2))
+        bases.append(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+        dark, light = (int(v) for v in rng.integers(0, 256, size=2))
+        share = rng.random()
+        bases.append(np.where(rng.random((height, width)) < share, dark, light).astype(np.uint8))
+    for pixels in bases:
+        yield pixels
+        yield pixels[:, ::3]
+        yield pixels[::2]
+
+
+def print_like_rasters():
+    """Seeded noisy light rectangles on a dark background, some flush
+    against an edge, each also as the non-contiguous views."""
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        height, width = (int(n) for n in rng.integers(20, 90, size=2))
+        background, light = int(rng.integers(0, 60)), int(rng.integers(150, 240))
+        pixels = np.full((height, width), background, dtype=np.int64)
+        top, left = int(rng.integers(0, height // 2)), int(rng.integers(0, width // 2))
+        bottom = int(rng.integers(top + 1, height + 1))
+        right = int(rng.integers(left + 1, width + 1))
+        pixels[top:bottom, left:right] = light
+        pixels += rng.integers(-12, 13, size=pixels.shape)
+        pixels = np.clip(pixels, 0, 255).astype(np.uint8)
+        yield pixels
+        yield pixels[:, ::3]
+        yield pixels[::2]
+
+
+def print_box_by_percentile(raster, border_mm=0.0):
+    """Reference: threshold the whole raster by np.percentile, fall back to
+    np.median, and sum a full-size mask."""
+    pixels = raster.pixels
+    p10, p90 = np.percentile(pixels, (10.0, 90.0))
+    if p90 - p10 < 16:
+        if np.median(pixels) > 127:
+            return (0, 0, raster.width, raster.height)
+        raise AnalysisError("no light print region found")
+    mask = pixels > (p10 + p90) / 2.0
+    rows = np.flatnonzero(mask.sum(axis=1) >= max(1, round(0.001 * raster.width)))
+    cols = np.flatnonzero(mask.sum(axis=0) >= max(1, round(0.001 * raster.height)))
+    if rows.size == 0 or cols.size == 0:
+        raise AnalysisError("no light print region found")
+    margin = round(border_mm * raster.ppi / 25.4)
+    return (
+        max(0, int(cols[0]) - margin),
+        max(0, int(rows[0]) - margin),
+        min(raster.width, int(cols[-1]) + 1 + margin),
+        min(raster.height, int(rows[-1]) + 1 + margin),
+    )
+
+
+def box_or_error(find, raster, border_mm):
+    try:
+        return find(raster, border_mm)
+    except AnalysisError as exc:
+        return str(exc)
+
+
+class TestHistogramStatistics:
+    def test_match_numpy(self):
+        for pixels in sample_rasters():
+            hist = _histogram(pixels)
+            assert hist.sum() == pixels.size
+            assert _histogram_percentiles(hist, (10.0, 90.0)) == tuple(
+                np.percentile(pixels, (10.0, 90.0))
+            )
+            assert _histogram_median(hist) == np.median(pixels)
+
+    @pytest.mark.parametrize("strip_px", [1, 5, 64])
+    def test_match_numpy_in_narrow_strips(self, monkeypatch, strip_px):
+        # strips narrower than a row split it across columns
+        monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+        for pixels in list(sample_rasters())[::7]:
+            hist = _histogram(pixels)
+            assert _histogram_percentiles(hist, (10.0, 90.0)) == tuple(
+                np.percentile(pixels, (10.0, 90.0))
+            )
+
+
+class TestPrintBoxMatchesPercentileReference:
+    def test_sample_rasters(self):
+        for pixels in sample_rasters():
+            raster = GrayRaster(pixels, 300)
+            assert box_or_error(find_print_box, raster, 0.0) == box_or_error(
+                print_box_by_percentile, raster, 0.0
+            )
+
+    @pytest.mark.parametrize("strip_px", [13, 97, analyze.STRIP_PX])
+    def test_print_like_rasters(self, monkeypatch, strip_px):
+        monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+        for pixels in print_like_rasters():
+            raster = GrayRaster(pixels, 300)
+            for border_mm in (0.0, 1.0):
+                box = box_or_error(find_print_box, raster, border_mm)
+                assert box == box_or_error(print_box_by_percentile, raster, border_mm)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_raster_is_an_error(self, shape):
+        with pytest.raises(AnalysisError, match="no light print region"):
+            find_print_box(GrayRaster(np.zeros(shape, dtype=np.uint8), 300))
+
+    def test_peak_memory_a_few_mb(self):
+        scan = render_print_scan(600)
+        tracemalloc.start()
+        try:
+            find_print_box(scan, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert peak <= scan.width * scan.height // 10
 
 
 class TestMeasureScale:
