@@ -198,7 +198,10 @@ def _cmd_preserve_sample(args: argparse.Namespace):
     outputs = []
     if args.csv is not None:
         header = ",".join(f.name for f in dataclasses.fields(preservation.PrintCondition))
-        rows = (",".join(map(str, c.to_json_dict().values())) for c in conditions)
+        # boxes share at most 144 condition instances: render each one once
+        distinct = dict(zip(map(id, conditions), conditions))
+        text = {key: ",".join(map(str, c.to_json_dict().values())) for key, c in distinct.items()}
+        rows = map(text.__getitem__, map(id, conditions))
         outputs.append((args.csv, "\n".join([header, *rows]) + "\n"))
     payload = observed.to_json_dict()
     payload["independent_any_intervention"] = preservation.independent_any_intervention_rate(rates)

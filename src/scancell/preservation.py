@@ -6,6 +6,11 @@ ordered remediation plan plus a scanning route. A seeded Monte Carlo
 sampler draws synthetic box conditions at configured issue rates, and an
 aggregator recovers empirical frequencies from a batch of conditions.
 
+A condition takes one of 144 values (`all_conditions`). Each is built
+once, at import, and a sample is a list of references to those shared
+instances, not one record per box. Their plans are derived at import
+too, so planning a sampled box is a lookup.
+
 The planner is pure. The sampler needs one random stream per concurrent
 worker: give each worker its own seed.
 """
@@ -86,15 +91,7 @@ class RemediationPlan(JsonRecord):
     scan_route: ScanRoute
 
 
-def plan_remediation(condition: PrintCondition) -> RemediationPlan:
-    """Derive the remediation plan for a condition.
-
-    Steps follow the inspection order. Any mould isolates the material in
-    a separate moisture-free pipeline. Extensive peeling ends the plan:
-    nothing downstream can be done and the prints cannot be scanned.
-    Sleeved prints are too delicate for robot handling and go to the
-    manual flatbed.
-    """
+def _derive_plan(condition: PrintCondition) -> RemediationPlan:
     steps: list[Step] = []
     routing = (
         Routing.MOULD_ISOLATED if condition.mould is not MouldState.NONE else Routing.STANDARD
@@ -120,6 +117,31 @@ def plan_remediation(condition: PrintCondition) -> RemediationPlan:
         scan_route = ScanRoute.ROBOTIC
     steps.append(Step.VACUUM_PACK)
     return RemediationPlan(tuple(steps), routing, scan_route)
+
+
+# the 144 canonical conditions, in `all_conditions` order; the sampler
+# returns these instances, so a sample holds references, not records
+_CONDITIONS = tuple(
+    PrintCondition(*values)
+    for values in itertools.product(MouldState, *((False, True),) * 4, RipDamage)
+)
+# keyed by identity, which the table keeps alive: hashing a condition
+# would call the Python-level Enum.__hash__ twice per lookup
+_PLANS = {id(c): _derive_plan(c) for c in _CONDITIONS}
+
+
+def plan_remediation(condition: PrintCondition) -> RemediationPlan:
+    """Derive the remediation plan for a condition.
+
+    Steps follow the inspection order. Any mould isolates the material in
+    a separate moisture-free pipeline. Extensive peeling ends the plan:
+    nothing downstream can be done and the prints cannot be scanned.
+    Sleeved prints are too delicate for robot handling and go to the
+    manual flatbed. A canonical condition's plan was derived at import
+    and is returned as is; any other condition's is derived on the call.
+    """
+    plan = _PLANS.get(id(condition))
+    return _derive_plan(condition) if plan is None else plan
 
 
 @dataclass(frozen=True)
@@ -186,7 +208,8 @@ def implied_rips_or_peeling_rate(rates: IssueRates) -> float:
 
 
 ACTIVE_MOULD_SHARE = 0.5  # share of sampled mould that is active, not dormant
-# boxes one sample may draw; each costs about 160 B while the sample is held
+# boxes one sample may draw; each costs one 8 B list slot while the sample
+# is held (8.4 MB for 1,000,000), since boxes share the canonical conditions
 MAX_SAMPLE_BOXES = 1_000_000
 
 
@@ -215,26 +238,16 @@ def _draw_condition(
 
     mould_hit, blocking, cleaning, tape, curling, ripped, peeling = flags
 
-    mould = MouldState.NONE
+    # indices into the members of MouldState and RipDamage, in order
+    mould = 0
     if mould_hit:
-        mould = (
-            MouldState.ACTIVE
-            if rng.random() < ACTIVE_MOULD_SHARE
-            else MouldState.DORMANT
-        )
-    rips = RipDamage.NONE
+        mould = 2 if rng.random() < ACTIVE_MOULD_SHARE else 1
+    rips = 0
     if ripped or peeling:
-        rips = (
-            RipDamage.EXTENSIVE if rng.random() < extensive_share else RipDamage.MINOR
-        )
-    return PrintCondition(
-        mould=mould,
-        blocking=blocking,
-        silver_dust=cleaning,
-        annotations_or_adhesives=tape,
-        curling_or_creases=curling,
-        rips_or_peeling=rips,
-    )
+        rips = 2 if rng.random() < extensive_share else 1
+    return _CONDITIONS[
+        ((((mould * 2 + blocking) * 2 + cleaning) * 2 + tape) * 2 + curling) * 3 + rips
+    ]
 
 
 def sample_boxes(
@@ -254,7 +267,8 @@ def sample_boxes(
     are preserved exactly in both directions. The disjoint mixture needs
     the issue rates to sum to at most 1. Sampled mould is active with
     probability `ACTIVE_MOULD_SHARE`, otherwise dormant. At most
-    `MAX_SAMPLE_BOXES` boxes are drawn in one call.
+    `MAX_SAMPLE_BOXES` boxes are drawn in one call. Each box is one of the
+    shared instances that `all_conditions` lists.
     """
     if not 0 <= n <= MAX_SAMPLE_BOXES:
         raise DomainError(f"sample count must lie in [0, {MAX_SAMPLE_BOXES:,}], got {n}")
@@ -318,5 +332,4 @@ def aggregate_rates(conditions: Sequence[PrintCondition]) -> ObservedRates:
 def all_conditions() -> list[PrintCondition]:
     """Every condition combination (3 mould states x 4 flags x 3 rip states),
     in field order with the last field varying fastest."""
-    flags = ((False, True),) * 4
-    return [PrintCondition(*values) for values in itertools.product(MouldState, *flags, RipDamage)]
+    return list(_CONDITIONS)

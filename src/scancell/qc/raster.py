@@ -12,9 +12,11 @@ keeps a target render at about one byte per pixel (at most 2 B/px plus
 """
 from __future__ import annotations
 
+import io
 import math
 import re
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -67,29 +69,45 @@ class GrayRaster:
 
     @classmethod
     def from_pgm_bytes(cls, data: bytes) -> "GrayRaster":
+        return cls._read_pgm(io.BytesIO(data))
+
+    def save(self, path: str | Path) -> None:
+        Path(path).write_bytes(self.to_pgm_bytes())
+
+    @classmethod
+    def load(cls, path: str | Path) -> "GrayRaster":
+        with open(path, "rb") as stream:
+            if not stream.seekable():  # a pipe's length is known only once it is read
+                return cls.from_pgm_bytes(stream.read())
+            return cls._read_pgm(stream)
+
+    @classmethod
+    def _read_pgm(cls, stream: BinaryIO) -> "GrayRaster":
+        """Parse a P5 header from a seekable stream, then read the pixels
+        straight into the raster, so the encoded pixels are never held."""
         tokens: list[bytes] = []
-        pos = 0
         found_ppi = None
+        ch = stream.read(1)
         while len(tokens) < 4:
-            if pos >= len(data):
+            if not ch:
                 raise AnalysisError("truncated PGM header")
-            ch = data[pos : pos + 1]
             if ch == b"#":
-                end = data.find(b"\n", pos)
-                if end < 0:
+                line = stream.readline()
+                if not line.endswith(b"\n"):
                     raise AnalysisError("unterminated PGM comment")
-                match = _PPI_COMMENT.match(data[pos:end])
+                match = _PPI_COMMENT.match(b"#" + line[:-1])
                 if match:
                     found_ppi = match.group(1)
-                pos = end + 1
+                ch = stream.read(1)
             elif ch.isspace():
-                pos += 1
+                ch = stream.read(1)
             else:
-                end = pos
-                while end < len(data) and not data[end : end + 1].isspace():
-                    end += 1
-                tokens.append(data[pos:end])
-                pos = end
+                token = bytearray()
+                while ch and not ch.isspace():
+                    token += ch
+                    ch = stream.read(1)
+                tokens.append(bytes(token))
+        # `ch` is the single whitespace after maxval, or empty at the end of data
         if tokens[0] != b"P5":
             raise AnalysisError(f"not a binary PGM (magic {tokens[0]!r})")
         try:
@@ -100,20 +118,15 @@ class GrayRaster:
             raise AnalysisError(f"PGM size must be non-negative, got {width}x{height}")
         if maxval != 255:
             raise AnalysisError(f"only 8-bit graymaps are supported, maxval {maxval}")
-        pos += 1  # single whitespace after maxval
         expected = width * height
-        if len(data) - pos < expected:
+        start = stream.tell()
+        if not ch or stream.seek(0, io.SEEK_END) - start < expected:
             raise AnalysisError("PGM pixel data shorter than header promises")
         ppi = _comment_ppi(found_ppi)
-        pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
-        return cls(pixels.reshape(height, width).copy(), ppi)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_pgm_bytes())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GrayRaster":
-        return cls.from_pgm_bytes(Path(path).read_bytes())
+        stream.seek(start)
+        pixels = np.empty((height, width), dtype=np.uint8)
+        stream.readinto(pixels)
+        return cls(pixels, ppi)
 
 
 def _comment_ppi(text: bytes | None) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,14 @@ class TestPlanner:
         active = plan_remediation(PrintCondition(mould=MouldState.ACTIVE, **base))
         assert dormant == active
 
+    def test_canonical_and_freshly_built_conditions_plan_alike(self):
+        for condition in all_conditions():
+            fresh = PrintCondition(**dataclasses.asdict(condition))
+            assert fresh is not condition
+            plan = plan_remediation(condition)
+            assert plan == plan_remediation(fresh) == preservation._derive_plan(fresh)
+            assert plan_remediation(condition) is plan_remediation(condition)
+
 
 class TestSampler:
     def test_degenerate_zero_rates(self):
@@ -173,6 +182,24 @@ class TestSampler:
                     rows = (",".join(map(str, c.to_json_dict().values())) for c in boxes)
                     digest.update(("\n".join([header, *rows]) + "\n").encode())
         assert digest.hexdigest() == SAMPLES_SHA256
+
+    @pytest.mark.parametrize("dependence", [-0.5, 0.0, 0.6])
+    def test_samples_hold_only_canonical_instances(self, dependence):
+        canonical = {id(c) for c in all_conditions()}
+        boxes = sample_boxes(10_000, 4, IssueRates(), dependence=dependence, extensive_share=0.4)
+        assert all(id(box) in canonical for box in boxes)
+        assert len({id(box) for box in boxes}) > 20
+
+    def test_sample_memory_is_the_list_alone(self):
+        # 100,000 references take 0.8 MB; one record per box took 13.6 MB
+        tracemalloc.start()
+        try:
+            boxes = sample_boxes(100_000, 1, IssueRates(), dependence=0.3, extensive_share=0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(boxes) == 100_000
+        assert peak < 1.5e6
 
     def test_sample_size_capped_before_drawing(self, monkeypatch):
         def draw(*args):

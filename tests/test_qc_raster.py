@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from scancell.errors import AnalysisError, DomainError
-from scancell.qc import GrayRaster
+from scancell.qc import GrayRaster, render_print_scan
 from scancell.qc.raster import add_noise, blur_rows, quantize
 
 
@@ -92,6 +93,57 @@ class TestGrayRaster:
             tracemalloc.stop()
         assert raster.pixels.flags.owndata
         assert peak < 1.1 * 1000 * 1000
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"P5\n# ppi 300\n2",
+            b"P5\n# ppi 300",
+            b"P6\n# ppi 300\n1 1\n255\n" + bytes(3),
+            b"P5\n2 2\n255\n" + bytes(4),
+            b"P5\n# ppi 300dpi\n2 2\n255\n" + bytes(4),
+            b"P5\n# ppi 300\n1 1\n65535\n" + bytes(2),
+            b"P5\n# ppi 300\n-1 -1\n255\n",
+            b"P5\n# ppi 300\n2 x2\n255\n" + bytes(4),
+            b"P5\n# ppi 300\n4 4\n255\n" + bytes(15),
+            b"P5\n# ppi 300\n0 0\n255",
+            b"P5\n# ppi 300\n" + b"9" * 30 + b" 9\n255\n",
+        ],
+    )
+    def test_load_raises_as_decode_does(self, tmp_path, data):
+        with pytest.raises(AnalysisError) as decoded:
+            GrayRaster.from_pgm_bytes(data)
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(AnalysisError) as loaded:
+            GrayRaster.load(path)
+        assert str(loaded.value) == str(decoded.value)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_load_from_a_pipe(self):
+        raster = GrayRaster(checkerboard(), ppi=600)
+        read, write = os.pipe()
+        try:
+            os.write(write, raster.to_pgm_bytes())
+            os.close(write)
+            assert GrayRaster.load(f"/dev/fd/{read}") == raster
+        finally:
+            os.close(read)
+
+    def test_load_reads_into_the_raster_alone(self, tmp_path):
+        # the file's bytes are never held beside the decoded pixels
+        scan = render_print_scan(600)
+        path = tmp_path / "scan.pgm"
+        scan.save(path)
+        tracemalloc.start()
+        try:
+            loaded = GrayRaster.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == scan
+        assert peak < scan.pixels.nbytes + 4e6
 
     def test_pitch(self):
         assert GrayRaster(checkerboard(), 1200).pitch_um == pytest.approx(21.1667, abs=1e-3)
