@@ -30,14 +30,24 @@ attended moment (in-flight scans still finish). An exhausted input hopper
 lights a lamp; the robot senses it on the next pick, that scanner idles
 awaiting a reload, and the robot keeps serving the others.
 
+Trace: the engine appends each event to three columns, its time, its
+kind (an index into the run's (entity, transition) vocabulary) and its
+cause, a block of `CSV_BLOCK_EVENTS` at a time into typed arrays, so a
+held event costs 18 B and no object the collector tracks. The engine
+keeps the few event times it compares in its own state and never reads
+its log back.
+
 Runs are deterministic for a fixed (config, seed, horizon); the clock is
 integer milliseconds. Independent runs may execute concurrently.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DomainError
@@ -45,11 +55,12 @@ from .config import MS_PER_SECOND, CellConfig
 from .throughput import ThroughputReport
 
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
-# events one run may emit; each costs about 200 B until the trace CSV is
-# written, so a run at the budget peaks near 0.6 GB (a 4-week default run
-# emits about 763k)
+# events one run may emit; a held event costs 18 B in the trace columns,
+# but the CSV text and its encoding cost about 40 B each, so a run at the
+# budget peaks near 0.3 GB (a 4-week default run emits about 763k)
 MAX_EVENTS = 3_000_000
-CSV_BLOCK_EVENTS = 1 << 16  # trace events per block of CSV text
+CSV_BLOCK_EVENTS = 1 << 16  # events per block of CSV text and of engine columns
+NO_CAUSE = -1  # the cause column's value for `program_initiated`
 
 UNLOAD_SHARE = 0.3
 PLATE_SHARE = 0.3
@@ -67,56 +78,138 @@ PLATE_LIFT = ("plate_lift_attempt", "plate_lift_failed", "plate_lift_ok")
 # scanner transitions at the end of a load visit, each caused by the one before
 LOAD_CHAIN = ("print_on_bed", "robot_clear", "lid_closed", "scan_started")
 
+# each entity's transitions, in vocabulary order; the cell's come first,
+# so their kind codes do not depend on the number of scanners
+CELL_TRANSITIONS = ("program_initiated", "error_stall", "stall_resolved")
+PROGRAM_INITIATED, ERROR_STALL, STALL_RESOLVED = range(len(CELL_TRANSITIONS))
+SCANNER_TRANSITIONS = (
+    *PRINT_LIFT,
+    *PLATE_LIFT,
+    *LOAD_CHAIN,
+    "sense_print",
+    "sense_plate",
+    "sense_empty",
+    "hopper_empty_lamp_on",
+    "print_lifted_from_bed",
+    "print_unloaded",
+    "plate_transferred",
+    "scan_done",
+    "lid_opened",
+    "hopper_reloaded",
+)
+
+
+@functools.lru_cache(maxsize=8)
+def vocabulary(scanners: int) -> tuple[tuple[str, str], ...]:
+    """The (entity, transition) pairs that the kind codes of a run with
+    `scanners` scanners index: the cell's, then for each scanner the
+    robot's arrival and departure and the scanner's own transitions."""
+    pairs = [("cell", transition) for transition in CELL_TRANSITIONS]
+    for index in range(scanners):
+        entity = f"scanner{index}"
+        pairs += [("robot", f"arrive@{entity}"), ("robot", f"depart@{entity}")]
+        pairs += [(entity, transition) for transition in SCANNER_TRANSITIONS]
+    return tuple(pairs)
+
+
+@functools.lru_cache(maxsize=8)
+def _csv_labels(pairs: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
+    return tuple(f"{entity},{transition}," for entity, transition in pairs)
+
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Ordered event log of one run.
+    """Ordered event log of one run, held as columns.
 
-    Each event is a plain `(time_ms, entity, transition, cause_id)` tuple,
-    the four CSV columns in order. An event's id is its position in
-    `events`; `cause_id` is the id of the earlier event that triggered it,
-    or None for `program_initiated`.
+    Event i happened at `times[i]` ms. `kinds[i]` indexes `vocabulary`,
+    the run's (entity, transition) pairs. `causes[i]` is the id of the
+    earlier event that triggered it, or NO_CAUSE for `program_initiated`.
+    An event's id is its position. `events` reads the columns back as
+    `(time_ms, entity, transition, cause_id)` tuples, the four CSV columns
+    in order, with None for no cause.
     """
 
-    events: tuple[tuple[int, str, str, int | None], ...]
+    times: array  # array("q")
+    kinds: array  # array("H")
+    causes: array  # array("q")
+    vocabulary: tuple[tuple[str, str], ...]
     horizon_ms: int
 
     CSV_HEADER = "time_ms,entity,transition,cause_event_id"
 
+    @property
+    def events(self) -> _EventView:
+        return _EventView(self)
+
     def to_csv(self) -> str:
         # joined a block at a time, so only one block's line strings live
         # next to the text
-        events = self.events
+        labels = _csv_labels(self.vocabulary)
         blocks = [self.CSV_HEADER]
-        for start in range(0, len(events), CSV_BLOCK_EVENTS):
+        for start in range(0, len(self.times), CSV_BLOCK_EVENTS):
+            stop = start + CSV_BLOCK_EVENTS
             lines = [
-                f"{time_ms},{entity},{transition},{'' if cause_id is None else cause_id}"
-                for time_ms, entity, transition, cause_id in events[start : start + CSV_BLOCK_EVENTS]
+                f"{time_ms},{labels[kind]}{'' if cause == NO_CAUSE else cause}"
+                for time_ms, kind, cause in zip(
+                    self.times[start:stop], self.kinds[start:stop], self.causes[start:stop]
+                )
             ]
             blocks.append("\n".join(lines))
         blocks.append("")  # ends the text with a newline
         return "\n".join(blocks)
 
 
+class _EventView(Sequence):
+    """A trace's events as `(time_ms, entity, transition, cause_id)`
+    tuples, built on each access; read-only, indexed by int."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: SimTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.times)
+
+    def __getitem__(self, index: int) -> tuple[int, str, str, int | None]:
+        trace = self._trace
+        cause = trace.causes[index]
+        return (
+            trace.times[index],
+            *trace.vocabulary[trace.kinds[index]],
+            None if cause == NO_CAUSE else cause,
+        )
+
+
 class _Scanner:
     """One scanner and its input hopper. `bed` is BED_EMPTY (lid open),
     BED_SCANNING (print on the bed, lid closed) or BED_SCANNED (lid open,
-    awaiting unload); event fields hold indices into the event list.
+    awaiting unload); event fields hold event ids, and `ready_ms` is the
+    time of `ready_event`.
 
     The hopper is `prints` left (math.inf when unlimited) and `plate_on_top`:
     a plate sits between consecutive prints, so taking any print but the
-    last bares a plate, and a (re)load puts a print on top."""
+    last bares a plate, and a (re)load puts a print on top.
+
+    `kind` maps each scanner transition to its kind code; `arrive` and
+    `depart` are the codes of the robot's visits, and the lift and chain
+    tuples hold codes in the order of PRINT_LIFT, PLATE_LIFT and
+    LOAD_CHAIN."""
 
     __slots__ = (
         "index",
-        "entity",
+        "kind",
         "arrive",
         "depart",
+        "print_lift",
+        "plate_lift",
+        "load_chain",
         "prints",
         "plate_on_top",
         "bed",
         "empty_acknowledged",
         "ready_event",
+        "ready_ms",
         "lamp_event",
         "scanning_ms",
         "scans_done",
@@ -126,14 +219,21 @@ class _Scanner:
 
     def __init__(self, index: int, capacity: int | None, start_event: int):
         self.index = index
-        self.entity = f"scanner{index}"
-        self.arrive = f"arrive@{self.entity}"
-        self.depart = f"depart@{self.entity}"
+        # the scanner's kinds follow the cell's and the earlier scanners'
+        # in `vocabulary`, robot arrival and departure first
+        first = len(CELL_TRANSITIONS) + index * (2 + len(SCANNER_TRANSITIONS))
+        self.arrive = first
+        self.depart = first + 1
+        self.kind = {t: code for code, t in enumerate(SCANNER_TRANSITIONS, first + 2)}
+        self.print_lift = tuple(self.kind[t] for t in PRINT_LIFT)
+        self.plate_lift = tuple(self.kind[t] for t in PLATE_LIFT)
+        self.load_chain = tuple(self.kind[t] for t in LOAD_CHAIN)
         self.prints = math.inf if capacity is None else capacity
         self.plate_on_top = False
         self.bed = BED_EMPTY
         self.empty_acknowledged = False
         self.ready_event = start_event
+        self.ready_ms = 0
         self.lamp_event: int | None = None
         self.scanning_ms = 0
         self.scans_done = 0
@@ -146,18 +246,26 @@ class _Simulation:
         self.config = config
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
-        # (time_ms, entity, transition, cause index or None), emitted when the
-        # clock reaches time_ms, so in time order; an index is the event's id
-        self.events: list[tuple[int, str, str, int | None]] = []
+        # the trace columns: events are emitted when the clock reaches
+        # their time, so in time order, and an event's id is its position.
+        # They collect in lists a block at a time, then move to the arrays.
+        self.times, self.kinds, self.causes = array("q"), array("H"), array("q")
+        self.block_times: list[int] = []
+        self.block_kinds: list[int] = []
+        self.block_causes: list[int] = []
+        self.next_event = 0
+        # the id at which `block_full` runs: a full block, or the budget
+        self.check_at = min(CSV_BLOCK_EVENTS - 1, MAX_EVENTS)
         # (time_ms, seq, action, args): action(time_ms, *args) runs at time_ms
         self.heap: list[tuple[int, int, object, tuple]] = []
         self.seq = 0
-        start = self.emit(0, "cell", "program_initiated", None)
+        start = self.emit(0, PROGRAM_INITIATED, NO_CAUSE)
         self.scanners = [
             _Scanner(i, config.hopper_capacity, start) for i in range(config.scanners_per_robot)
         ]
         self.robot_idle = False  # idle with no dispatch due; the first is at t = 0
         self.robot_last_event = start
+        self.robot_last_ms = 0
         self.robot_last_served = -1
         self.robot_busy_ms = 0
         self.stall_since_ms: int | None = None  # None while the cell runs
@@ -165,16 +273,34 @@ class _Simulation:
 
     # -- plumbing ---------------------------------------------------------
 
-    def emit(self, time_ms: int, entity: str, transition: str, cause: int | None) -> int:
-        """Record an event and return its index; `cause` is None for none."""
-        events = self.events
-        events.append((time_ms, entity, transition, cause))
-        if len(events) > MAX_EVENTS:
+    def emit(self, time_ms: int, kind: int, cause: int) -> int:
+        """Record an event and return its id; `cause` is NO_CAUSE for none."""
+        self.block_times.append(time_ms)
+        self.block_kinds.append(kind)
+        self.block_causes.append(cause)
+        event = self.next_event
+        self.next_event = event + 1
+        if event == self.check_at:
+            self.block_full(event, time_ms)
+        return event
+
+    def block_full(self, event: int, time_ms: int) -> None:
+        if event >= MAX_EVENTS:
             raise DomainError(
                 f"run exceeds {MAX_EVENTS:,} events at {time_ms / MS_PER_SECOND:.3f} s; "
                 "shorten the horizon or lengthen the cycle"
             )
-        return len(events) - 1
+        self.flush()
+        self.check_at = min(event + CSV_BLOCK_EVENTS, MAX_EVENTS)
+
+    def flush(self) -> None:
+        for column, block in (
+            (self.times, self.block_times),
+            (self.kinds, self.block_kinds),
+            (self.causes, self.block_causes),
+        ):
+            column.fromlist(block)  # twice as fast as extend
+            block.clear()
 
     def schedule(self, time_ms: int, action, *args) -> None:
         heapq.heappush(self.heap, (time_ms, self.seq, action, args))
@@ -187,6 +313,7 @@ class _Simulation:
             if time_ms > self.horizon_ms:
                 break
             action(time_ms, *args)
+        self.flush()
 
     # -- robot dispatch ---------------------------------------------------
 
@@ -221,33 +348,38 @@ class _Simulation:
 
     def begin_visit(self, scanner: _Scanner, now_ms: int) -> int:
         self.robot_last_served = scanner.index
-        enabling = scanner.ready_event
-        last = self.robot_last_event
-        cause = enabling if self.events[enabling][0] >= self.events[last][0] else last
-        return self.emit(now_ms, "robot", scanner.arrive, cause)
+        if scanner.ready_ms >= self.robot_last_ms:
+            cause = scanner.ready_event
+        else:
+            cause = self.robot_last_event
+        return self.emit(now_ms, scanner.arrive, cause)
 
-    def end_visit(self, scanner: _Scanner, arrive: int, end_ms: int, cause: int, chain) -> None:
-        """Book the robot from `arrive` until `end_ms` and finish the visit
-        then: the scanner transitions of `chain` follow `cause`, and the
-        robot departs."""
-        self.robot_busy_ms += min(end_ms, self.horizon_ms) - self.events[arrive][0]
+    def end_visit(
+        self, scanner: _Scanner, arrive: int, now_ms: int, duration: int, cause: int, chain
+    ) -> None:
+        """Book the robot for `duration` from `now_ms`, when event `arrive`
+        began the visit, and finish the visit then: the scanner
+        transitions of `chain` follow `cause`, and the robot departs."""
+        end_ms = now_ms + duration
+        self.robot_busy_ms += min(end_ms, self.horizon_ms) - now_ms
         # one visit is in flight at a time, and its end runs before any
         # other action due in the same millisecond
         heapq.heappush(self.heap, (end_ms, -1, self.visit_end, (scanner, arrive, cause, chain)))
 
     def visit_end(self, now_ms: int, scanner: _Scanner, arrive: int, cause: int, chain) -> None:
         last = cause
-        for transition in chain:
-            last = self.emit(now_ms, scanner.entity, transition, last)
+        for kind in chain:
+            last = self.emit(now_ms, kind, last)
         if scanner.bed == BED_SCANNING:  # a load: the scan starts now
             scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
             scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
             self.schedule(scan_end_ms, self.scan_done, scanner, last)
         elif scanner.ready_event < arrive:
             # a reload that completed during the visit stays the enabling event
-            scanner.ready_event = last
+            scanner.ready_event, scanner.ready_ms = last, now_ms
         self.update_starved(scanner, now_ms)
-        self.robot_last_event = self.emit(now_ms, "robot", scanner.depart, last)
+        self.robot_last_event = self.emit(now_ms, scanner.depart, last)
+        self.robot_last_ms = now_ms
         self.schedule(now_ms, self.dispatch_robot)
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
@@ -268,17 +400,18 @@ class _Simulation:
                 )
         return max(0, round(share * handling * MS_PER_SECOND))
 
-    def attempt_lift(self, scanner: _Scanner, lift: tuple[str, str, str], now_ms: int, cause: int):
-        """Run the retry loop for one hopper pick; returns the lift-ok
-        event, or None after the final failure (the cell is then stalled)."""
+    def attempt_lift(self, scanner: _Scanner, lift: tuple[int, int, int], now_ms: int, cause: int):
+        """Run the retry loop for one hopper pick, whose (attempt, failed,
+        ok) kind codes are `lift`; returns the lift-ok event, or None
+        after the final failure (the cell is then stalled)."""
         attempted, failed, ok = lift
         prev = cause
         for _ in range(self.config.lift_retry_limit):
-            attempt = self.emit(now_ms, scanner.entity, attempted, prev)
+            attempt = self.emit(now_ms, attempted, prev)
             if self.rng.random() < self.config.lift_failure_prob:
-                prev = self.emit(now_ms, scanner.entity, failed, attempt)
+                prev = self.emit(now_ms, failed, attempt)
             else:
-                return self.emit(now_ms, scanner.entity, ok, attempt)
+                return self.emit(now_ms, ok, attempt)
         self.enter_stall(scanner, now_ms, prev)
         return None
 
@@ -287,48 +420,50 @@ class _Simulation:
     def visit_unload(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
-        lifted = self.emit(now_ms, scanner.entity, "print_lifted_from_bed", arrive)
+        lifted = self.emit(now_ms, scanner.kind["print_lifted_from_bed"], arrive)
         scanner.bed = BED_EMPTY
-        self.end_visit(scanner, arrive, now_ms + duration, lifted, ("print_unloaded",))
+        unloaded = (scanner.kind["print_unloaded"],)
+        self.end_visit(scanner, arrive, now_ms, duration, lifted, unloaded)
 
     def visit_plate(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(PLATE_SHARE, now_ms)
-        sense = self.emit(now_ms, scanner.entity, "sense_plate", arrive)
-        lift = self.attempt_lift(scanner, PLATE_LIFT, now_ms, sense)
+        sense = self.emit(now_ms, scanner.kind["sense_plate"], arrive)
+        lift = self.attempt_lift(scanner, scanner.plate_lift, now_ms, sense)
         if lift is None:
             return
         scanner.plate_on_top = False
-        self.end_visit(scanner, arrive, now_ms + duration, lift, ("plate_transferred",))
+        transferred = (scanner.kind["plate_transferred"],)
+        self.end_visit(scanner, arrive, now_ms, duration, lift, transferred)
 
     def visit_load(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(LOAD_SHARE, now_ms)
-        sense = self.emit(now_ms, scanner.entity, "sense_print", arrive)
-        lift = self.attempt_lift(scanner, PRINT_LIFT, now_ms, sense)
+        sense = self.emit(now_ms, scanner.kind["sense_print"], arrive)
+        lift = self.attempt_lift(scanner, scanner.print_lift, now_ms, sense)
         if lift is None:
             return
         scanner.prints -= 1
         scanner.plate_on_top = scanner.prints > 0
         if not scanner.prints:
-            scanner.lamp_event = self.emit(now_ms, scanner.entity, "hopper_empty_lamp_on", lift)
+            scanner.lamp_event = self.emit(now_ms, scanner.kind["hopper_empty_lamp_on"], lift)
             self.schedule_reload(scanner, now_ms)
         scanner.bed = BED_SCANNING
-        self.end_visit(scanner, arrive, now_ms + duration, lift, LOAD_CHAIN)
+        self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.load_chain)
 
     def visit_empty_check(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
-        sense = self.emit(now_ms, scanner.entity, "sense_empty", arrive)
+        sense = self.emit(now_ms, scanner.kind["sense_empty"], arrive)
         scanner.empty_acknowledged = True
-        self.end_visit(scanner, arrive, now_ms, sense, ())
+        self.end_visit(scanner, arrive, now_ms, 0, sense, ())
 
     # -- scheduled actions -----------------------------------------------
 
     def scan_done(self, now_ms: int, scanner: _Scanner, started: int) -> None:
-        done = self.emit(now_ms, scanner.entity, "scan_done", started)
-        opened = self.emit(now_ms, scanner.entity, "lid_opened", done)
+        done = self.emit(now_ms, scanner.kind["scan_done"], started)
+        opened = self.emit(now_ms, scanner.kind["lid_opened"], done)
         scanner.bed = BED_SCANNED
-        scanner.ready_event = opened
+        scanner.ready_event, scanner.ready_ms = opened, now_ms
         scanner.scans_done += 1
         self.wake_robot(now_ms)
 
@@ -346,15 +481,15 @@ class _Simulation:
     def reload_done(self, now_ms: int, scanner: _Scanner) -> None:
         scanner.prints = self.config.hopper_capacity  # only a finite hopper empties
         scanner.empty_acknowledged = False
-        reloaded = self.emit(now_ms, scanner.entity, "hopper_reloaded", scanner.lamp_event)
-        scanner.ready_event = reloaded
+        reloaded = self.emit(now_ms, scanner.kind["hopper_reloaded"], scanner.lamp_event)
+        scanner.ready_event, scanner.ready_ms = reloaded, now_ms
         self.update_starved(scanner, now_ms)
         self.wake_robot(now_ms)
 
     def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: int) -> None:
-        error = self.emit(now_ms, "cell", "error_stall", final_failure)
-        self.emit(now_ms, "robot", scanner.depart, error)
-        self.robot_last_event = error
+        error = self.emit(now_ms, ERROR_STALL, final_failure)
+        self.emit(now_ms, scanner.depart, error)
+        self.robot_last_event, self.robot_last_ms = error, now_ms
         self.stall_since_ms = now_ms
         worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
         if worker_at == float("inf"):
@@ -363,11 +498,11 @@ class _Simulation:
         self.schedule(round(resume_s * MS_PER_SECOND), self.stall_over, scanner, error)
 
     def stall_over(self, now_ms: int, scanner: _Scanner, error: int) -> None:
-        resolved = self.emit(now_ms, "cell", "stall_resolved", error)
+        resolved = self.emit(now_ms, STALL_RESOLVED, error)
         self.stall_ms += now_ms - self.stall_since_ms
         self.stall_since_ms = None
-        scanner.ready_event = resolved
-        self.robot_last_event = resolved
+        scanner.ready_event, scanner.ready_ms = resolved, now_ms
+        self.robot_last_event, self.robot_last_ms = resolved, now_ms
         self.schedule(now_ms, self.dispatch_robot)
 
     # -- accounting -------------------------------------------------------
@@ -430,9 +565,11 @@ def simulate(
     if horizon_seconds < 0:
         raise ConfigError("horizon must be non-negative")
     horizon_ms = round(horizon_seconds * MS_PER_SECOND)
+    pairs = vocabulary(config.scanners_per_robot)
     if horizon_ms == 0:
-        return SimTrace((), 0), _Simulation(config, seed, 0).build_report()
+        empty = SimTrace(array("q"), array("H"), array("q"), pairs, 0)
+        return empty, _Simulation(config, seed, 0).build_report()
     sim = _Simulation(config, seed, horizon_ms)
     sim.run()
     sim.finalize_accounting()
-    return SimTrace(tuple(sim.events), horizon_ms), sim.build_report()
+    return SimTrace(sim.times, sim.kinds, sim.causes, pairs, horizon_ms), sim.build_report()

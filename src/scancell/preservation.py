@@ -16,6 +16,7 @@ worker: give each worker its own seed.
 """
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import random
@@ -214,37 +215,43 @@ MAX_SAMPLE_BOXES = 1_000_000
 
 
 def _draw_condition(
-    rng: random.Random, rates: IssueRates, dependence: float, extensive_share: float
+    draw, probabilities, lows, highs, mix: float, extensive_share: float
 ) -> PrintCondition:
-    probabilities = rates.issue_probabilities()
-    mode = "independent"
-    if dependence > 0.0 and rng.random() < dependence:
-        mode = "comonotone"
-    elif dependence < 0.0 and rng.random() < -dependence:
-        mode = "disjoint"
-
-    if mode == "comonotone":
-        u = rng.random()
-        flags = [u < p for p in probabilities]
-    elif mode == "disjoint":
-        u = rng.random()
-        flags = []
-        cursor = 0.0
-        for p in probabilities:
-            flags.append(cursor <= u < cursor + p)
-            cursor += p
+    """One box from the uniform stream `draw`: with probability `mix` one
+    shared draw u sets issue i when lows[i] <= u < highs[i], otherwise
+    each issue i has its own draw below probabilities[i]."""
+    if mix and draw() < mix:
+        u = draw()
+        l1, l2, l3, l4, l5, l6, l7 = lows
+        h1, h2, h3, h4, h5, h6, h7 = highs
+        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
+            l1 <= u < h1,
+            l2 <= u < h2,
+            l3 <= u < h3,
+            l4 <= u < h4,
+            l5 <= u < h5,
+            l6 <= u < h6,
+            l7 <= u < h7,
+        )
     else:
-        flags = [rng.random() < p for p in probabilities]
-
-    mould_hit, blocking, cleaning, tape, curling, ripped, peeling = flags
+        p1, p2, p3, p4, p5, p6, p7 = probabilities
+        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
+            draw() < p1,
+            draw() < p2,
+            draw() < p3,
+            draw() < p4,
+            draw() < p5,
+            draw() < p6,
+            draw() < p7,
+        )
 
     # indices into the members of MouldState and RipDamage, in order
     mould = 0
     if mould_hit:
-        mould = 2 if rng.random() < ACTIVE_MOULD_SHARE else 1
+        mould = 2 if draw() < ACTIVE_MOULD_SHARE else 1
     rips = 0
     if ripped or peeling:
-        rips = 2 if rng.random() < extensive_share else 1
+        rips = 2 if draw() < extensive_share else 1
     return _CONDITIONS[
         ((((mould * 2 + blocking) * 2 + cleaning) * 2 + tape) * 2 + curling) * 3 + rips
     ]
@@ -274,13 +281,22 @@ def sample_boxes(
         raise DomainError(f"sample count must lie in [0, {MAX_SAMPLE_BOXES:,}], got {n}")
     if not -1.0 <= dependence <= 1.0:
         raise DomainError(f"dependence must lie in [-1, 1], got {dependence}")
-    if dependence < 0.0 and sum(rates.issue_probabilities()) > 1.0:
+    probabilities = rates.issue_probabilities()
+    if dependence < 0.0 and sum(probabilities) > 1.0:
         raise DomainError("disjoint mixture requires issue rates summing to at most 1")
     if not 0.0 <= extensive_share <= 1.0:
         raise DomainError("extensive_share must lie in [0, 1]")
-    rng = random.Random(seed)
+    # the shared draw's interval per issue: [0, p) for the comonotone draw,
+    # consecutive intervals for the disjoint one
+    if dependence < 0.0:
+        lows = tuple(itertools.accumulate(probabilities[:-1], initial=0.0))
+        highs = tuple(low + p for low, p in zip(lows, probabilities))
+    else:
+        lows, highs = (0.0,) * len(probabilities), probabilities
+    draw = random.Random(seed).random
+    mix = abs(dependence)
     return [
-        _draw_condition(rng, rates, dependence, extensive_share)
+        _draw_condition(draw, probabilities, lows, highs, mix, extensive_share)
         for _ in range(n)
     ]
 
@@ -308,15 +324,20 @@ def aggregate_rates(conditions: Sequence[PrintCondition]) -> ObservedRates:
     n = len(conditions)
     if n == 0:
         raise DomainError("cannot aggregate an empty list of conditions")
+    # a sample holds a few distinct instances many times over: count each
+    # instance's boxes (in C, by identity) and read each instance once
+    counts = collections.Counter(map(id, conditions))
+    instances = dict(zip(map(id, conditions), conditions))
     mould = blocking = cleaning = tape = curling = rips = any_hit = 0
-    for c in conditions:
-        mould += c.mould is not MouldState.NONE
-        blocking += c.blocking
-        cleaning += c.silver_dust
-        tape += c.annotations_or_adhesives
-        curling += c.curling_or_creases
-        rips += c.rips_or_peeling is not RipDamage.NONE
-        any_hit += c.any_issue
+    for key, k in counts.items():
+        c = instances[key]
+        mould += k * (c.mould is not MouldState.NONE)
+        blocking += k * c.blocking
+        cleaning += k * c.silver_dust
+        tape += k * c.annotations_or_adhesives
+        curling += k * c.curling_or_creases
+        rips += k * (c.rips_or_peeling is not RipDamage.NONE)
+        any_hit += k * c.any_issue
     return ObservedRates(
         n=n,
         mould=mould / n,

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -131,14 +133,14 @@ class TestCalibration:
 
     def test_zero_horizon(self):
         trace, report = simulate(CALIBRATED, seed=1, horizon_seconds=0)
-        assert trace.events == ()
+        assert len(trace.events) == 0
         assert report.scans_completed == 0
 
     @pytest.mark.parametrize("scanners", [1, 3])
     def test_zero_horizon_report_covers_every_scanner(self, scanners):
         config = dataclasses.replace(CALIBRATED, scanners_per_robot=scanners)
         trace, report = simulate(config, seed=1, horizon_seconds=0)
-        assert trace == SimTrace((), 0)
+        assert trace == SimTrace(array("q"), array("H"), array("q"), sim.vocabulary(scanners), 0)
         assert report.per_scanner_scans == (0,) * scanners
         assert report.scans_per_hour == 0
         assert report.horizon_hours == 0
@@ -396,24 +398,19 @@ class TestTraceStructure:
         for _, _, _, cause_id in transitions(trace, "lid_opened"):
             assert trace.events[cause_id][2] == "scan_done"
 
-    def test_trace_holds_only_records_and_horizon(self):
-        import scancell.cell
-
-        assert [field.name for field in dataclasses.fields(SimTrace)] == [
-            "events",
-            "horizon_ms",
-        ]
-        assert not hasattr(scancell.cell, "Event")
-        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
-        assert all(type(event) is tuple and len(event) == 4 for event in trace.events)
-
-    def test_records_are_untracked_by_gc(self):
-        # records of ints, strings and None leave the collector's lists
-        # once collected, so a long trace adds nothing to each GC pass
-        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
+    def test_held_trace_costs_under_24_bytes_per_event(self):
+        # the three columns take 18 B an event, plus the arrays' spare room
         gc.collect()
-        assert trace.events
-        assert not any(gc.is_tracked(event) for event in trace.events)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=24 * 3600)
+            gc.collect()  # the finished engine's own reference cycles
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.events) > 20_000
+        assert held / len(trace.events) < 24
 
 
 # a 3 h run with reloads, and the same cell with unlimited hoppers
@@ -440,22 +437,107 @@ DROPPED_TRANSITIONS = (
 )
 
 
-def renamed(transition):
-    return lambda position, event: (event[0], event[1], transition, event[3])
+def renamed(transition, entity=None):
+    """A change that gives the event `transition` and `entity` (by default
+    its own), adding the pair to the vocabulary when it is new."""
+
+    def change(columns, position):
+        pairs = columns["vocabulary"]
+        pair = (entity or pairs[columns["kinds"][position]][0], transition)
+        if pair not in pairs:
+            pairs.append(pair)
+        columns["kinds"][position] = pairs.index(pair)
+
+    return change
+
+
+def set_column(name, value):
+    def change(columns, position):
+        columns[name][position] = value(position)
+
+    return change
 
 
 # name -> (hoppers, transition of the first event to change, the function
-# from that event's position and record to its broken record); renaming an
-# event to robot_clear, which moves nothing, drops its effect
+# that changes that event in the trace's columns); renaming an event to
+# robot_clear, which moves nothing, drops its effect
 TRACE_DEFECTS = {
     **{f"drop_{name}": ("limited", name, renamed("robot_clear")) for name in DROPPED_TRANSITIONS},
     "drop_print_on_bed_unlimited": ("unlimited", "print_on_bed", renamed("robot_clear")),
     "depart_wrong_scanner": ("limited", "depart@scanner0", renamed("depart@scanner1")),
     "unknown_robot_transition": ("limited", "arrive@scanner0", renamed("wave@scanner0")),
-    "time_moved_backwards": ("limited", "scan_done", lambda position, event: (0, *event[1:])),
+    "time_moved_backwards": ("limited", "scan_done", set_column("times", lambda position: 0)),
     "cause_points_forward": (
-        "limited", "print_on_bed", lambda position, event: (*event[:3], position + 1)
+        "limited", "print_on_bed", set_column("causes", lambda position: position + 1)
     ),
+    "cause_missing": ("limited", "print_on_bed", set_column("causes", lambda position: sim.NO_CAUSE)),
+    "unknown_entity": ("limited", "print_on_bed", renamed("print_on_bed", entity="scanner7")),
+    "visit_overlaps": ("limited", "depart@scanner0", renamed("arrive@scanner0")),
+    "reload_before_empty": ("limited", "print_on_bed", renamed("hopper_reloaded")),
+}
+# name -> the violations its broken trace reports, in order
+DEFECT_REPORTS = {
+    "cause_missing": ["event 5 (print_on_bed) lacks a cause"],
+    "cause_points_forward": ["event 5 (print_on_bed) caused by event 6, not an earlier one"],
+    "depart_wrong_scanner": ["robot left scanner1 while visiting scanner0 (event 9)"],
+    "drop_hopper_reloaded": [
+        f"event {i} ({name}) leaves {count} -1, arm 1"
+        for i, name, count in (
+            (200, "print_lift_ok", "prints"),
+            (230, "plate_lift_ok", "plates"),
+            (236, "print_lift_ok", "prints"),
+            (272, "plate_lift_ok", "plates"),
+            (278, "print_lift_ok", "prints"),
+            (314, "plate_lift_ok", "plates"),
+            (320, "print_lift_ok", "prints"),
+            (356, "plate_lift_ok", "plates"),
+            (362, "print_lift_ok", "prints"),
+        )
+    ],
+    "drop_lid_closed": ["event 8 (scan_started) on scanner0 with the lid open"],
+    "drop_plate_lift_ok": [
+        "event 31 (plate_transferred) leaves arm -1, output 2",
+        "scanner0 reloaded before its hopper was empty (event 171)",
+    ],
+    "drop_plate_transferred": ["event 34 (print_lifted_from_bed) leaves bed 0, arm 2"],
+    "drop_print_lift_ok": [
+        "event 5 (print_on_bed) leaves arm -1, bed 1",
+        "scanner0 reloaded before its hopper was empty (event 171)",
+    ],
+    "drop_print_lifted_from_bed": [
+        "event 23 (print_unloaded) leaves arm -1, output 1",
+        "event 41 (print_on_bed) leaves arm 0, bed 2",
+    ],
+    "drop_print_on_bed": [
+        "event 13 (print_lift_ok) leaves prints 4, arm 2",
+        "event 22 (print_lifted_from_bed) leaves bed -1, arm 1",
+    ],
+    "drop_print_on_bed_unlimited": [
+        "event 13 (print_lift_ok) leaves prints inf, arm 2",
+        "event 22 (print_lifted_from_bed) leaves bed -1, arm 1",
+    ],
+    "drop_print_unloaded": ["event 28 (plate_lift_ok) leaves plates 3, arm 2"],
+    "drop_scan_done": ["event 20 (lid_opened) on scanner0 with the lid scanning"],
+    "reload_before_empty": [
+        "scanner0 reloaded before its hopper was empty (event 5)",
+        "event 13 (print_lift_ok) leaves prints 4, arm 2",
+        "event 22 (print_lifted_from_bed) leaves bed -1, arm 1",
+        "scanner0 reloaded before its hopper was empty (event 171)",
+    ],
+    "time_moved_backwards": ["event 19 (scan_done) time went backwards"],
+    "unknown_entity": [
+        "event 5 names unknown entity 'scanner7'",
+        "event 13 (print_lift_ok) leaves prints 4, arm 2",
+        "event 22 (print_lifted_from_bed) leaves bed -1, arm 1",
+    ],
+    "unknown_robot_transition": [
+        "unknown robot transition 'wave@scanner0' (event 1)",
+        "robot left scanner0 while visiting None (event 9)",
+    ],
+    "visit_overlaps": [
+        "robot visit to scanner0 overlaps another (event 9)",
+        "robot visit to scanner1 overlaps another (event 10)",
+    ],
 }
 
 
@@ -476,11 +558,17 @@ class TestInvariantReplay:
     def test_single_event_defect_reported(self, replay_traces, defect):
         hoppers, transition, change = TRACE_DEFECTS[defect]
         trace = replay_traces[hoppers]
-        events = list(trace.events)
-        position = next(i for i, event in enumerate(events) if event[2] == transition)
-        events[position] = change(position, events[position])
-        broken = SimTrace(tuple(events), trace.horizon_ms)
-        assert check_trace_invariants(broken, REPLAY_CONFIGS[hoppers]) != []
+        columns = {
+            "times": array("q", trace.times),
+            "kinds": array("H", trace.kinds),
+            "causes": array("q", trace.causes),
+            "vocabulary": list(trace.vocabulary),
+        }
+        position = next(i for i, event in enumerate(trace.events) if event[2] == transition)
+        change(columns, position)
+        columns["vocabulary"] = tuple(columns["vocabulary"])
+        broken = SimTrace(**columns, horizon_ms=trace.horizon_ms)
+        assert check_trace_invariants(broken, REPLAY_CONFIGS[hoppers]) == DEFECT_REPORTS[defect]
 
 
 # (config, seed, horizon seconds) -> sha256 of the trace CSV and of the

@@ -9,6 +9,7 @@ from scancell.errors import DomainError
 from scancell.preservation import (
     IssueRates,
     MouldState,
+    ObservedRates,
     PrintCondition,
     RemediationPlan,
     RipDamage,
@@ -239,6 +240,32 @@ class TestAggregation:
         assert observed.tape == pytest.approx(0.035, abs=0.0005)
         assert observed.curling == pytest.approx(0.17, abs=0.005)
         assert observed.rips_or_peeling == pytest.approx((259 + 291) / 16_634, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "conditions",
+        [
+            sample_boxes(30_000, 5, IssueRates(), dependence=0.4, extensive_share=0.5),
+            sample_boxes(30_000, 6, IssueRates(), dependence=-0.6),
+            all_conditions() * 3,
+            # freshly built, so equal conditions are distinct instances
+            [dataclasses.replace(c) for c in all_conditions()]
+            + [PrintCondition(silver_dust=True) for _ in range(7)],
+            [PrintCondition(mould=MouldState.ACTIVE, blocking=True)],
+        ],
+        ids=["clustered", "spread", "canonical", "fresh", "single"],
+    )
+    def test_matches_the_per_box_loop(self, conditions):
+        n = len(conditions)
+        counts = [0] * 7
+        for c in conditions:
+            counts[0] += c.mould is not MouldState.NONE
+            counts[1] += c.blocking
+            counts[2] += c.silver_dust
+            counts[3] += c.annotations_or_adhesives
+            counts[4] += c.curling_or_creases
+            counts[5] += c.rips_or_peeling is not RipDamage.NONE
+            counts[6] += c.any_issue
+        assert aggregate_rates(conditions) == ObservedRates(n, *(k / n for k in counts))
 
     def test_independence_understates_observed_any_intervention(self):
         rates = IssueRates()
