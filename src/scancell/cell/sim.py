@@ -130,7 +130,7 @@ class SimTrace:
     """
 
     times: array  # array("q")
-    kinds: array  # array("H")
+    kinds: array  # array("H"); 1,000 scanners, the most a config allows, use 22,003 codes
     causes: array  # array("q")
     vocabulary: tuple[tuple[str, str], ...]
     horizon_ms: int

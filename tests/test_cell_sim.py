@@ -412,6 +412,9 @@ class TestTraceStructure:
         assert len(trace.events) > 20_000
         assert held / len(trace.events) < 24
 
+    def test_kind_codes_fit_the_kind_column(self):
+        assert len(sim.vocabulary(MAX_SCANNERS_PER_ROBOT)) <= 1 << 16
+
 
 # a 3 h run with reloads, and the same cell with unlimited hoppers
 REPLAY_CONFIG = CellConfig(
