@@ -81,6 +81,96 @@ class TestParseRules:
             parse(text)
 
 
+_EXPECTS = {
+    "dos_contract": "expected contract digits/two-letter country/film digits",
+    "military_unit": "expected alphanumeric unit/service of three or more letters/mission digits",
+    "commercial_survey": "expected company letters/two-letter country/two-digit year/film digits",
+}
+_LONG_CONTRACT = "9" * 5000 + "/BC/0056"
+
+
+def _no_match(text, **reasons):
+    """The message for `text`, with each family's reason `expected ...` unless given."""
+    rules = "; ".join(
+        f"{variant}: {reasons.get(variant, expects)}" for variant, expects in _EXPECTS.items()
+    )
+    return f"no identifier grammar matched {text!r} (letters are uppercase A-Z): {rules}"
+
+
+def _int_error(digits):
+    """The interpreter's own text for a number too long to convert (it differs by version)."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{len(digits)} digits converted")
+
+
+def _segments(text, count):
+    return (
+        f"expected 2 to 4 slash-separated segments, got {count} in {text!r}"
+        " (pass usaaf=True for pre-standardization labels)"
+    )
+
+
+class TestParseErrorText:
+    @pytest.mark.parametrize(
+        "text, usaaf, message",
+        [
+            ("xx/yy", False, _no_match("xx/yy")),
+            (
+                "0/BC/0056",
+                False,
+                _no_match(
+                    "0/BC/0056", dos_contract="contract number must be a positive integer, got 0"
+                ),
+            ),
+            (
+                "58/RAF/0000",
+                False,
+                _no_match(
+                    "58/RAF/0000", military_unit="mission number must be a positive integer, got 0"
+                ),
+            ),
+            (
+                "HSL/GH/64/0000",
+                False,
+                _no_match(
+                    "HSL/GH/64/0000", commercial_survey="film number must be a positive integer, got 0"
+                ),
+            ),
+            (
+                _LONG_CONTRACT,
+                False,
+                _no_match(_LONG_CONTRACT, dos_contract=_int_error("9" * 5000)),
+            ),
+            ("justonetoken", False, _segments("justonetoken", 1)),
+            ("A/B/C/D/E", False, _segments("A/B/C/D/E", 5)),
+            ("4/bc/0056", False, _no_match("4/bc/0056")),
+            ("hsl/gh/64/0034", False, _no_match("hsl/gh/64/0034")),
+            ("4/BC/0056\n", False, _no_match("4/BC/0056\n")),
+            ("K17//X", True, "USAAF label must have non-empty tokens"),
+        ],
+        ids=[
+            "no-family",
+            "zero-contract",
+            "zero-mission",
+            "zero-survey-film",
+            "5000-digit-contract",
+            "one-segment",
+            "five-segments",
+            "lowercase-country",
+            "lowercase-survey",
+            "trailing-newline",
+            "usaaf-empty-token",
+        ],
+    )
+    def test_message_text_pinned(self, text, usaaf, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text, usaaf=usaaf)
+        assert str(excinfo.value) == message
+
+
 class TestRecordChecks:
     @pytest.mark.parametrize(
         "cls, args, match",
