@@ -5,11 +5,15 @@ parseable; pre-standardization USAAF labels are stored raw and accepted
 only when the caller says that is what they are holding.
 
 A regular family is a record with a full-string `pattern` and a
-`canonical()` text; only its `__post_init__` validates tokens. Parsing
-precedence when a string is ambiguous: contract imagery, then military
-missions, then commercial surveys. Canonical formatting zero-pads film and
-mission numbers to four digits; parsing accepts them with or without
-padding.
+`canonical()` text; only its `__post_init__` validates tokens. The three
+families are mutually exclusive, so no string is ambiguous: a commercial
+survey has four segments and the other two have three, and a contract's
+middle segment is two letters where a military service has at least three.
+So `58/RN/0456` is contract imagery and never a military mission. `parse`
+relies on this: it full-matches one alternation of the three patterns and
+reads the family from the alternative that matched. Canonical formatting
+zero-pads film and mission numbers to four digits; parsing accepts them
+with or without padding.
 """
 from __future__ import annotations
 
@@ -25,8 +29,8 @@ _DIGITS = "[0-9]+"
 _YEAR = "[0-9]{2}"
 _COUNTRY_CODE = re.compile("[A-Z]{2}")
 _UNIT_TOKEN = re.compile("[A-Z0-9]+")
-# Three letters minimum keeps canonical military strings from re-parsing
-# as contract imagery (which claims any digits/AA/digits string first).
+# Three letters minimum keeps military strings apart from contract imagery,
+# whose middle segment is exactly two letters.
 _SERVICE_TOKEN = re.compile("[A-Z]{3,}")
 _COMPANY_TOKEN = re.compile("[A-Z]+")
 
@@ -46,6 +50,7 @@ class _SortieRecord:
     then the properties named in `derived`. It is never read back, so it
     has no JSON decoder."""
 
+    __slots__ = ()
     derived = ()
 
     def to_json_dict(self) -> dict:
@@ -55,7 +60,7 @@ class _SortieRecord:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DosContract(_SortieRecord):
     """Government contract imagery: contract/country/film."""
 
@@ -82,7 +87,7 @@ class DosContract(_SortieRecord):
         return f"{self.contract_number}/{self.country_code}/{self.film_number:04d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MilitaryUnit(_SortieRecord):
     """Military mission imagery: unit/service/mission."""
 
@@ -109,7 +114,7 @@ class MilitaryUnit(_SortieRecord):
         return f"{self.unit}/{self.service}/{self.mission_number:04d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommercialSurvey(_SortieRecord):
     """Commercial survey imagery: company/country/two-digit year/film."""
 
@@ -151,7 +156,7 @@ class CommercialSurvey(_SortieRecord):
         return 1900 + self.year_two_digit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsArmyAirForce(_SortieRecord):
     """Pre-standardization USAAF label, kept as raw tokens.
 
@@ -174,22 +179,35 @@ class UsArmyAirForce(_SortieRecord):
 
 SortieId = Union[DosContract, MilitaryUnit, CommercialSurvey, UsArmyAirForce]
 
-_FAMILIES = (DosContract, MilitaryUnit, CommercialSurvey)  # in parsing precedence
+# Mutually exclusive (see the module docstring), so at most one
+# alternative of `_GRAMMAR` matches; each is a group named by its variant.
+_FAMILIES = (DosContract, MilitaryUnit, CommercialSurvey)
+_GRAMMAR = re.compile(
+    "|".join(f"(?P<{family.variant}>{family.pattern.pattern})" for family in _FAMILIES)
+)
 
 
-def _parse_family(family, text: str):
-    """The `family` record that `text` spells, or the reason it is not one."""
-    match = family.pattern.fullmatch(text)
-    if match is None:
-        return f"{family.variant}: expected {family.expects}"
+def _token_slice(family) -> slice:
+    """Where `family`'s tokens sit in a `_GRAMMAR` match's `groups()`: right
+    after the group of its whole alternative."""
+    start = _GRAMMAR.groupindex[family.variant]
+    return slice(start, start + family.pattern.groups)
+
+
+_ALTERNATIVES = {family.variant: (family, _token_slice(family)) for family in _FAMILIES}
+
+
+def _record(match: re.Match):
+    """The record that a `_GRAMMAR` match spells, or the error its numbers raise."""
+    family, tokens = _ALTERNATIVES[match.lastgroup]
     try:
-        return family.from_groups(*match.groups())
+        return family.from_groups(*match.groups()[tokens])
     except ValueError as exc:  # a zero number, or one too long to convert
-        return f"{family.variant}: {exc}"
+        return exc
 
 
 def parse(text: str, usaaf: bool = False) -> SortieId:
-    """Parse an identifier string into its first matching variant.
+    """Parse an identifier string into the one variant it spells.
 
     With `usaaf=True` the string is taken to be a pre-standardization
     USAAF label and stored raw; `standardized` reflects whether it
@@ -197,22 +215,22 @@ def parse(text: str, usaaf: bool = False) -> SortieId:
     """
     if not text:
         raise ParseError("empty identifier")
+    match = _GRAMMAR.fullmatch(text)
+    parsed = None if match is None else _record(match)
     if usaaf:
-        standardized = isinstance(_parse_family(MilitaryUnit, text), MilitaryUnit)
-        return UsArmyAirForce(tuple(text.split("/")), standardized)
-    failures = []
-    for family in _FAMILIES:
-        parsed = _parse_family(family, text)
-        if isinstance(parsed, family):
-            return parsed
-        failures.append(parsed)
+        return UsArmyAirForce(tuple(text.split("/")), isinstance(parsed, MilitaryUnit))
+    if isinstance(parsed, _SortieRecord):
+        return parsed
     segments = text.count("/") + 1
     if not 2 <= segments <= 4:
         raise ParseError(
             f"expected 2 to 4 slash-separated segments, got {segments} in {text!r}"
             " (pass usaaf=True for pre-standardization labels)"
         )
-    rules = "; ".join(failures)
+    reasons = {family.variant: f"expected {family.expects}" for family in _FAMILIES}
+    if match is not None:
+        reasons[match.lastgroup] = str(parsed)
+    rules = "; ".join(f"{variant}: {reason}" for variant, reason in reasons.items())
     raise ParseError(f"no identifier grammar matched {text!r} (letters are uppercase A-Z): {rules}")
 
 

@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scancell.errors import ParseError
 from scancell.sortie import (
@@ -59,8 +61,8 @@ class TestParseRules:
         assert "two-digit year" in message
         assert "uppercase" in message
 
-    def test_precedence_dos_contract_over_military(self):
-        # two-letter second segment with numeric first reads as contract imagery
+    def test_two_letter_middle_segment_is_contract_imagery(self):
+        # a military service has three or more letters, so this is no mission
         assert parse("58/RN/0456") == DosContract(58, "RN", 456)
 
     def test_zero_film_number_rejected(self):
@@ -203,6 +205,10 @@ class TestUsaaf:
         assert isinstance(parsed, UsArmyAirForce)
         assert parsed.standardized
 
+    @pytest.mark.parametrize("text", ["7/USAAF/0000", "58/RN/0456", "HSL/GH/64/0034"])
+    def test_not_standardized_unless_a_valid_military_id(self, text):
+        assert not parse(text, usaaf=True).standardized
+
     def test_round_trip(self):
         parsed = parse("K17/LOCAL/NOTES", usaaf=True)
         assert parse(canonical_format(parsed), usaaf=True) == parsed
@@ -245,6 +251,51 @@ survey_ids = st.builds(
     year_two_digit=st.integers(0, 99),
     film_number=st.integers(1, 99999),
 )
+
+
+# Segment alphabets: digits with optional zero padding, and 2-, 3- and
+# 5-letter tokens (a country, a service, a company).
+_segment = st.one_of(
+    st.builds(lambda pad, n: "0" * pad + str(n), st.integers(0, 3), st.integers(0, 99999)),
+    *(st.text(alphabet=string.ascii_uppercase, min_size=k, max_size=k) for k in (2, 3, 5)),
+)
+_FAMILIES = (DosContract, MilitaryUnit, CommercialSurvey)
+
+
+class TestFamiliesAreExclusive:
+    @settings(max_examples=500, deadline=None)
+    @given(segments=st.lists(_segment, min_size=1, max_size=5))
+    @example(segments=["58", "RN", "0456"])
+    @example(segments=["58", "RAF", "0456"])
+    @example(segments=["HSL", "GH", "64", "0034"])
+    def test_at_most_one_family_matches(self, segments):
+        text = "/".join(segments)
+        matching = [family for family in _FAMILIES if family.pattern.fullmatch(text)]
+        assert len(matching) <= 1
+        try:
+            parsed = parse(text)
+        except ParseError:
+            return
+        assert type(parsed) is matching[0]
+
+
+class TestRecordLayout:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            DosContract(4, "BC", 56),
+            MilitaryUnit("58", "RAF", 456),
+            CommercialSurvey("HSL", "GH", 64, 34),
+            UsArmyAirForce(("K17", "LOCAL"), False),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_slotted_and_copyable(self, record):
+        assert not hasattr(record, "__dict__")
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert type(copied) is type(record)
+            assert copied == record
+            assert copied.to_json_dict() == record.to_json_dict()
 
 
 class TestRoundTripProperty:
