@@ -305,6 +305,63 @@ def print_like_rasters():
         yield pixels[::2]
 
 
+def print_edge_rasters():
+    """Seeded rasters at the edges of an inward box search, each also as
+    the non-contiguous views: stray light pixels in the border rows and
+    columns, fewer than a line needs (a line of 1,500 px or more needs 2)
+    but counting toward the lines that cross them; prints flush against
+    each edge; and prints one row high or one column wide."""
+    rng = np.random.default_rng(13)
+    light = 220
+
+    def canvas(height, width):
+        return np.full((height, width), int(rng.integers(0, 60)), dtype=np.int64)
+
+    def bases():
+        for _ in range(2):
+            # a border row with one stray does not count, but its column does
+            wide = canvas(6, 1500)
+            wide[2:4, 200:1300] = light
+            for row in (0, 1, 4, 5):
+                wide[row, int(rng.integers(0, 1500))] = light
+            yield wide
+            # a border column counts only with its stray in a border row,
+            # which the row scans count, and its stray in the middle rows
+            tall = canvas(1500, 6)
+            tall[200:1300, 2:4] = light
+            for col in (0, 1, 4, 5):
+                outer = int(rng.choice([rng.integers(0, 200), rng.integers(1300, 1500)]))
+                tall[outer, col] = light
+                if rng.random() < 0.6:
+                    tall[int(rng.integers(200, 1300)), col] = light
+            yield tall
+        for edge in ("top", "bottom", "left", "right"):
+            height, width = (int(n) for n in rng.integers(20, 60, size=2))
+            pixels = canvas(height, width)
+            inset_rows = slice(int(rng.integers(1, height // 3)), height - int(rng.integers(1, height // 3)))
+            inset_cols = slice(int(rng.integers(1, width // 3)), width - int(rng.integers(1, width // 3)))
+            flush = {
+                "top": (slice(0, height // 2), inset_cols),
+                "bottom": (slice(height // 2, height), inset_cols),
+                "left": (inset_rows, slice(0, width // 2)),
+                "right": (inset_rows, slice(width // 2, width)),
+            }
+            pixels[flush[edge]] = light
+            yield pixels
+        for _ in range(3):
+            lines, length = int(rng.integers(3, 8)), int(rng.integers(30, 80))
+            line = canvas(lines, length)
+            line[int(rng.integers(0, lines)), int(rng.integers(0, 5)) : length - int(rng.integers(0, 5))] = light
+            yield line
+            yield line.T
+
+    for base in bases():
+        pixels = np.clip(base + rng.integers(-12, 13, size=base.shape), 0, 255).astype(np.uint8)
+        yield pixels
+        yield pixels[:, ::3]
+        yield pixels[::2]
+
+
 def print_box_by_percentile(raster, border_mm=0.0):
     """Reference: threshold the whole raster by np.percentile, fall back to
     np.median, and sum a full-size mask."""
@@ -372,6 +429,14 @@ class TestPrintBoxMatchesPercentileReference:
             for border_mm in (0.0, 1.0):
                 box = box_or_error(find_print_box, raster, border_mm)
                 assert box == box_or_error(print_box_by_percentile, raster, border_mm)
+
+    @pytest.mark.parametrize("strip_px", [1, 13, 97, analyze.STRIP_PX])
+    def test_edge_rasters(self, monkeypatch, strip_px):
+        monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+        for pixels in print_edge_rasters():
+            raster = GrayRaster(pixels, 300)
+            box = box_or_error(find_print_box, raster, 1.0)
+            assert box == box_or_error(print_box_by_percentile, raster, 1.0)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_raster_is_an_error(self, shape):
