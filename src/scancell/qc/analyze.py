@@ -9,9 +9,15 @@ tolerates moderate blur and noise and keeps results reproducible.
 The print crop thresholds the whole scan the same way. Its percentiles,
 and the median of its no-contrast fallback, come from a 256-bin count of
 the 8-bit pixels, taken a strip of rows at a time, and equal those of
-`np.percentile` and `np.median` exactly. The row and column counts of
-light pixels are also summed strip by strip, so finding the box makes no
-temporary the size of the scan.
+`np.percentile` and `np.median` exactly. The box is then found inward
+from the edges: light pixels are counted a strip of rows at a time from
+the top until a row qualifies, then from the bottom; the rows between are
+counted in column blocks from the left and then from the right, onto the
+column counts of the rows already counted, until a column qualifies. A
+tile whose brightest pixel is not light is skipped. Every row and column
+that can bound the box is thus counted in full, the interior of a
+centred print is never counted, and no temporary is larger than one tile
+of `STRIP_PX` pixels.
 """
 from __future__ import annotations
 
@@ -237,6 +243,39 @@ def smallest_resolvable_um(raster: GrayRaster, geom: CalibrationGeometry | None 
     return last_counting
 
 
+def _count_light(pixels: np.ndarray, cut: np.uint8, col_counts: np.ndarray, row_counts=None) -> None:
+    """Add the pixels above `cut` in each column (and row) of `pixels` to
+    `col_counts` (and `row_counts`), skipping tiles with none."""
+    for r, c, tile in _tiles(pixels):
+        if tile.max() <= cut:
+            continue
+        light = tile > cut
+        if row_counts is not None:
+            row_counts[r : r + light.shape[0]] += np.count_nonzero(light, axis=1)
+        col_counts[c : c + light.shape[1]] += light.sum(axis=0, dtype=np.int32)
+
+
+def _scan_inward(size: int, step: int, count) -> tuple[int, int]:
+    """Count lines `step` at a time through `count(start, stop)`, which says
+    whether any line of the span qualifies: from the start until a span
+    does, then from the end back to the lines already counted until a span
+    does. Returns `(head, tail)`, the lines counted being those before
+    `head` and from `tail` on."""
+    for head in range(0, size, step):
+        if count(head, min(size, head + step)):
+            break
+    else:
+        raise AnalysisError("no light print region found")
+    head, tail = min(size, head + step), size
+    while tail > head:
+        start = max(head, tail - step)
+        found = count(start, tail)
+        tail = start
+        if found:
+            break
+    return head, tail
+
+
 def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int, int, int]:
     """Bounding box (left, top, right, bottom), half-open, of the light
     print region against the dark background, widened by `border_mm` of
@@ -256,18 +295,29 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
         raise AnalysisError("no light print region found") from None
     # an integer pixel exceeds the threshold exactly when it exceeds its floor
     cut = np.uint8(math.floor(threshold))
-    row_counts = np.zeros(raster.height, dtype=np.intp)
-    col_counts = np.zeros(raster.width, dtype=np.intp)
-    for r, c, tile in _tiles(pixels):
-        light = tile > cut
-        row_counts[r : r + light.shape[0]] += np.count_nonzero(light, axis=1)
-        col_counts[c : c + light.shape[1]] += light.sum(axis=0, dtype=np.int32)
-    min_count_col = max(1, round(0.001 * raster.width))
-    min_count_row = max(1, round(0.001 * raster.height))
+    height, width = pixels.shape
+    min_count_col = max(1, round(0.001 * width))  # light pixels a row needs
+    min_count_row = max(1, round(0.001 * height))  # light pixels a column needs
+    row_counts = np.zeros(height, dtype=np.intp)
+    col_counts = np.zeros(width, dtype=np.intp)
+
+    def count_rows(start: int, stop: int) -> bool:
+        _count_light(pixels[start:stop], cut, col_counts, row_counts[start:stop])
+        return bool((row_counts[start:stop] >= min_count_col).any())
+
+    top, bottom = _scan_inward(height, max(1, STRIP_PX // width), count_rows)
+    # the rows between are counted in column blocks, onto the column counts
+    # of the rows scanned so far, so every column count tested is complete
+    middle = pixels[top:bottom]
+
+    def count_cols(start: int, stop: int) -> bool:
+        _count_light(middle[:, start:stop], cut, col_counts[start:stop])
+        return bool((col_counts[start:stop] >= min_count_row).any())
+
+    _scan_inward(width, math.isqrt(STRIP_PX), count_cols)
+    # lines not counted in full lie between the first and last that qualify
     rows = np.flatnonzero(row_counts >= min_count_col)
     cols = np.flatnonzero(col_counts >= min_count_row)
-    if rows.size == 0 or cols.size == 0:
-        raise AnalysisError("no light print region found")
     margin = round(border_mm * raster.ppi / MM_PER_INCH)
     return (
         max(0, int(cols[0]) - margin),

@@ -443,16 +443,38 @@ class TestPrintBoxMatchesPercentileReference:
         with pytest.raises(AnalysisError, match="no light print region"):
             find_print_box(GrayRaster(np.zeros(shape, dtype=np.uint8), 300))
 
-    def test_peak_memory_a_few_mb(self):
+    @pytest.mark.parametrize("band", [None, "tall", "wide"])
+    def test_peak_memory_a_few_mb(self, band):
         scan = render_print_scan(600)
+        if band is not None:
+            scan, box = dusty_band_scan(scan.height, scan.width, band)
         tracemalloc.start()
         try:
-            find_print_box(scan, 5.0)
+            found = find_print_box(scan, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
         assert peak <= scan.width * scan.height // 10
+        if band is not None:
+            assert found == box
+
+
+def dusty_band_scan(height, width, band):
+    """A 600 ppi scan whose print is a `tall` or `wide` band across the
+    middle, on a background with one light speck per 16,000 pixels: too
+    few for any line to count, but some in every tile, so the inward scans
+    reach the middle and skip no tile. Returns it and the band's box."""
+    rng = np.random.default_rng(14)
+    pixels = np.full((height, width), 8, dtype=np.uint8)
+    pixels.reshape(-1)[rng.integers(0, pixels.size, size=pixels.size // 16_000)] = 200
+    if band == "tall":
+        box = (width * 42 // 100, height // 10, width * 58 // 100, height * 9 // 10)
+    else:
+        box = (width // 10, height * 42 // 100, width * 9 // 10, height * 58 // 100)
+    left, top, right, bottom = box
+    pixels[top:bottom, left:right] = 200
+    return GrayRaster(pixels, 600), box
 
 
 class TestMeasureScale:
