@@ -124,6 +124,11 @@ class Distortions:
 NO_DISTORTIONS = Distortions()
 
 
+def _check_ppi(ppi: float) -> None:
+    if not 0 < ppi < math.inf:
+        raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
+
+
 @dataclass(frozen=True)
 class GroupBox:
     group: ResolutionGroup
@@ -151,8 +156,7 @@ class TargetLayout:
 
     @classmethod
     def compute(cls, geom: CalibrationGeometry, ppi: float) -> "TargetLayout":
-        if not 0 < ppi < math.inf:
-            raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
+        _check_ppi(ppi)
         px = ppi / MM_PER_INCH  # px per mm
         width_px = round(TARGET_WIDTH_MM * px)
         height_px = round(TARGET_HEIGHT_MM * px)
@@ -284,11 +288,16 @@ def render_print_scan(
     ppi: float, scan_area_mm: tuple[float, float] = (340.0, 315.0)
 ) -> GrayRaster:
     """Mock scan: a light print centered on the dark scan-bed background."""
+    _check_ppi(ppi)
+    if not all(0 < side < math.inf for side in scan_area_mm):
+        raise DomainError(f"scan area must be finite and positive, got {scan_area_mm!r}")
     if PRINT_SIZE_MM[0] > scan_area_mm[0] or PRINT_SIZE_MM[1] > scan_area_mm[1]:
         raise DomainError("print does not fit in the scan area")
     px = ppi / MM_PER_INCH
     width = round(scan_area_mm[0] * px)
     height = round(scan_area_mm[1] * px)
+    if width < 1 or height < 1:
+        raise DomainError(f"scan area at {ppi} ppi rounds to {width}x{height} px")
     if width * height > MAX_RASTER_PIXELS:
         raise DomainError("scan area too large at this ppi")
     canvas = np.full((height, width), BACKGROUND_LEVEL, dtype=np.uint8)

@@ -589,6 +589,24 @@ class TestCrop:
         assert box == (30, 20, 110, 70)
 
 
+class TestPrintScanInputs:
+    @pytest.mark.parametrize("ppi", [float("nan"), -300.0, 0.0, float("inf")])
+    def test_bad_ppi_rejected_first(self, ppi):
+        with pytest.raises(DomainError, match="ppi must be finite and positive"):
+            render_print_scan(ppi, scan_area_mm=(float("nan"), 100.0))
+
+    @pytest.mark.parametrize(
+        "area", [(float("nan"), 315.0), (340.0, float("inf")), (340.0, -315.0), (0.0, 315.0)]
+    )
+    def test_bad_scan_area_rejected(self, area):
+        with pytest.raises(DomainError, match="scan area must be finite and positive"):
+            render_print_scan(300, scan_area_mm=area)
+
+    def test_zero_pixel_scan_rejected(self):
+        with pytest.raises(DomainError, match="rounds to 0x0 px"):
+            render_print_scan(1e-9)
+
+
 class TestAnalyzeTarget:
     def test_full_report(self, target_1200):
         report = analyze_target(target_1200)
