@@ -243,7 +243,12 @@ def smallest_resolvable_um(raster: GrayRaster, geom: CalibrationGeometry | None 
     return last_counting
 
 
-def _count_light(pixels: np.ndarray, cut: np.uint8, col_counts: np.ndarray, row_counts=None) -> None:
+def _count_light(
+    pixels: np.ndarray,
+    cut: np.uint8,
+    col_counts: np.ndarray,
+    row_counts: np.ndarray | None = None,
+) -> None:
     """Add the pixels above `cut` in each column (and row) of `pixels` to
     `col_counts` (and `row_counts`), skipping tiles with none."""
     for r, c, tile in _tiles(pixels):
@@ -256,23 +261,15 @@ def _count_light(pixels: np.ndarray, cut: np.uint8, col_counts: np.ndarray, row_
 
 
 def _scan_inward(size: int, step: int, count) -> tuple[int, int]:
-    """Count lines `step` at a time through `count(start, stop)`, which says
-    whether any line of the span qualifies: from the start until a span
-    does, then from the end back to the lines already counted until a span
-    does. Returns `(head, tail)`, the lines counted being those before
-    `head` and from `tail` on."""
-    for head in range(0, size, step):
-        if count(head, min(size, head + step)):
-            break
-    else:
+    """Count spans of `step` lines through `count(start, stop)`, which says
+    whether a line of the span qualifies: from the start until one does,
+    then from the end back to the lines already counted until one does.
+    Returns `(head, tail)`: the lines before `head` and from `tail` on."""
+    head = next((i for i in range(0, size, step) if count(i, i + step)), None)
+    if head is None:
         raise AnalysisError("no light print region found")
-    head, tail = min(size, head + step), size
-    while tail > head:
-        start = max(head, tail - step)
-        found = count(start, tail)
-        tail = start
-        if found:
-            break
+    head += step
+    tail = next((i for i in reversed(range(head, size, step)) if count(i, i + step)), head)
     return head, tail
 
 

@@ -310,7 +310,8 @@ def print_edge_rasters():
     the non-contiguous views: stray light pixels in the border rows and
     columns, fewer than a line needs (a line of 1,500 px or more needs 2)
     but counting toward the lines that cross them; prints flush against
-    each edge; and prints one row high or one column wide."""
+    each edge; prints one row high or one column wide; and stray pixels
+    at the threshold's floor and one level above it."""
     rng = np.random.default_rng(13)
     light = 220
 
@@ -338,8 +339,8 @@ def print_edge_rasters():
         for edge in ("top", "bottom", "left", "right"):
             height, width = (int(n) for n in rng.integers(20, 60, size=2))
             pixels = canvas(height, width)
-            inset_rows = slice(int(rng.integers(1, height // 3)), height - int(rng.integers(1, height // 3)))
-            inset_cols = slice(int(rng.integers(1, width // 3)), width - int(rng.integers(1, width // 3)))
+            inset_rows = slice(rng.integers(1, height // 3), height - rng.integers(1, height // 3))
+            inset_cols = slice(rng.integers(1, width // 3), width - rng.integers(1, width // 3))
             flush = {
                 "top": (slice(0, height // 2), inset_cols),
                 "bottom": (slice(height // 2, height), inset_cols),
@@ -351,12 +352,27 @@ def print_edge_rasters():
         for _ in range(3):
             lines, length = int(rng.integers(3, 8)), int(rng.integers(30, 80))
             line = canvas(lines, length)
-            line[int(rng.integers(0, lines)), int(rng.integers(0, 5)) : length - int(rng.integers(0, 5))] = light
+            row, start, cut = rng.integers(0, lines), rng.integers(0, 5), rng.integers(0, 5)
+            line[row, start : length - cut] = light
             yield line
             yield line.T
 
-    for base in bases():
-        pixels = np.clip(base + rng.integers(-12, 13, size=base.shape), 0, 255).astype(np.uint8)
+    def exact():
+        # no noise: strays at the cut of (20 + 200) / 2, which are dark,
+        # further out than strays one level above it, which are light
+        pixels = np.full((6, 1500), 20, dtype=np.uint8)
+        pixels[2:4, 200:1300] = 200
+        for row, lo, hi, level in (
+            (0, 100, 200, 111), (1, 0, 100, 110), (4, 1400, 1500, 110), (5, 1300, 1400, 111)
+        ):
+            pixels[row, int(rng.integers(lo, hi))] = level
+        return pixels
+
+    def noisy():
+        for base in bases():
+            yield np.clip(base + rng.integers(-12, 13, size=base.shape), 0, 255).astype(np.uint8)
+
+    for pixels in [*noisy(), exact()]:
         yield pixels
         yield pixels[:, ::3]
         yield pixels[::2]
