@@ -264,7 +264,8 @@ def _scan_inward(size: int, step: int, count) -> tuple[int, int]:
     """Count spans of `step` lines through `count(start, stop)`, which says
     whether a line of the span qualifies: from the start until one does,
     then from the end back to the lines already counted until one does.
-    Returns `(head, tail)`: the lines before `head` and from `tail` on."""
+    Returns `(head, tail)`: the lines before `head` and from `tail` on are
+    the ones counted."""
     head = next((i for i in range(0, size, step) if count(i, i + step)), None)
     if head is None:
         raise AnalysisError("no light print region found")
