@@ -324,6 +324,43 @@ class TestFailuresAndStalls:
         assert not transitions(trace, "stall_resolved")
         assert report.stall_seconds == pytest.approx(3600, abs=1)
 
+    # a run, the transition whose first time T in that run opens or closes a
+    # stall or starvation interval, and (horizon - T ms, stall ms, starved
+    # ms) rerun at each horizon: the interval closes or opens exactly at
+    # the horizon (0) or is still open there
+    @pytest.mark.parametrize(
+        "run, transition, expected",
+        [
+            ("lift_failures_with_stalls", "stall_resolved", ((0, 1_000, 0), (-1, 999, 0))),
+            (
+                "reloads_under_part_time_attendance",
+                "hopper_reloaded",
+                ((0, 0, 63_663_288), (-1, 0, 63_663_286)),
+            ),
+            ("unattended_seed_1", "error_stall", ((0, 0, 0), (1, 1, 0))),
+            ("unattended_seed_5", "sense_empty", ((0, 0, 0), (1, 0, 1), (45_001, 0, 45_002))),
+        ],
+    )
+    def test_intervals_at_the_horizon(self, run, transition, expected):
+        unattended = CellConfig(
+            handling_time=HandlingTime("fixed", 66.7),
+            hopper_capacity=3,
+            lift_failure_prob=0.2,
+            lift_retry_limit=2,
+            attendance=NEVER_PRESENT,
+        )
+        runs = {
+            "unattended_seed_1": (unattended, 1, 3600),
+            "unattended_seed_5": (unattended, 5, 3600),
+        }
+        config, seed, horizon = runs[run] if run in runs else GOLDEN_RUNS[run][:3]
+        trace, _ = simulate(config, seed=seed, horizon_seconds=horizon)
+        t_ms = transitions(trace, transition)[0][0]
+        for offset_ms, stall_ms, starved_ms in expected:
+            _, report = simulate(config, seed=seed, horizon_seconds=(t_ms + offset_ms) / 1000)
+            assert report.stall_seconds == stall_ms / 1000
+            assert report.starved_seconds == starved_ms / 1000
+
     def test_retry_attempts_emitted(self):
         config = CellConfig(
             handling_time=HandlingTime("fixed", 66.7),
