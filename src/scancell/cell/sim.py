@@ -57,7 +57,7 @@ from .throughput import ThroughputReport
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
 # events one run may emit; a held event costs 18 B in the trace columns,
 # but the CSV text and its encoding cost about 40 B each, so a run at the
-# budget peaks near 0.3 GB (a 4-week default run emits about 763k)
+# budget peaks near 0.3 GB (4 weeks of the default config emit 265k)
 MAX_EVENTS = 3_000_000
 CSV_BLOCK_EVENTS = 1 << 16  # events per block of CSV text and of engine columns
 NO_CAUSE = -1  # the cause column's value for `program_initiated`
@@ -213,7 +213,7 @@ class _Scanner:
         "lamp_event",
         "scanning_ms",
         "scans_done",
-        "starved_since_ms",
+        "starving",
         "starved_ms",
     )
 
@@ -237,7 +237,7 @@ class _Scanner:
         self.lamp_event: int | None = None
         self.scanning_ms = 0
         self.scans_done = 0
-        self.starved_since_ms: int | None = None
+        self.starving = False
         self.starved_ms = 0
 
 
@@ -267,8 +267,9 @@ class _Simulation:
         self.robot_last_event = start
         self.robot_last_ms = 0
         self.robot_last_served = -1
+        # an interval of robot work, scanning, stall or starvation is charged up to
+        # the horizon when it opens; a stall or starvation that closes first is refunded the rest
         self.robot_busy_ms = 0
-        self.stall_since_ms: int | None = None  # None while the cell runs
         self.stall_ms = 0
 
     # -- plumbing ---------------------------------------------------------
@@ -490,7 +491,7 @@ class _Simulation:
         error = self.emit(now_ms, ERROR_STALL, final_failure)
         self.emit(now_ms, scanner.depart, error)
         self.robot_last_event, self.robot_last_ms = error, now_ms
-        self.stall_since_ms = now_ms
+        self.stall_ms += self.horizon_ms - now_ms
         worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
         if worker_at == float("inf"):
             return
@@ -499,8 +500,7 @@ class _Simulation:
 
     def stall_over(self, now_ms: int, scanner: _Scanner, error: int) -> None:
         resolved = self.emit(now_ms, STALL_RESOLVED, error)
-        self.stall_ms += now_ms - self.stall_since_ms
-        self.stall_since_ms = None
+        self.stall_ms -= self.horizon_ms - now_ms
         scanner.ready_event, scanner.ready_ms = resolved, now_ms
         self.robot_last_event, self.robot_last_ms = resolved, now_ms
         self.schedule(now_ms, self.dispatch_robot)
@@ -511,18 +511,10 @@ class _Simulation:
         """Open or close the scanner's starvation interval at `now_ms`: it
         starves while its bed is empty and its hopper has run out."""
         starving = scanner.bed == BED_EMPTY and not scanner.prints
-        if starving and scanner.starved_since_ms is None:
-            scanner.starved_since_ms = now_ms
-        elif not starving and scanner.starved_since_ms is not None:
-            scanner.starved_ms += now_ms - scanner.starved_since_ms
-            scanner.starved_since_ms = None
-
-    def finalize_accounting(self) -> None:
-        if self.stall_since_ms is not None:
-            self.stall_ms += self.horizon_ms - self.stall_since_ms
-        for scanner in self.scanners:
-            if scanner.starved_since_ms is not None:
-                scanner.starved_ms += self.horizon_ms - scanner.starved_since_ms
+        if starving != scanner.starving:
+            scanner.starving = starving
+            remaining = self.horizon_ms - now_ms
+            scanner.starved_ms += remaining if starving else -remaining
 
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
@@ -571,5 +563,4 @@ def simulate(
         return empty, _Simulation(config, seed, 0).build_report()
     sim = _Simulation(config, seed, horizon_ms)
     sim.run()
-    sim.finalize_accounting()
     return SimTrace(sim.times, sim.kinds, sim.causes, pairs, horizon_ms), sim.build_report()

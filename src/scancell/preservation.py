@@ -162,17 +162,12 @@ class IssueRates(JsonRecord):
     ripped: float = 0.020
     emulsion_peeling: float = 0.018
     any_intervention: float = 0.41
-    total_boxes: int = 16_634
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name == "total_boxes":
-                continue
             value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"rate {f.name} must lie in [0, 1], got {value}")
-        if self.total_boxes < 0:
-            raise DomainError("total_boxes must be non-negative")
 
     def issue_probabilities(self) -> tuple[float, ...]:
         """The seven sampled issue rates, in draw order."""

@@ -7,9 +7,9 @@ the 10th and 90th intensity percentiles of the profile under test, which
 tolerates moderate blur and noise and keeps results reproducible.
 
 The print crop thresholds the whole scan the same way. Its percentiles,
-and the median of its no-contrast fallback, come from a 256-bin count of
-the 8-bit pixels, taken a strip of rows at a time, and equal those of
-`np.percentile` and `np.median` exactly. The box is then found inward
+and the median (50th percentile) of its no-contrast fallback, come from a
+256-bin count of the 8-bit pixels, taken a strip of rows at a time, and
+equal those of `np.percentile` exactly. The box is then found inward
 from the edges: light pixels are counted a strip of rows at a time from
 the top until a row qualifies, then from the bottom; the rows between are
 counted in column blocks from the left and then from the right, onto the
@@ -17,7 +17,7 @@ column counts of the rows already counted, until a column qualifies. A
 tile whose brightest pixel is not light is skipped. Every row and column
 that can bound the box is thus counted in full, the interior of a
 centred print is never counted, and no temporary is larger than one tile
-of `STRIP_PX` pixels.
+of `STRIP_PX` pixels, the strip size that also bounds a noisy render.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..codec import JsonRecord
 from ..errors import AnalysisError, DomainError
-from .raster import GrayRaster
+from .raster import STRIP_PX, GrayRaster
 from .target import (
     MEASURE_SCALE_INCHES,
     MM_PER_INCH,
@@ -41,7 +41,6 @@ from .target import (
 
 MIN_CONTRAST = 16  # intensity spread below this means no usable signal
 BORDER_MM = 5.0  # background kept around the print by crops and reports
-STRIP_PX = 1 << 18  # pixels per strip of a whole-scan pass, bounding its temporaries
 
 
 def _midway(p10: float, p90: float) -> float:
@@ -101,13 +100,6 @@ def _histogram_percentiles(hist: np.ndarray, qs: tuple[float, ...]) -> tuple[flo
         gamma = index - lo
         out.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
     return tuple(out)
-
-
-def _histogram_median(hist: np.ndarray) -> float:
-    """`np.median` of the counted values."""
-    cumulative = np.cumsum(hist)
-    n = int(cumulative[-1])
-    return (_order_stat(cumulative, (n - 1) // 2) + _order_stat(cumulative, n // 2)) / 2
 
 
 def _dark_runs(profile: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -288,7 +280,7 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
     try:
         threshold = _midway(*_histogram_percentiles(hist, (10.0, 90.0)))
     except AnalysisError:
-        if _histogram_median(hist) > 127:
+        if _histogram_percentiles(hist, (50.0,))[0] > 127:  # the median
             return (0, 0, raster.width, raster.height)
         raise AnalysisError("no light print region found") from None
     # an integer pixel exceeds the threshold exactly when it exceeds its floor

@@ -23,6 +23,12 @@ import numpy as np
 from ..errors import AnalysisError, DomainError
 
 _PPI_COMMENT = re.compile(rb"^#\s*ppi\s+(\S.*?)\s*$")
+STRIP_PX = 1 << 18  # pixels per strip of an analysis or noisy-render pass, bounding its temporaries
+
+
+def check_ppi(ppi: float) -> None:
+    if not 0 < ppi < math.inf:
+        raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
 
 
 class GrayRaster:
@@ -36,8 +42,7 @@ class GrayRaster:
             raise DomainError(f"raster must be 2-D, got shape {array.shape}")
         if array.dtype != np.uint8:
             raise DomainError(f"raster must be uint8, got {array.dtype}")
-        if not 0 < ppi < math.inf:
-            raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
+        check_ppi(ppi)
         self.pixels = array
         self.ppi = float(ppi)
 

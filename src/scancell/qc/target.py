@@ -23,9 +23,9 @@ do):
 Before quantizing, the target has three distinct rows (white, the scale
 band, the element band), so `render_target` draws and blurs those rows
 only and expands them to the full image as 8-bit pixels, adding noise in
-strips of `NOISE_STRIP_PIXELS`. A render therefore needs about one byte
-per pixel, at most 2 B/px plus 16 MB, and the `MAX_RASTER_PIXELS` guard
-of 300 Mpx bounds it to about 300 MB.
+strips of `STRIP_PX`, the analyzer's strip size. A render therefore needs
+about one byte per pixel, at most 2 B/px plus 16 MB, and the
+`MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about 300 MB.
 """
 from __future__ import annotations
 
@@ -35,13 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .raster import GrayRaster, add_noise, blur_rows, quantize
+from .raster import STRIP_PX, GrayRaster, add_noise, blur_rows, check_ppi, quantize
 
 SENSOR_SIGMA_PX = 0.65
 BAR_JITTER_PX = 0.30
 MAX_RASTER_PIXELS = 300_000_000
-# pixels per strip of a noisy render: bounds its float64 temporaries to a few MB
-NOISE_STRIP_PIXELS = 1 << 18
 
 # the strip, its measure scale and its step wedge
 TARGET_WIDTH_MM = 250.0
@@ -124,11 +122,6 @@ class Distortions:
 NO_DISTORTIONS = Distortions()
 
 
-def _check_ppi(ppi: float) -> None:
-    if not 0 < ppi < math.inf:
-        raise DomainError(f"ppi must be finite and positive, got {ppi!r}")
-
-
 @dataclass(frozen=True)
 class GroupBox:
     group: ResolutionGroup
@@ -156,7 +149,7 @@ class TargetLayout:
 
     @classmethod
     def compute(cls, geom: CalibrationGeometry, ppi: float) -> "TargetLayout":
-        _check_ppi(ppi)
+        check_ppi(ppi)
         px = ppi / MM_PER_INCH  # px per mm
         width_px = round(TARGET_WIDTH_MM * px)
         height_px = round(TARGET_HEIGHT_MM * px)
@@ -278,7 +271,7 @@ def _quantize_rows(
         return quantize(rows)[row_of]
     rng = np.random.default_rng(seed)
     out = np.empty((row_of.size, rows.shape[1]), dtype=np.uint8)
-    step = max(1, NOISE_STRIP_PIXELS // rows.shape[1])
+    step = max(1, STRIP_PX // rows.shape[1])
     for y in range(0, row_of.size, step):
         out[y : y + step] = quantize(add_noise(rows[row_of[y : y + step]], noise_sigma, rng))
     return out
@@ -288,7 +281,7 @@ def render_print_scan(
     ppi: float, scan_area_mm: tuple[float, float] = (340.0, 315.0)
 ) -> GrayRaster:
     """Mock scan: a light print centered on the dark scan-bed background."""
-    _check_ppi(ppi)
+    check_ppi(ppi)
     if not all(0 < side < math.inf for side in scan_area_mm):
         raise DomainError(f"scan area must be finite and positive, got {scan_area_mm!r}")
     if PRINT_SIZE_MM[0] > scan_area_mm[0] or PRINT_SIZE_MM[1] > scan_area_mm[1]:

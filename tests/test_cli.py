@@ -435,7 +435,7 @@ DOC_INPUTS = {
         "curling_or_creases": False,
         "rips_or_peeling": "minor",
     },
-    "rates.json": {"mould": 0.05, "ripped": 0.1, "emulsion_peeling": 0.02, "total_boxes": 1000},
+    "rates.json": {"mould": 0.05, "ripped": 0.1, "emulsion_peeling": 0.02},
 }
 
 # sha256 of the stdout of every command shown in docs/cli.md that prints its

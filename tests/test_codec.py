@@ -48,7 +48,7 @@ RECORDS = [
     CONDITION,
     plan_remediation(CONDITION),
     aggregate_rates(all_conditions()),
-    IssueRates(mould=0.5, total_boxes=10),
+    IssueRates(mould=0.5),
     CostItem("scanner", Fraction(22, 100), 2),
     manual_benchmark(),
     weeks_to_volume(2_363_059, 36_288.0),
@@ -156,7 +156,6 @@ def test_numbers_kept_as_given_and_money_read_exactly():
         (CostItem, {"label": "x", "unit_cost": 1}, "missing CostItem keys: quantity"),
         (CostParams, {"per_scan_variable": 1, "fixed_total_override": 5}, "unknown"),
         (CostParams, {"per_scan_variable": 1, "fixed_items": [["x", 1, 1, 1]]}, "row"),
-        (IssueRates, {"total_boxes": 16634.0}, "IssueRates.total_boxes"),
         (IssueRates, {"mould": None}, "a number"),
     ],
 )

@@ -108,11 +108,11 @@ class TestPlanner:
 
 class TestSampler:
     def test_degenerate_zero_rates(self):
-        zero = IssueRates(0, 0, 0, 0, 0, 0, 0, 0, 0)
+        zero = IssueRates(0, 0, 0, 0, 0, 0, 0, 0)
         assert sample_boxes(1, 7, zero)[0] == PrintCondition()
 
     def test_degenerate_unit_rates(self):
-        one = IssueRates(1, 1, 1, 1, 1, 1, 1, 1, 0)
+        one = IssueRates(1, 1, 1, 1, 1, 1, 1, 1)
         condition = sample_boxes(1, 7, one)[0]
         assert condition.mould is not MouldState.NONE
         assert condition.blocking and condition.silver_dust
@@ -141,7 +141,7 @@ class TestSampler:
         )
 
     def test_extensive_share(self):
-        rates = IssueRates(0, 0, 0, 0, 0, 1.0, 0, 0, 0)
+        rates = IssueRates(0, 0, 0, 0, 0, 1.0, 0, 0)
         condition = sample_boxes(1, 3, rates, extensive_share=1.0)[0]
         assert condition.rips_or_peeling is RipDamage.EXTENSIVE
 

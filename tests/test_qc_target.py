@@ -27,7 +27,6 @@ from scancell.qc import analyze
 from scancell.qc.analyze import (
     _dark_runs,
     _histogram,
-    _histogram_median,
     _histogram_percentiles,
 )
 
@@ -416,7 +415,7 @@ class TestHistogramStatistics:
             assert _histogram_percentiles(hist, (10.0, 90.0)) == tuple(
                 np.percentile(pixels, (10.0, 90.0))
             )
-            assert _histogram_median(hist) == np.median(pixels)
+            assert _histogram_percentiles(hist, (50.0,)) == (np.median(pixels),)
 
     @pytest.mark.parametrize("strip_px", [1, 5, 64])
     def test_match_numpy_in_narrow_strips(self, monkeypatch, strip_px):
