@@ -122,6 +122,20 @@ class Distortions:
 NO_DISTORTIONS = Distortions()
 
 
+def _pixel_size(size_mm: tuple[float, float], ppi: float) -> tuple[int, int]:
+    """`size_mm` in whole pixels at a valid `ppi`. A side of more pixels
+    than an array can index raises DomainError, so every position derived
+    from it stays finite."""
+    px = ppi / MM_PER_INCH
+    sides = [side * px for side in size_mm]
+    if max(sides) >= np.iinfo(np.intp).max:
+        raise DomainError(
+            f"{size_mm[0]:g} x {size_mm[1]:g} mm at {ppi:g} ppi has more pixels "
+            "on a side than an array can hold"
+        )
+    return round(sides[0]), round(sides[1])
+
+
 @dataclass(frozen=True)
 class GroupBox:
     group: ResolutionGroup
@@ -150,9 +164,8 @@ class TargetLayout:
     @classmethod
     def compute(cls, geom: CalibrationGeometry, ppi: float) -> "TargetLayout":
         check_ppi(ppi)
+        width_px, height_px = _pixel_size((TARGET_WIDTH_MM, TARGET_HEIGHT_MM), ppi)
         px = ppi / MM_PER_INCH  # px per mm
-        width_px = round(TARGET_WIDTH_MM * px)
-        height_px = round(TARGET_HEIGHT_MM * px)
         ticks = tuple(
             (SCALE_TICK_X0_MM + i * MM_PER_INCH) * px for i in range(MEASURE_SCALE_INCHES + 1)
         )
@@ -230,6 +243,12 @@ def render_target(
             f"geometry at {ppi} ppi needs {layout.width_px}x{layout.height_px} px, "
             "beyond the raster limit"
         )
+    blur_sigma = distortions.blur_radius_px / 2.0
+    if 3.0 * blur_sigma > layout.width_px:  # `blur_rows` truncates its kernel at 3 sigma
+        raise DomainError(
+            f"blur of {distortions.blur_radius_px:g} px needs a kernel radius beyond "
+            f"the target's width of {layout.width_px} px"
+        )
     px = ppi / MM_PER_INCH
     stretch = 1.0 + distortions.scale_error_fraction
     # exact only because both bands have whole-pixel row bounds and every
@@ -258,8 +277,8 @@ def render_target(
         _fill_span(element_row, edges[k] * stretch, edges[k + 1] * stretch, float(wedge_level(k)))
 
     rows, row_of = blur_rows(rows, row_of, SENSOR_SIGMA_PX)
-    if distortions.blur_radius_px > 0:
-        rows, row_of = blur_rows(rows, row_of, distortions.blur_radius_px / 2.0)
+    if blur_sigma > 0:
+        rows, row_of = blur_rows(rows, row_of, blur_sigma)
     return GrayRaster(_quantize_rows(rows, row_of, distortions.noise_sigma, seed), ppi)
 
 
@@ -286,16 +305,13 @@ def render_print_scan(
         raise DomainError(f"scan area must be finite and positive, got {scan_area_mm!r}")
     if PRINT_SIZE_MM[0] > scan_area_mm[0] or PRINT_SIZE_MM[1] > scan_area_mm[1]:
         raise DomainError("print does not fit in the scan area")
-    px = ppi / MM_PER_INCH
-    width = round(scan_area_mm[0] * px)
-    height = round(scan_area_mm[1] * px)
+    width, height = _pixel_size(scan_area_mm, ppi)
     if width < 1 or height < 1:
         raise DomainError(f"scan area at {ppi} ppi rounds to {width}x{height} px")
     if width * height > MAX_RASTER_PIXELS:
         raise DomainError("scan area too large at this ppi")
     canvas = np.full((height, width), BACKGROUND_LEVEL, dtype=np.uint8)
-    pw = round(PRINT_SIZE_MM[0] * px)
-    ph = round(PRINT_SIZE_MM[1] * px)
+    pw, ph = _pixel_size(PRINT_SIZE_MM, ppi)
     x0 = (width - pw) // 2
     y0 = (height - ph) // 2
     canvas[y0 : y0 + ph, x0 : x0 + pw] = PRINT_LEVEL

@@ -626,6 +626,22 @@ def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ppi", "1e308"], "more pixels on a side"),
+        (["--ppi", "600", "--blur-px", "1e308"], "kernel radius"),
+    ],
+)
+def test_qc_render_beyond_the_raster_exits_1(capsys, tmp_path, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "qc", "render", *flags, "--out", "x.pgm")
+    assert (code, out) == (1, "")
+    assert message in err
+    assert "numeric overflow" not in err and "Traceback" not in err
+    assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize(
     "argv, exit_code",
     [
         (["photogrammetry", "scale", "--altitude-ft", "5000"], 2),
@@ -867,9 +883,9 @@ FUZZ_COMMANDS = [
      {"--a": _JSON, "--b": _JSON, "--start": _INT, "--stop": _INT, "--points": _COUNT,
       "--scans": _INT, "--capacity": _FLOAT, "--out": _OUT}),
     ("qc render", {"--out": _OUT},
-     {"--ppi": ["300", "100", "1", "0", "-5", "nan", "1e-9", "x"], "--seed": _INT,
+     {"--ppi": ["300", "100", "1", "0", "-5", "nan", "1e-9", "1e308", "x"], "--seed": _INT,
       "--scale-error": ["0", "0.002", "-0.5", "-1", "3", "nan"],
-      "--noise-sigma": ["0", "2", "-1", "nan"], "--blur-px": ["0", "1.5", "-1", "nan"]}),
+      "--noise-sigma": ["0", "2", "-1", "nan"], "--blur-px": ["0", "1.5", "-1", "nan", "1e308"]}),
     ("qc analyze", {"": _RASTER}, {"--out": _OUT}),
     ("qc crop", {"": _RASTER, "--out": _OUT}, {"--border-mm": ["5", "0", "-1", "nan", "1e9", "x"]}),
     ("parse-id", {"": ["4/BC/0056", "K17/LOCAL/NOTES", "x", "", "é"]},

@@ -70,6 +70,21 @@ class TestGeometry:
         with pytest.raises(DomainError, match="rounds to"):
             render_target(GEOM, ppi)
 
+    # at 1.524e307 ppi the width is finite but the wedge's last centroid is not
+    @pytest.mark.parametrize("ppi", [1e308, 1.524e307])
+    def test_side_beyond_any_array_rejected(self, ppi):
+        with pytest.raises(DomainError, match="more pixels on a side"):
+            TargetLayout.compute(GEOM, ppi)
+        with pytest.raises(DomainError, match="more pixels on a side"):
+            render_target(GEOM, ppi)
+
+    def test_blur_kernel_must_fit_the_width(self):
+        # at 1 ppi the target is 10 px wide; the kernel radius is ceil(1.5 * blur)
+        assert render_target(GEOM, 1, Distortions(blur_radius_px=6.6)).width == 10
+        for blur_px in (6.7, 1e308):
+            with pytest.raises(DomainError, match="kernel radius beyond the target's width"):
+                render_target(GEOM, 1, Distortions(blur_radius_px=blur_px))
+
 
 class TestRender:
     def test_deterministic_given_seed(self):
@@ -620,6 +635,11 @@ class TestPrintScanInputs:
     def test_zero_pixel_scan_rejected(self):
         with pytest.raises(DomainError, match="rounds to 0x0 px"):
             render_print_scan(1e-9)
+
+    @pytest.mark.parametrize("ppi, area", [(1e308, (340.0, 315.0)), (300.0, (1e308, 300.0))])
+    def test_side_beyond_any_array_rejected(self, ppi, area):
+        with pytest.raises(DomainError, match="more pixels on a side"):
+            render_print_scan(ppi, scan_area_mm=area)
 
 
 class TestAnalyzeTarget:
