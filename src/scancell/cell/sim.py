@@ -67,10 +67,12 @@ PLATE_SHARE = 0.3
 LOAD_SHARE = 0.4
 MIN_STALL_RECOVERY_SECONDS = 1.0
 
-# scanner bed states
-BED_EMPTY = "empty"
-BED_SCANNING = "scanning"
-BED_SCANNED = "scanned"
+# scanner states, described in `_Scanner`
+AWAITING_LOAD = "awaiting_load"
+SCANNING = "scanning"
+AWAITING_UNLOAD = "awaiting_unload"
+STARVED = "starved"
+SENSED_EMPTY = "sensed_empty"
 
 # (attempt, failed, ok) transitions of a hopper pick
 PRINT_LIFT = ("print_lift_attempt", "print_lift_failed", "print_lift_ok")
@@ -182,10 +184,11 @@ class _EventView(Sequence):
 
 
 class _Scanner:
-    """One scanner and its input hopper. `bed` is BED_EMPTY (lid open),
-    BED_SCANNING (print on the bed, lid closed) or BED_SCANNED (lid open,
-    awaiting unload); event fields hold event ids, and `ready_ms` is the
-    time of `ready_event`.
+    """One scanner and its input hopper. `state` is AWAITING_LOAD (bed
+    empty, prints in the hopper), SCANNING, AWAITING_UNLOAD (until the
+    robot departs from the unload), STARVED (bed and hopper empty) or
+    SENSED_EMPTY (the same, once the robot has sensed it); event fields
+    hold event ids, and `ready_ms` is the time of `ready_event`.
 
     The hopper is `prints` left (math.inf when unlimited) and `plate_on_top`:
     a plate sits between consecutive prints, so taking any print but the
@@ -206,14 +209,12 @@ class _Scanner:
         "load_chain",
         "prints",
         "plate_on_top",
-        "bed",
-        "empty_acknowledged",
+        "state",
         "ready_event",
         "ready_ms",
         "lamp_event",
         "scanning_ms",
         "scans_done",
-        "starving",
         "starved_ms",
     )
 
@@ -230,14 +231,12 @@ class _Scanner:
         self.load_chain = tuple(self.kind[t] for t in LOAD_CHAIN)
         self.prints = math.inf if capacity is None else capacity
         self.plate_on_top = False
-        self.bed = BED_EMPTY
-        self.empty_acknowledged = False
+        self.state = AWAITING_LOAD
         self.ready_event = start_event
         self.ready_ms = 0
         self.lamp_event: int | None = None
         self.scanning_ms = 0
         self.scans_done = 0
-        self.starving = False
         self.starved_ms = 0
 
 
@@ -333,17 +332,13 @@ class _Simulation:
 
     def start_visit(self, scanner: _Scanner, now_ms: int) -> bool:
         """Serve `scanner` if it needs the robot; False when it does not."""
-        if scanner.bed == BED_SCANNED:
+        if scanner.state == AWAITING_LOAD:
+            (self.visit_plate if scanner.plate_on_top else self.visit_load)(scanner, now_ms)
+        elif scanner.state == AWAITING_UNLOAD:
             self.visit_unload(scanner, now_ms)
-        elif scanner.bed == BED_SCANNING:
-            return False
-        elif scanner.plate_on_top:
-            self.visit_plate(scanner, now_ms)
-        elif scanner.prints:
-            self.visit_load(scanner, now_ms)
-        elif not scanner.empty_acknowledged:
+        elif scanner.state == STARVED:
             self.visit_empty_check(scanner, now_ms)
-        else:
+        else:  # SCANNING or SENSED_EMPTY
             return False
         return True
 
@@ -371,14 +366,17 @@ class _Simulation:
         last = cause
         for kind in chain:
             last = self.emit(now_ms, kind, last)
-        if scanner.bed == BED_SCANNING:  # a load: the scan starts now
+        if scanner.state == SCANNING:  # a load: the scan starts now
             scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
             scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
             self.schedule(scan_end_ms, self.scan_done, scanner, last)
         elif scanner.ready_event < arrive:
             # a reload that completed during the visit stays the enabling event
             scanner.ready_event, scanner.ready_ms = last, now_ms
-        self.update_starved(scanner, now_ms)
+        if scanner.state == AWAITING_UNLOAD:  # the bed is clear once the robot departs
+            scanner.state = AWAITING_LOAD if scanner.prints else STARVED
+            if not scanner.prints:
+                scanner.starved_ms += self.horizon_ms - now_ms
         self.robot_last_event = self.emit(now_ms, scanner.depart, last)
         self.robot_last_ms = now_ms
         self.schedule(now_ms, self.dispatch_robot)
@@ -422,7 +420,6 @@ class _Simulation:
         arrive = self.begin_visit(scanner, now_ms)
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
         lifted = self.emit(now_ms, scanner.kind["print_lifted_from_bed"], arrive)
-        scanner.bed = BED_EMPTY
         unloaded = (scanner.kind["print_unloaded"],)
         self.end_visit(scanner, arrive, now_ms, duration, lifted, unloaded)
 
@@ -449,13 +446,13 @@ class _Simulation:
         if not scanner.prints:
             scanner.lamp_event = self.emit(now_ms, scanner.kind["hopper_empty_lamp_on"], lift)
             self.schedule_reload(scanner, now_ms)
-        scanner.bed = BED_SCANNING
+        scanner.state = SCANNING
         self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.load_chain)
 
     def visit_empty_check(self, scanner: _Scanner, now_ms: int) -> None:
         arrive = self.begin_visit(scanner, now_ms)
         sense = self.emit(now_ms, scanner.kind["sense_empty"], arrive)
-        scanner.empty_acknowledged = True
+        scanner.state = SENSED_EMPTY
         self.end_visit(scanner, arrive, now_ms, 0, sense, ())
 
     # -- scheduled actions -----------------------------------------------
@@ -463,7 +460,7 @@ class _Simulation:
     def scan_done(self, now_ms: int, scanner: _Scanner, started: int) -> None:
         done = self.emit(now_ms, scanner.kind["scan_done"], started)
         opened = self.emit(now_ms, scanner.kind["lid_opened"], done)
-        scanner.bed = BED_SCANNED
+        scanner.state = AWAITING_UNLOAD
         scanner.ready_event, scanner.ready_ms = opened, now_ms
         scanner.scans_done += 1
         self.wake_robot(now_ms)
@@ -481,10 +478,11 @@ class _Simulation:
 
     def reload_done(self, now_ms: int, scanner: _Scanner) -> None:
         scanner.prints = self.config.hopper_capacity  # only a finite hopper empties
-        scanner.empty_acknowledged = False
+        if scanner.state in (STARVED, SENSED_EMPTY):  # refund the rest of the starvation
+            scanner.state = AWAITING_LOAD
+            scanner.starved_ms -= self.horizon_ms - now_ms
         reloaded = self.emit(now_ms, scanner.kind["hopper_reloaded"], scanner.lamp_event)
         scanner.ready_event, scanner.ready_ms = reloaded, now_ms
-        self.update_starved(scanner, now_ms)
         self.wake_robot(now_ms)
 
     def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: int) -> None:
@@ -506,15 +504,6 @@ class _Simulation:
         self.schedule(now_ms, self.dispatch_robot)
 
     # -- accounting -------------------------------------------------------
-
-    def update_starved(self, scanner: _Scanner, now_ms: int) -> None:
-        """Open or close the scanner's starvation interval at `now_ms`: it
-        starves while its bed is empty and its hopper has run out."""
-        starving = scanner.bed == BED_EMPTY and not scanner.prints
-        if starving != scanner.starving:
-            scanner.starving = starving
-            remaining = self.horizon_ms - now_ms
-            scanner.starved_ms += remaining if starving else -remaining
 
     def build_report(self) -> ThroughputReport:
         hours = self.horizon_ms / MS_PER_SECOND / 3600.0
