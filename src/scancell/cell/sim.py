@@ -47,7 +47,7 @@ import heapq
 import math
 import random
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DomainError
@@ -143,22 +143,28 @@ class SimTrace:
     def events(self) -> _EventView:
         return _EventView(self)
 
-    def to_csv(self) -> str:
-        # joined a block at a time, so only one block's line strings live
-        # next to the text
+    def csv_blocks(self) -> Iterator[str]:
+        """The CSV text in pieces: the header, then a newline before the
+        lines of each `CSV_BLOCK_EVENTS` events, and a final newline, so a
+        writer holds one block's text at a time."""
         labels = _csv_labels(self.vocabulary)
-        blocks = [self.CSV_HEADER]
+        yield self.CSV_HEADER
         for start in range(0, len(self.times), CSV_BLOCK_EVENTS):
             stop = start + CSV_BLOCK_EVENTS
-            lines = [
-                f"{time_ms},{labels[kind]}{'' if cause == NO_CAUSE else cause}"
-                for time_ms, kind, cause in zip(
-                    self.times[start:stop], self.kinds[start:stop], self.causes[start:stop]
-                )
-            ]
-            blocks.append("\n".join(lines))
-        blocks.append("")  # ends the text with a newline
-        return "\n".join(blocks)
+            yield "\n"
+            # the block's line strings are freed once joined
+            yield "\n".join(
+                [
+                    f"{time_ms},{labels[kind]}{'' if cause == NO_CAUSE else cause}"
+                    for time_ms, kind, cause in zip(
+                        self.times[start:stop], self.kinds[start:stop], self.causes[start:stop]
+                    )
+                ]
+            )
+        yield "\n"
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_blocks())
 
 
 class _EventView(Sequence):

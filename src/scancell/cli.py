@@ -19,13 +19,14 @@ give byte-identical outputs. Exit codes: 0 success, 1 domain or analysis
 error, 2 usage or configuration error.
 
 Each subcommand's handler returns what it produces, bytes (PGM), text
-(CSV) or a JSON record or dict, and `main` writes it to `--out` (stdout
-when absent or "-"). A handler that also writes `--trace` or `--csv`
+(CSV), text pieces (a CSV written block by block) or a JSON record or
+dict, and `main` writes it to `--out` (stdout when absent or "-"). A handler that also writes `--trace` or `--csv`
 returns a list of (path, result) pairs; paper-check returns (text, exit code).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -38,11 +39,13 @@ from .errors import AnalysisError, ConfigError, DomainError, ParseError
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+CSV_BLOCK_ROWS = 1 << 16  # sample rows per block of CSV text
 
 
 def _write(result, path: str | None) -> None:
-    """Write one result to `path`, or to stdout when `path` is None or "-";
-    text as UTF-8, a record or dict as JSON with finite numbers only."""
+    """Write one result to `path`, or to stdout when `path` is None or "-":
+    bytes as they are, text and each str of an iterable of text pieces as
+    UTF-8, and a record or dict as JSON with finite numbers only."""
     if isinstance(result, JsonRecord):
         result = result.to_json_dict()
     if isinstance(result, dict):
@@ -51,12 +54,12 @@ def _write(result, path: str | None) -> None:
         except ValueError as exc:
             # finite inputs whose result overflows to infinity
             raise DomainError(f"result is not finite: {exc}") from None
-    if path is not None and path != "-":
-        Path(path).write_bytes(result if isinstance(result, bytes) else result.encode())
-    elif isinstance(result, bytes):
-        sys.stdout.buffer.write(result)
-    else:
-        sys.stdout.write(result)
+    if isinstance(result, (str, bytes)):
+        result = (result,)
+    to_file = path is not None and path != "-"
+    with open(path, "wb") if to_file else contextlib.nullcontext(sys.stdout.buffer) as out:
+        for piece in result:
+            out.write(piece if isinstance(piece, bytes) else piece.encode())
 
 
 def _load(record, path: str | None, default=None):
@@ -81,7 +84,7 @@ def _load(record, path: str | None, default=None):
 def _cmd_simulate(args: argparse.Namespace):
     config = _load(cell.CellConfig, args.config, cell.CellConfig)
     trace, report = cell.simulate(config, seed=args.seed, horizon_seconds=args.hours * 3600.0)
-    outputs = [(args.trace, trace.to_csv())] if args.trace is not None else []
+    outputs = [(args.trace, trace.csv_blocks())] if args.trace is not None else []
     return outputs + [(args.out, report)]
 
 
@@ -189,6 +192,20 @@ def _cmd_preserve_plan(args: argparse.Namespace):
     return preservation.plan_remediation(_load(preservation.PrintCondition, args.condition))
 
 
+def _sample_csv(conditions):
+    """The sampled conditions as CSV text pieces: the header, then a
+    newline before each block of `CSV_BLOCK_ROWS` rows, and a final newline."""
+    yield ",".join(f.name for f in dataclasses.fields(preservation.PrintCondition))
+    # boxes share at most 144 condition instances: render each one once
+    distinct = dict(zip(map(id, conditions), conditions))
+    text = {key: ",".join(map(str, c.to_json_dict().values())) for key, c in distinct.items()}
+    for start in range(0, len(conditions), CSV_BLOCK_ROWS):
+        block = conditions[start : start + CSV_BLOCK_ROWS]
+        yield "\n"
+        yield "\n".join(map(text.__getitem__, map(id, block)))
+    yield "\n"
+
+
 def _cmd_preserve_sample(args: argparse.Namespace):
     rates = _load(preservation.IssueRates, args.rates, preservation.IssueRates)
     conditions = preservation.sample_boxes(
@@ -197,12 +214,7 @@ def _cmd_preserve_sample(args: argparse.Namespace):
     observed = preservation.aggregate_rates(conditions)
     outputs = []
     if args.csv is not None:
-        header = ",".join(f.name for f in dataclasses.fields(preservation.PrintCondition))
-        # boxes share at most 144 condition instances: render each one once
-        distinct = dict(zip(map(id, conditions), conditions))
-        text = {key: ",".join(map(str, c.to_json_dict().values())) for key, c in distinct.items()}
-        rows = map(text.__getitem__, map(id, conditions))
-        outputs.append((args.csv, "\n".join([header, *rows]) + "\n"))
+        outputs.append((args.csv, _sample_csv(conditions)))
     payload = observed.to_json_dict()
     payload["independent_any_intervention"] = preservation.independent_any_intervention_rate(rates)
     payload["configured_any_intervention"] = rates.any_intervention

@@ -426,6 +426,18 @@ class TestTraceStructure:
         assert first == ["0", "cell", "program_initiated", ""]
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
+    @pytest.mark.parametrize("horizon_seconds", [0, 600])
+    def test_csv_blocks_frame_each_block(self, monkeypatch, horizon_seconds):
+        whole = simulate(CALIBRATED, seed=1, horizon_seconds=horizon_seconds)[0].to_csv()
+        monkeypatch.setattr(sim, "CSV_BLOCK_EVENTS", 7)
+        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=horizon_seconds)
+        pieces = list(trace.csv_blocks())
+        assert pieces[0] == SimTrace.CSV_HEADER and pieces[-1] == "\n"
+        assert set(pieces[1:-1:2]) <= {"\n"}
+        sizes = [block.count("\n") + 1 for block in pieces[2:-1:2]]
+        assert sum(sizes) == len(trace.times) and set(sizes[:-1]) <= {7}
+        assert "".join(pieces) == trace.to_csv() == whole
+
     def test_absolute_reference_chain(self):
         trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
         scan_started = transitions(trace, "scan_started")

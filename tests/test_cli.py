@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scancell import acceptance, preservation
+from scancell import acceptance, cli, preservation
 from scancell.acceptance import CheckResult
 from scancell.cell import CellConfig, HandlingTime, sim
 from scancell.cli import main
@@ -116,6 +116,16 @@ class TestSimulateCommand:
         assert lines[0] == "time_ms,entity,transition,cause_event_id"
         payload = json.loads(report.read_text())
         assert payload["mode"] == "simulated"
+
+    def test_streamed_trace_equals_to_csv(self, capsys, tmp_path, monkeypatch):
+        expected = sim.simulate(CellConfig(), seed=7, horizon_seconds=1800)[0].to_csv()
+        monkeypatch.setattr(sim, "CSV_BLOCK_EVENTS", 7)  # many blocks
+        argv = ["simulate", "--seed", "7", "--hours", "0.5", "--report", str(tmp_path / "r.json")]
+        trace = tmp_path / "trace.csv"
+        assert run(capsys, *argv, "--trace", str(trace)) == (0, "", "")
+        assert trace.read_text() == expected
+        assert run(capsys, *argv, "--trace", "-") == (0, expected, "")
+        assert expected.count("\n") > 3 * 7
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         config = tmp_path / "cell.json"
@@ -256,6 +266,17 @@ class TestPreserveCommand:
         assert payload["independent_any_intervention"] == pytest.approx(0.371, abs=0.002)
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 501
+
+    def test_streamed_sample_csv_equals_the_per_box_text(self, capsys, tmp_path, monkeypatch):
+        conditions = preservation.sample_boxes(500, 11, IssueRates())
+        rows = [",".join(map(str, c.to_json_dict().values())) for c in conditions]
+        expected = "\n".join([",".join(f.name for f in fields(PrintCondition)), *rows]) + "\n"
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)  # many blocks
+        argv = ["preserve", "sample", "--n", "500", "--seed", "11", "--out", str(tmp_path / "o")]
+        csv_path = tmp_path / "conditions.csv"
+        assert run(capsys, *argv, "--csv", str(csv_path)) == (0, "", "")
+        assert csv_path.read_text() == expected
+        assert run(capsys, *argv, "--csv", "-") == (0, expected, "")
 
 
 class TestQcCommands:
