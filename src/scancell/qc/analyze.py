@@ -308,7 +308,9 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
     # lines not counted in full lie between the first and last that qualify
     rows = np.flatnonzero(row_counts >= min_count_col)
     cols = np.flatnonzero(col_counts >= min_count_row)
-    margin = round(border_mm * raster.ppi / MM_PER_INCH)
+    # a margin past the larger side widens the box to the whole raster, so
+    # clamping it there keeps a huge border from overflowing round()
+    margin = round(min(border_mm * raster.ppi / MM_PER_INCH, max(height, width)))
     return (
         max(0, int(cols[0]) - margin),
         max(0, int(rows[0]) - margin),

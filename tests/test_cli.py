@@ -662,6 +662,16 @@ def test_qc_render_beyond_the_raster_exits_1(capsys, tmp_path, monkeypatch, flag
     assert not (tmp_path / "x.pgm").exists()
 
 
+def test_qc_crop_with_a_border_past_the_scan_keeps_all_of_it(capsys, tmp_path, monkeypatch):
+    from scancell.qc import render_print_scan
+
+    monkeypatch.chdir(tmp_path)
+    render_print_scan(50.0).save(tmp_path / "scan.pgm")
+    argv = ["qc", "crop", "scan.pgm", "--border-mm", "1e308", "--out", "c.pgm"]
+    assert run(capsys, *argv) == (0, "", "")
+    assert (tmp_path / "c.pgm").read_bytes() == (tmp_path / "scan.pgm").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, exit_code",
     [
@@ -908,7 +918,7 @@ FUZZ_COMMANDS = [
       "--scale-error": ["0", "0.002", "-0.5", "-1", "3", "nan"],
       "--noise-sigma": ["0", "2", "-1", "nan"], "--blur-px": ["0", "1.5", "-1", "nan", "1e308"]}),
     ("qc analyze", {"": _RASTER}, {"--out": _OUT}),
-    ("qc crop", {"": _RASTER, "--out": _OUT}, {"--border-mm": ["5", "0", "-1", "nan", "1e9", "x"]}),
+    ("qc crop", {"": _RASTER, "--out": _OUT}, {"--border-mm": ["5", "0", "-1", "nan", "1e9", "1e308", "x"]}),
     ("parse-id", {"": ["4/BC/0056", "K17/LOCAL/NOTES", "x", "", "é"]},
      {"--usaaf": [None], "--out": _OUT}),
     ("preserve plan", {"": _JSON}, {"--out": _OUT}),

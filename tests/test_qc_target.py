@@ -612,6 +612,11 @@ class TestCrop:
         assert cropped.width == 120 + border
         assert cropped.height == 120 + border
 
+    @pytest.mark.parametrize("border_mm", [1e308, 1e9])
+    def test_border_past_the_raster_keeps_all_of_it(self, border_mm):
+        scan = render_print_scan(50)
+        assert find_print_box(scan, border_mm) == (0, 0, scan.width, scan.height)
+
     def test_print_box_detection(self):
         pixels = np.full((100, 150), 12, dtype=np.uint8)
         pixels[20:70, 30:110] = 210
