@@ -22,7 +22,15 @@ time; it is folded into h.
 Dispatch: the robot is busy from the start of a visit to its end and
 through a stall, idle otherwise. It picks its next visit at t = 0, when a
 visit ends or a stall is resolved, and, while idle, when a scan completes
-or a hopper is reloaded; no dispatch lands while it is busy.
+or a hopper is reloaded; no dispatch lands while it is busy. It serves
+the scanners in turn, by the one state each is in: awaiting a load (a
+plate visit while a plate tops the hopper, else a load), awaiting an
+unload (from scan completion until the unloading robot departs), or
+starved (bed and hopper empty, so the robot senses the empty hopper). A
+scanner that is scanning, or whose empty hopper the robot has sensed,
+needs no visit; a reload moves a starved or sensed-empty scanner back to
+awaiting a load, and in any other state only refills the hopper.
+Starvation runs from the unloading robot's departure to the reload.
 
 Failures: a hopper pick may fail per attempt; after the retry limit the
 cell stops and reports an error, which a worker resolves at the next
@@ -55,9 +63,9 @@ from .config import MS_PER_SECOND, CellConfig
 from .throughput import ThroughputReport
 
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
-# events one run may emit; a held event costs 18 B in the trace columns,
-# but the CSV text and its encoding cost about 40 B each, so a run at the
-# budget peaks near 0.3 GB (4 weeks of the default config emit 265k)
+# events one run may emit; a held event costs 18 B in the trace columns and
+# the CSV is written a block at a time, so a run at the budget peaks near
+# 0.1 GB (4 weeks of the default config emit 265k)
 MAX_EVENTS = 3_000_000
 CSV_BLOCK_EVENTS = 1 << 16  # events per block of CSV text and of engine columns
 NO_CAUSE = -1  # the cause column's value for `program_initiated`
