@@ -20,8 +20,9 @@ error, 2 usage or configuration error.
 
 Each subcommand's handler returns what it produces, bytes (PGM), text
 (CSV), text pieces (a CSV written block by block) or a JSON record or
-dict, and `main` writes it to `--out` (stdout when absent or "-"). A handler that also writes `--trace` or `--csv`
-returns a list of (path, result) pairs; paper-check returns (text, exit code).
+dict, and `main` writes it to `--out` (stdout when absent or "-"). A
+handler that also writes `--trace` or `--csv` returns a list of (path,
+result) pairs; paper-check returns (text, exit code).
 """
 from __future__ import annotations
 
