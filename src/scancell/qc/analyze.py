@@ -7,17 +7,21 @@ the 10th and 90th intensity percentiles of the profile under test, which
 tolerates moderate blur and noise and keeps results reproducible.
 
 The print crop thresholds the whole scan the same way. Its percentiles,
-and the median (50th percentile) of its no-contrast fallback, come from a
-256-bin count of the 8-bit pixels, taken a strip of rows at a time, and
-equal those of `np.percentile` exactly. The box is then found inward
-from the edges: light pixels are counted a strip of rows at a time from
-the top until a row qualifies, then from the bottom; the rows between are
-counted in column blocks from the left and then from the right, onto the
-column counts of the rows already counted, until a column qualifies. A
-tile whose brightest pixel is not light is skipped. Every row and column
-that can bound the box is thus counted in full, the interior of a
-centred print is never counted, and no temporary is larger than one tile
-of `STRIP_PX` pixels, the strip size that also bounds a noisy render.
+and the median (50th percentile) of its no-contrast fallback, equal
+those of `np.percentile` exactly. Each pixel value they interpolate is
+read off a 256-bin count of a strided sample of at most `STRIP_PX`
+pixels, then checked by one pass over the scan, a strip of rows at a
+time, that counts the pixels at or below it and at or below the level
+under it. Should a check fail, the values are read off a 256-bin count
+of every pixel instead. The box is then found inward from the edges:
+light pixels are counted a strip of rows at a time from the top until a
+row qualifies, then from the bottom; the rows between are counted in
+column blocks from the left and then from the right, onto the column
+counts of the rows already counted, until a column qualifies. A tile
+whose brightest pixel is not light is skipped. Every row and column that
+can bound the box is thus counted in full, the interior of a centred
+print is never counted, and no temporary is larger than one tile of
+`STRIP_PX` pixels, the strip size that also bounds a noisy render.
 """
 from __future__ import annotations
 
@@ -73,30 +77,58 @@ def _histogram(pixels: np.ndarray) -> np.ndarray:
     for _, _, tile in _tiles(pixels):
         flat = np.ascontiguousarray(tile).reshape(-1)
         even = flat.size & ~1
-        pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
+        if even:  # a one-pixel tile has no pair
+            pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
         if even < flat.size:
             hist[flat[-1]] += 1
     folded = pairs.reshape(256, 256)
     return hist + folded.sum(axis=0) + folded.sum(axis=1)
 
 
-def _order_stat(cumulative: np.ndarray, k: int) -> float:
+def _order_stat(cumulative: np.ndarray, k: int) -> int:
     """The k-th smallest (0-based) of the values counted by `cumulative`."""
-    return float(np.searchsorted(cumulative, k, side="right"))
+    return int(np.searchsorted(cumulative, k, side="right"))
 
 
-def _histogram_percentiles(hist: np.ndarray, qs: tuple[float, ...]) -> tuple[float, ...]:
-    """`np.percentile` of the counted values, with its default linear
+def _sample(pixels: np.ndarray) -> np.ndarray:
+    """Every `step`-th pixel of every `step`-th row, for the least step
+    that keeps the sample within `STRIP_PX` pixels."""
+    height, width = pixels.shape
+    step = max(1, math.isqrt(pixels.size // STRIP_PX))
+    while -(-height // step) * -(-width // step) > STRIP_PX:
+        step += 1
+    return pixels[::step, ::step]
+
+
+def _order_stats(pixels: np.ndarray, ranks: list[int]) -> list[int]:
+    """The k-th smallest (0-based) pixel of a non-empty uint8 array for
+    each k in `ranks`: read off the sample's count at the same quantile and
+    kept if at most k pixels lie below it and more than k at or below it,
+    which one tiled pass counts; else read off the count of every pixel."""
+    sample = _sample(pixels)
+    cumulative = np.cumsum(_histogram(sample))
+    found = [_order_stat(cumulative, k * sample.size // pixels.size) for k in ranks]
+    at_most = {-1: 0, 255: pixels.size}  # pixels at or below each level
+    levels = {level for c in found for level in (c - 1, c)} - at_most.keys()
+    at_most.update(dict.fromkeys(levels, 0))
+    for _, _, tile in _tiles(pixels):
+        for level in levels:
+            at_most[level] += np.count_nonzero(tile <= level)
+    if not all(at_most[c - 1] <= k < at_most[c] for c, k in zip(found, ranks)):
+        cumulative = np.cumsum(_histogram(pixels))
+        found = [_order_stat(cumulative, k) for k in ranks]
+    return found
+
+
+def _percentiles(pixels: np.ndarray, qs: tuple[float, ...]) -> tuple[float, ...]:
+    """`np.percentile` of a non-empty uint8 array, with its default linear
     interpolation taken step for step so the result is bit-identical."""
-    cumulative = np.cumsum(hist)
-    n = int(cumulative[-1])
+    n = pixels.size
+    indices = [(n - 1) * (q / 100) for q in qs]
+    los = [min(max(math.floor(index), 0), n - 1) for index in indices]
+    values = _order_stats(pixels, [k for lo in los for k in (lo, min(lo + 1, n - 1))])
     out = []
-    for q in qs:
-        q = q / 100
-        index = (n - 1) * q
-        lo = min(max(math.floor(index), 0), n - 1)
-        a = _order_stat(cumulative, lo)
-        b = _order_stat(cumulative, min(lo + 1, n - 1))
+    for index, lo, a, b in zip(indices, los, values[::2], values[1::2]):
         gamma = index - lo
         out.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
     return tuple(out)
@@ -274,13 +306,12 @@ def find_print_box(raster: GrayRaster, border_mm: float = 0.0) -> tuple[int, int
     if not 0 <= border_mm < np.inf:
         raise DomainError("border must be finite and non-negative")
     pixels = raster.pixels
-    hist = _histogram(pixels)
-    if not hist.any():
+    if pixels.size == 0:
         raise AnalysisError("no light print region found")
     try:
-        threshold = _midway(*_histogram_percentiles(hist, (10.0, 90.0)))
+        threshold = _midway(*_percentiles(pixels, (10.0, 90.0)))
     except AnalysisError:
-        if _histogram_percentiles(hist, (50.0,))[0] > 127:  # the median
+        if _percentiles(pixels, (50.0,))[0] > 127:  # the median
             return (0, 0, raster.width, raster.height)
         raise AnalysisError("no light print region found") from None
     # an integer pixel exceeds the threshold exactly when it exceeds its floor

@@ -27,7 +27,7 @@ from scancell.qc import analyze
 from scancell.qc.analyze import (
     _dark_runs,
     _histogram,
-    _histogram_percentiles,
+    _percentiles,
 )
 
 GEOM = default_geometry()
@@ -422,25 +422,77 @@ def box_or_error(find, raster, border_mm):
         return str(exc)
 
 
+def sampled_away_rasters():
+    """Rasters on which the strided sample misleads: the pixels it takes
+    are dark and the rest light; light pixels only in the rows it skips;
+    levels 100 and 101 split the same way, so each candidate is one level
+    off; and noise whose sampled pixels are each one level brighter."""
+    rng = np.random.default_rng(15)
+    for height, width in ((40, 40), (33, 70), (90, 7)):
+        index = np.arange(height * width).reshape(height, width)
+        sampled = np.zeros(height * width, dtype=bool)
+        sampled[analyze._sample(index).reshape(-1)] = True
+        sampled = sampled.reshape(height, width)
+        yield np.where(sampled, 20, 220).astype(np.uint8)
+        skipped_rows = np.broadcast_to(~sampled.any(axis=1, keepdims=True), sampled.shape)
+        yield np.where(skipped_rows, 220, 20).astype(np.uint8)
+        yield np.where(sampled, 100, 101).astype(np.uint8)
+        noise = rng.integers(0, 255, size=(height, width), dtype=np.uint8)
+        yield noise + sampled.astype(np.uint8)
+
+
 class TestHistogramStatistics:
-    def test_match_numpy(self):
+    def test_histogram_counts_every_pixel(self):
         for pixels in sample_rasters():
             hist = _histogram(pixels)
             assert hist.sum() == pixels.size
-            assert _histogram_percentiles(hist, (10.0, 90.0)) == tuple(
-                np.percentile(pixels, (10.0, 90.0))
-            )
-            assert _histogram_percentiles(hist, (50.0,)) == (np.median(pixels),)
+            assert (hist == np.bincount(pixels.reshape(-1), minlength=256)).all()
+
+    def test_match_numpy(self):
+        for pixels in sample_rasters():
+            assert _percentiles(pixels, (10.0, 90.0)) == tuple(np.percentile(pixels, (10.0, 90.0)))
+            assert _percentiles(pixels, (50.0,)) == (np.median(pixels),)
 
     @pytest.mark.parametrize("strip_px", [1, 5, 64])
     def test_match_numpy_in_narrow_strips(self, monkeypatch, strip_px):
-        # strips narrower than a row split it across columns
+        # strips narrower than a row split it across columns, and the
+        # sample shrinks to at most one strip
         monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
         for pixels in list(sample_rasters())[::7]:
-            hist = _histogram(pixels)
-            assert _histogram_percentiles(hist, (10.0, 90.0)) == tuple(
-                np.percentile(pixels, (10.0, 90.0))
-            )
+            assert _percentiles(pixels, (10.0, 90.0)) == tuple(np.percentile(pixels, (10.0, 90.0)))
+            assert _percentiles(pixels, (50.0,)) == (np.median(pixels),)
+
+    def test_sample_within_one_strip(self, monkeypatch):
+        for strip_px in (1, 5, 64, 100, analyze.STRIP_PX):
+            monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+            for shape in ((1, 1), (1, 1000), (1000, 1), (40, 40), (33, 70), (999, 1001)):
+                assert 1 <= analyze._sample(np.zeros(shape, dtype=np.uint8)).size <= strip_px
+
+    def test_misleading_sample_falls_back_to_the_full_count(self, monkeypatch):
+        monkeypatch.setattr(analyze, "STRIP_PX", 100)
+        counted = []
+        histogram = analyze._histogram
+        monkeypatch.setattr(analyze, "_histogram", lambda p: counted.append(p.size) or histogram(p))
+        for pixels in sampled_away_rasters():
+            for qs, expected in (
+                ((10.0, 90.0), tuple(np.percentile(pixels, (10.0, 90.0)))),
+                ((50.0,), (np.median(pixels),)),
+            ):
+                counted.clear()
+                assert _percentiles(pixels, qs) == expected
+                assert counted == [analyze._sample(pixels).size, pixels.size]
+
+    def test_print_scan_needs_no_full_count(self, monkeypatch):
+        scan = render_print_scan(600)
+        histogram = analyze._histogram
+
+        def sample_only(pixels):
+            if pixels.size == scan.pixels.size:
+                raise AssertionError("the whole scan was counted")
+            return histogram(pixels)
+
+        monkeypatch.setattr(analyze, "_histogram", sample_only)
+        assert find_print_box(scan, 1.0) == print_box_by_percentile(scan, 1.0)
 
 
 class TestPrintBoxMatchesPercentileReference:
@@ -473,9 +525,14 @@ class TestPrintBoxMatchesPercentileReference:
         with pytest.raises(AnalysisError, match="no light print region"):
             find_print_box(GrayRaster(np.zeros(shape, dtype=np.uint8), 300))
 
-    @pytest.mark.parametrize("band", [None, "tall", "wide"])
-    def test_peak_memory_a_few_mb(self, band):
-        scan = render_print_scan(600)
+    @pytest.mark.parametrize(
+        "ppi, band",
+        [(600, None), (600, "tall"), (600, "wide"), (1200, None)],
+        ids=["None", "tall", "wide", "1200ppi"],
+    )
+    def test_peak_memory_a_few_mb(self, ppi, band):
+        # at 1200 ppi the strided sample is largest: it fills one strip
+        scan = render_print_scan(ppi)
         if band is not None:
             scan, box = dusty_band_scan(scan.height, scan.width, band)
         tracemalloc.start()
