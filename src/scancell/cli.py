@@ -33,7 +33,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import acceptance, cell, economics, photogrammetry, preservation, qc, sortie
+# qc and acceptance, and numpy with them, are imported by the handlers
+# that use them, so the other commands start without numpy
+from . import cell, economics, photogrammetry, preservation, sortie
 from .codec import JsonRecord
 from .errors import AnalysisError, ConfigError, DomainError, ParseError
 
@@ -145,6 +147,7 @@ def _cmd_cost(args: argparse.Namespace):
 
 
 def _cmd_qc_render(args: argparse.Namespace):
+    from . import qc
     distortions = qc.Distortions(
         scale_error_fraction=args.scale_error,
         noise_sigma=args.noise_sigma,
@@ -157,6 +160,7 @@ def _cmd_qc_render(args: argparse.Namespace):
 
 
 def _cmd_qc_analyze(args: argparse.Namespace):
+    from . import qc
     source = Path(args.raster)
     if not source.is_dir():
         return qc.analyze_target(qc.GrayRaster.load(source)).to_json_dict()
@@ -175,7 +179,9 @@ def _cmd_qc_analyze(args: argparse.Namespace):
 
 
 def _cmd_qc_crop(args: argparse.Namespace):
-    cropped = qc.crop_to_border(qc.GrayRaster.load(args.raster), border_mm=args.border_mm)
+    from . import qc
+    border_mm = qc.analyze.BORDER_MM if args.border_mm is None else args.border_mm
+    cropped = qc.crop_to_border(qc.GrayRaster.load(args.raster), border_mm=border_mm)
     return cropped.to_pgm_bytes()
 
 
@@ -276,6 +282,7 @@ def _cmd_storage(args: argparse.Namespace):
 
 
 def _cmd_paper_check(args: argparse.Namespace):
+    from . import acceptance
     results = acceptance.run_all()
     width = max(len(r.criterion) for r in results)
     lines = []
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     crop = _command(qc_sub, "crop", _cmd_qc_crop, help="crop a scan to the print plus border")
     crop.add_argument("raster")
     crop.add_argument("--out", required=True)
-    crop.add_argument("--border-mm", type=float, default=qc.analyze.BORDER_MM)
+    crop.add_argument("--border-mm", type=float)  # default: qc.analyze.BORDER_MM
 
     pid = _command(sub, "parse-id", _cmd_parse_id, help="parse a sortie identifier")
     pid.add_argument("identifier")

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -403,6 +405,14 @@ def test_unwritable_output_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "i/o error" in err
+
+
+def test_import_leaves_numpy_out():
+    # only the qc and paper-check handlers import numpy, through qc
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, scancell.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
 
 
 def test_cost_curve_csv(capsys, tmp_path):
