@@ -12,16 +12,20 @@ those of `np.percentile` exactly. Each pixel value they interpolate is
 read off a 256-bin count of a strided sample of at most `STRIP_PX`
 pixels, then checked by one pass over the scan, a strip of rows at a
 time, that counts the pixels at or below it and at or below the level
-under it. Should a check fail, the values are read off a 256-bin count
-of every pixel instead. The box is then found inward from the edges:
-light pixels are counted a strip of rows at a time from the top until a
-row qualifies, then from the bottom; the rows between are counted in
-column blocks from the left and then from the right, onto the column
-counts of the rows already counted, until a column qualifies. A tile
-whose brightest pixel is not light is skipped. Every row and column that
-can bound the box is thus counted in full, the interior of a centred
-print is never counted, and no temporary is larger than one tile of
-`STRIP_PX` pixels, the strip size that also bounds a noisy render.
+under it. Each tile's minimum and maximum decide every level outside
+its range, so only a tile whose range holds a level has its pixels
+compared; on a print scan, whose tiles are nearly all background or all
+print, few are. Should a check fail, the values are read off
+a 256-bin count of every pixel instead. The box is then found inward
+from the edges: light pixels are counted a strip of rows at a time from
+the top until a row qualifies, then from the bottom; the rows between
+are counted in column blocks from the left and then from the right,
+onto the column counts of the rows already counted, until a column
+qualifies. A tile whose brightest pixel is not light is skipped. Every
+row and column that can bound the box is thus counted in full, the
+interior of a centred print is never counted, and no temporary is
+larger than one tile of `STRIP_PX` pixels, the strip size that also
+bounds a noisy render.
 """
 from __future__ import annotations
 
@@ -71,11 +75,16 @@ def _tiles(pixels: np.ndarray):
 def _histogram(pixels: np.ndarray) -> np.ndarray:
     """Count of each of the 256 intensities of a uint8 array."""
     # bincount over uint16 pairs of neighbouring pixels handles half as many
-    # elements as over the pixels; each pair then counts for both its bytes
+    # elements as over the pixels; each pair then counts for both its bytes.
+    # A tile of fewer pixels than pair bins counts its bytes instead, so each
+    # count's size follows the tile's shape alone, never the pixel values
     pairs = np.zeros(1 << 16, dtype=np.intp)
     hist = np.zeros(256, dtype=np.intp)
     for _, _, tile in _tiles(pixels):
         flat = np.ascontiguousarray(tile).reshape(-1)
+        if 1 < flat.size < 1 << 16:
+            hist += np.bincount(flat, minlength=256)
+            continue
         even = flat.size & ~1
         if even:  # a one-pixel tile has no pair
             pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
@@ -100,6 +109,25 @@ def _sample(pixels: np.ndarray) -> np.ndarray:
     return pixels[::step, ::step]
 
 
+def _count_at_most(pixels: np.ndarray, levels) -> dict[int, int]:
+    """The pixels at or below each level, counted in one tiled pass. A
+    tile's range decides a level outside it: the whole tile is at or below
+    a level from its maximum up, and none of it below its minimum (read
+    only once a level lies below the maximum)."""
+    at_most = dict.fromkeys(levels, 0)
+    for _, _, tile in _tiles(pixels):
+        high, low = int(tile.max()), None
+        for level in at_most:
+            if level >= high:
+                at_most[level] += tile.size
+                continue
+            if low is None:
+                low = int(tile.min())
+            if level >= low:
+                at_most[level] += np.count_nonzero(tile <= level)
+    return at_most
+
+
 def _order_stats(pixels: np.ndarray, ranks: list[int]) -> list[int]:
     """The k-th smallest (0-based) pixel of a non-empty uint8 array for
     each k in `ranks`: read off the sample's count at the same quantile and
@@ -108,12 +136,8 @@ def _order_stats(pixels: np.ndarray, ranks: list[int]) -> list[int]:
     sample = _sample(pixels)
     cumulative = np.cumsum(_histogram(sample))
     found = [_order_stat(cumulative, k * sample.size // pixels.size) for k in ranks]
-    at_most = {-1: 0, 255: pixels.size}  # pixels at or below each level
-    levels = {level for c in found for level in (c - 1, c)} - at_most.keys()
-    at_most.update(dict.fromkeys(levels, 0))
-    for _, _, tile in _tiles(pixels):
-        for level in levels:
-            at_most[level] += np.count_nonzero(tile <= level)
+    levels = {level for c in found for level in (c - 1, c)} - {-1, 255}
+    at_most = {-1: 0, 255: pixels.size, **_count_at_most(pixels, levels)}
     if not all(at_most[c - 1] <= k < at_most[c] for c, k in zip(found, ranks)):
         cumulative = np.cumsum(_histogram(pixels))
         found = [_order_stat(cumulative, k) for k in ranks]

@@ -495,6 +495,47 @@ class TestHistogramStatistics:
         assert find_print_box(scan, 1.0) == print_box_by_percentile(scan, 1.0)
 
 
+def check_pass_rasters():
+    """Rasters whose tiles, at each strip size tested, are uniform (one
+    level, or one level a tile row), mixed, or mixed with most pixels at
+    the tile's minimum or maximum; each also as the non-contiguous views."""
+    rng = np.random.default_rng(16)
+    bases = [
+        np.full((9, 13), 8, dtype=np.uint8),
+        np.repeat(np.array([8, 200, 8, 0, 255, 200], dtype=np.uint8), 13 * 13).reshape(-1, 13),
+        rng.integers(0, 256, size=(17, 23), dtype=np.uint8),
+        np.where(rng.random((40, 13)) < 0.9, 8, 200).astype(np.uint8),
+        np.where(rng.random((40, 13)) < 0.1, 8, 200).astype(np.uint8),
+    ]
+    for pixels in bases:
+        yield pixels
+        yield pixels[:, ::3]
+        yield pixels[::2]
+
+
+class TestCheckPass:
+    @pytest.mark.parametrize("strip_px", [1, 13, analyze.STRIP_PX])
+    def test_counts_match_numpy_at_every_level(self, monkeypatch, strip_px):
+        # every level lies below, at the minimum of, inside, at the maximum
+        # of or above some tile's range
+        monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+        for pixels in check_pass_rasters():
+            counts = analyze._count_at_most(pixels, range(255))
+            assert counts == {level: np.count_nonzero(pixels <= level) for level in range(255)}
+
+    def test_uniform_tiles_compare_no_pixel(self, monkeypatch):
+        # one level per 13-pixel tile row; the levels include each tile's own
+        monkeypatch.setattr(analyze, "STRIP_PX", 13)
+        pixels = np.repeat(np.array([8, 200, 7, 199], dtype=np.uint8), 13 * 5).reshape(-1, 13)
+        levels = (7, 8, 199, 200)
+        expected = {level: np.count_nonzero(pixels <= level) for level in levels}
+        compared = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: compared.append(a) or count_nonzero(a))
+        assert analyze._count_at_most(pixels, levels) == expected
+        assert compared == []
+
+
 class TestPrintBoxMatchesPercentileReference:
     def test_sample_rasters(self):
         for pixels in sample_rasters():
