@@ -184,16 +184,26 @@ def _convolve_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_noise(image: np.ndarray, sigma: float, seed: int | np.random.Generator) -> np.ndarray:
-    """Additive Gaussian noise on a float image.
+def add_noise(
+    image: np.ndarray, sigma: float, seed: int | np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Additive Gaussian noise on a float image, returned as a new array,
+    or written into `out` (a float64 array that `image` broadcasts to) when
+    one is given; with `sigma` 0 the image itself is returned.
 
+    The noise `sigma * z` of standard normal draws `z` equals
+    `Generator.normal(0, sigma)`, which is `0 + sigma * z`, bit for bit.
     Given a `Generator` as `seed`, draws continue its stream, so noise added
     strip by strip from one generator equals noise added to the whole image.
     """
     if sigma <= 0:
         return image
-    rng = np.random.default_rng(seed)
-    return image + rng.normal(0.0, sigma, size=image.shape)
+    if out is None:
+        out = np.empty(image.shape)
+    np.random.default_rng(seed).standard_normal(out=out)
+    out *= sigma
+    out += image
+    return out
 
 
 def quantize(image: np.ndarray) -> np.ndarray:

@@ -22,10 +22,12 @@ do):
 
 Before quantizing, the target has three distinct rows (white, the scale
 band, the element band), so `render_target` draws and blurs those rows
-only and expands them to the full image as 8-bit pixels, adding noise in
-strips of `STRIP_PX`, the analyzer's strip size. A render therefore needs
-about one byte per pixel, at most 2 B/px plus 16 MB, and the
-`MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about 300 MB.
+only and expands them to the full image as 8-bit pixels. Noise is drawn,
+added, rounded and clipped in one float buffer of a strip of
+`STRIP_PX` pixels, the analyzer's strip size, reused by every strip. A
+render therefore needs about one byte per pixel, at most 2 B/px plus
+16 MB, and the `MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about
+300 MB.
 """
 from __future__ import annotations
 
@@ -285,14 +287,21 @@ def render_target(
 def _quantize_rows(
     rows: np.ndarray, row_of: np.ndarray, noise_sigma: float, seed: int
 ) -> np.ndarray:
-    """The 8-bit image `rows[row_of]`, with noise added strip by strip."""
+    """The 8-bit image `rows[row_of]`, with noise added strip by strip in
+    one reused strip buffer: each run of one distinct row within a strip
+    has its noise drawn there, its row added, and is then quantized in
+    place, as `quantize` does."""
     if noise_sigma <= 0:
         return quantize(rows)[row_of]
     rng = np.random.default_rng(seed)
-    out = np.empty((row_of.size, rows.shape[1]), dtype=np.uint8)
-    step = max(1, STRIP_PX // rows.shape[1])
-    for y in range(0, row_of.size, step):
-        out[y : y + step] = quantize(add_noise(rows[row_of[y : y + step]], noise_sigma, rng))
+    height, width = row_of.size, rows.shape[1]
+    out = np.empty((height, width), dtype=np.uint8)
+    step = max(1, STRIP_PX // width)
+    strip = np.empty((min(step, height), width))
+    cuts = sorted({*range(0, height, step), *(np.flatnonzero(np.diff(row_of)) + 1).tolist()})
+    for a, b in zip(cuts, [*cuts[1:], height]):
+        noisy = add_noise(rows[row_of[a]], noise_sigma, rng, out=strip[: b - a])
+        out[a:b] = np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
     return out
 
 

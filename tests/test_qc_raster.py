@@ -204,6 +204,20 @@ class TestFilters:
         strips = [add_noise(image[a:b], 2.0, rng) for a, b in ((0, 3), (3, 4), (4, 7))]
         assert np.array_equal(np.vstack(strips), add_noise(image, 2.0, seed=9))
 
+    def test_noise_is_generator_normal_added(self):
+        # `add_noise` draws standard normals and scales them; the sum equals
+        # the one `Generator.normal(0, sigma)` gives, written into `out` or not
+        image = np.random.default_rng(3).uniform(-5.0, 260.0, size=(6, 7))
+        image[0, :3] = (0.0, -0.0, 255.0)
+        expected = image + np.random.default_rng(9).normal(0.0, 2.0, size=image.shape)
+        assert np.array_equal(add_noise(image, 2.0, seed=9), expected)
+        out = np.empty((6, 7))
+        assert add_noise(image, 2.0, seed=9, out=out) is out
+        assert np.array_equal(out, expected)
+        rng = np.random.default_rng(9)
+        rows = [add_noise(image[i], 2.0, rng, out=np.empty((1, 7))) for i in range(6)]
+        assert np.array_equal(np.vstack(rows), expected)
+
     def test_noise_deterministic_per_seed(self):
         image = np.full((5, 5), 128.0)
         a = add_noise(image, 2.0, seed=9)

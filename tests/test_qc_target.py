@@ -23,12 +23,13 @@ from scancell.qc import (
     wedge_level,
     wedge_tones,
 )
-from scancell.qc import analyze
+from scancell.qc import analyze, target
 from scancell.qc.analyze import (
     _dark_runs,
     _histogram,
     _percentiles,
 )
+from scancell.qc.raster import add_noise, quantize
 
 GEOM = default_geometry()
 GROUP_STEP = 2.0 ** (1.0 / 6.0)
@@ -98,6 +99,18 @@ class TestRender:
     def test_canvas_size(self, target_1200):
         assert target_1200.width == round(250 / 25.4 * 1200)
         assert target_1200.height == round(25 / 25.4 * 1200)
+
+    @pytest.mark.parametrize("strip_px", [1, 40, 45, target.STRIP_PX])
+    def test_noisy_strips_equal_one_noisy_image(self, monkeypatch, strip_px):
+        # 23 rows of 9 px: strips of 4 and 5 rows leave a partial last strip,
+        # and the distinct rows change inside a strip
+        monkeypatch.setattr(target, "STRIP_PX", strip_px)
+        rows = np.random.default_rng(8).uniform(-10.0, 265.0, size=(3, 9))
+        row_of = np.repeat([0, 1, 2, 0, 2], [3, 6, 1, 8, 5])
+        image = rows[row_of]
+        assert np.array_equal(
+            target._quantize_rows(rows, row_of, 2.0, 5), quantize(add_noise(image, 2.0, 5))
+        )
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
     def test_peak_memory_two_bytes_per_pixel(self, noise_sigma):
