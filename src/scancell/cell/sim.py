@@ -340,21 +340,16 @@ class _Simulation:
         n = len(self.scanners)
         for offset in range(1, n + 1):
             scanner = self.scanners[(self.robot_last_served + offset) % n]
-            if self.start_visit(scanner, now_ms):
-                return
+            if scanner.state == AWAITING_LOAD:
+                (self.visit_plate if scanner.plate_on_top else self.visit_load)(scanner, now_ms)
+            elif scanner.state == AWAITING_UNLOAD:
+                self.visit_unload(scanner, now_ms)
+            elif scanner.state == STARVED:
+                self.visit_empty_check(scanner, now_ms)
+            else:  # SCANNING or SENSED_EMPTY: the robot passes on
+                continue
+            return
         self.robot_idle = True
-
-    def start_visit(self, scanner: _Scanner, now_ms: int) -> bool:
-        """Serve `scanner` if it needs the robot; False when it does not."""
-        if scanner.state == AWAITING_LOAD:
-            (self.visit_plate if scanner.plate_on_top else self.visit_load)(scanner, now_ms)
-        elif scanner.state == AWAITING_UNLOAD:
-            self.visit_unload(scanner, now_ms)
-        elif scanner.state == STARVED:
-            self.visit_empty_check(scanner, now_ms)
-        else:  # SCANNING or SENSED_EMPTY
-            return False
-        return True
 
     def begin_visit(self, scanner: _Scanner, now_ms: int) -> int:
         self.robot_last_served = scanner.index

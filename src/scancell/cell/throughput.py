@@ -51,14 +51,6 @@ class WorkforceParams:
     hours_per_week: float
     worker_fte: Fraction
 
-    def __post_init__(self) -> None:
-        if self.scans_per_scanner_hour <= 0:
-            raise DomainError("scan rate must be positive")
-        if self.scanners_per_station < 1 or self.scanners_per_worker < 1:
-            raise DomainError("scanner counts must be positive")
-        if self.hours_per_week <= 0 or not 0 < self.worker_fte <= 1:
-            raise DomainError("hours per week and worker FTE must be positive")
-
 
 HUMAN_OPERATED = WorkforceParams(
     scans_per_scanner_hour=50.0,

@@ -44,6 +44,7 @@ from .target import (
     WEDGE_SEGMENTS,
     CalibrationGeometry,
     TargetLayout,
+    band_rows,
     default_geometry,
 )
 
@@ -193,8 +194,8 @@ def measure_scale_px(raster: GrayRaster) -> ScaleMeasurement:
     labeling itself is only accurate to a pixel or two, which the +1 px
     term absorbs.
     """
-    px = raster.ppi / MM_PER_INCH
-    r0, r1 = round(SCALE_BAND_MM[0] * px), min(raster.height, round(SCALE_BAND_MM[1] * px))
+    r0, r1 = band_rows(SCALE_BAND_MM, raster.ppi)
+    r1 = min(raster.height, r1)
     if r1 <= r0:
         raise AnalysisError("scale row band lies outside the raster")
     profile = np.median(raster.pixels[r0:r1, :], axis=0)
@@ -393,10 +394,6 @@ class CalibrationReport:
     wedge_monotone: bool
     smallest_resolvable_um: float
     crop_box: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.wedge_values) != WEDGE_SEGMENTS:
-            raise DomainError(f"wedge_values must have exactly {WEDGE_SEGMENTS} entries")
 
     def to_json_dict(self) -> dict:
         """Fields in declaration order; the scale verdict as "pass" or "fail"."""

@@ -138,6 +138,22 @@ def _pixel_size(size_mm: tuple[float, float], ppi: float) -> tuple[int, int]:
     return round(sides[0]), round(sides[1])
 
 
+def band_rows(band_mm: tuple[float, float], ppi: float) -> tuple[int, int]:
+    """The rows `[start, stop)` of a band `band_mm` from the strip's top edge."""
+    px = ppi / MM_PER_INCH
+    return round(band_mm[0] * px), round(band_mm[1] * px)
+
+
+def _check_raster(what: str, ppi: float, width: int, height: int) -> None:
+    """Refuse a raster of no pixels, or of more than `MAX_RASTER_PIXELS`."""
+    if width < 1 or height < 1:
+        raise DomainError(f"{what} at {ppi} ppi rounds to {width}x{height} px")
+    if width * height > MAX_RASTER_PIXELS:
+        raise DomainError(
+            f"{what} at {ppi} ppi needs {width}x{height} px, beyond the raster limit"
+        )
+
+
 @dataclass(frozen=True)
 class GroupBox:
     group: ResolutionGroup
@@ -158,10 +174,6 @@ class TargetLayout:
     wedge_segment_edges_px: tuple[float, ...]
     wedge_first_centroid: tuple[int, int]  # (x, y)
     wedge_last_centroid: tuple[int, int]
-
-    @property
-    def expected_scale_px(self) -> float:
-        return self.scale_tick_centers_px[-1] - self.scale_tick_centers_px[0]
 
     @classmethod
     def compute(cls, geom: CalibrationGeometry, ppi: float) -> "TargetLayout":
@@ -193,11 +205,8 @@ class TargetLayout:
             width_px=width_px,
             height_px=height_px,
             scale_tick_centers_px=ticks,
-            scale_band_rows=(round(SCALE_BAND_MM[0] * px), round(SCALE_BAND_MM[1] * px)),
-            element_band_rows=(
-                round(ELEMENT_BAND_MM[0] * px),
-                round(ELEMENT_BAND_MM[1] * px),
-            ),
+            scale_band_rows=band_rows(SCALE_BAND_MM, ppi),
+            element_band_rows=band_rows(ELEMENT_BAND_MM, ppi),
             group_boxes=tuple(boxes),
             wedge_segment_edges_px=edges,
             wedge_first_centroid=first,
@@ -236,15 +245,7 @@ def render_target(
 ) -> GrayRaster:
     """Render the calibration target at `ppi`; deterministic given `seed`."""
     layout = TargetLayout.compute(geom, ppi)
-    if layout.width_px < 1 or layout.height_px < 1:
-        raise DomainError(
-            f"geometry at {ppi} ppi rounds to {layout.width_px}x{layout.height_px} px"
-        )
-    if layout.width_px * layout.height_px > MAX_RASTER_PIXELS:
-        raise DomainError(
-            f"geometry at {ppi} ppi needs {layout.width_px}x{layout.height_px} px, "
-            "beyond the raster limit"
-        )
+    _check_raster("geometry", ppi, layout.width_px, layout.height_px)
     blur_sigma = distortions.blur_radius_px / 2.0
     if 3.0 * blur_sigma > layout.width_px:  # `blur_rows` truncates its kernel at 3 sigma
         raise DomainError(
@@ -315,10 +316,7 @@ def render_print_scan(
     if PRINT_SIZE_MM[0] > scan_area_mm[0] or PRINT_SIZE_MM[1] > scan_area_mm[1]:
         raise DomainError("print does not fit in the scan area")
     width, height = _pixel_size(scan_area_mm, ppi)
-    if width < 1 or height < 1:
-        raise DomainError(f"scan area at {ppi} ppi rounds to {width}x{height} px")
-    if width * height > MAX_RASTER_PIXELS:
-        raise DomainError("scan area too large at this ppi")
+    _check_raster("scan area", ppi, width, height)
     canvas = np.full((height, width), BACKGROUND_LEVEL, dtype=np.uint8)
     pw, ph = _pixel_size(PRINT_SIZE_MM, ppi)
     x0 = (width - pw) // 2

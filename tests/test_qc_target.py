@@ -60,7 +60,8 @@ class TestGeometry:
             )
 
     def test_degenerate_ppi_scale_length(self):
-        assert TargetLayout.compute(GEOM, 1).expected_scale_px == pytest.approx(6.0)
+        ticks = TargetLayout.compute(GEOM, 1).scale_tick_centers_px
+        assert ticks[-1] - ticks[0] == pytest.approx(6.0)
 
     def test_oversized_raster_rejected(self):
         with pytest.raises(DomainError, match="raster limit"):
@@ -637,6 +638,19 @@ class TestMeasureScale:
         with pytest.raises(AnalysisError):
             measure_scale_px(blank)
 
+    @pytest.mark.parametrize("ppi", [300, 600, 1200, 2400, 487.5])
+    def test_reads_the_layout_scale_band(self, monkeypatch, ppi):
+        # neighbouring rows differ, so a band shifted by a row reads other pixels
+        height = TargetLayout.compute(GEOM, ppi).height_px
+        rows = np.arange(height) % 256
+        raster = GrayRaster(np.repeat(rows[:, None], 3, axis=1).astype(np.uint8), ppi)
+        read = []
+        monkeypatch.setattr(np, "median", lambda band, axis: read.append(band) or band[0])
+        with pytest.raises(AnalysisError, match="no contrast"):
+            measure_scale_px(raster)
+        r0, r1 = TargetLayout.compute(GEOM, ppi).scale_band_rows
+        assert [band.tolist() for band in read] == [raster.pixels[r0:r1].tolist()]
+
 
 class TestWedge:
     def test_undistorted_recovers_generator_levels(self, target_1200, layout_1200):
@@ -751,6 +765,11 @@ class TestPrintScanInputs:
     def test_zero_pixel_scan_rejected(self):
         with pytest.raises(DomainError, match="rounds to 0x0 px"):
             render_print_scan(1e-9)
+
+    def test_oversized_scan_rejected(self):
+        # 26,772 x 24,803 px (664 Mpx), refused before any pixel is allocated
+        with pytest.raises(DomainError, match="needs 26772x24803 px, beyond the raster limit"):
+            render_print_scan(2000)
 
     @pytest.mark.parametrize("ppi, area", [(1e308, (340.0, 315.0)), (300.0, (1e308, 300.0))])
     def test_side_beyond_any_array_rejected(self, ppi, area):
