@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -164,18 +166,20 @@ def _cmd_qc_analyze(args: argparse.Namespace):
     source = Path(args.raster)
     if not source.is_dir():
         return qc.analyze_target(qc.GrayRaster.load(source)).to_json_dict()
-    rows = ["file,measured_scale_px,scale_verdict,wedge_monotone,smallest_resolvable_um,error\n"]
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")
+    header = "file,measured_scale_px,scale_verdict,wedge_monotone,smallest_resolvable_um,error"
+    rows.writerow(header.split(","))
     for path in sorted(source.glob("*.pgm")):
         try:
             report = qc.analyze_target(qc.GrayRaster.load(path))
-            rows.append(
-                f"{path.name},{report.measured_scale_px:.2f},"
-                f"{'pass' if report.scale_verdict else 'fail'},"
-                f"{report.wedge_monotone},{report.smallest_resolvable_um:.2f},\n"
-            )
-        except (AnalysisError, DomainError) as exc:
-            rows.append(f"{path.name},,,,,{exc}\n")
-    return "".join(rows)
+        except (AnalysisError, DomainError, OSError) as exc:  # an unreadable entry gets its own row
+            rows.writerow((path.name, "", "", "", "", exc))
+            continue
+        scale, smallest = f"{report.measured_scale_px:.2f}", f"{report.smallest_resolvable_um:.2f}"
+        verdict = report.to_json_dict()["scale_verdict"]
+        rows.writerow((path.name, scale, verdict, report.wedge_monotone, smallest, ""))
+    return text.getvalue()
 
 
 def _cmd_qc_crop(args: argparse.Namespace):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -315,6 +316,31 @@ class TestQcCommands:
         lines = out.strip().split("\n")
         assert lines[0].startswith("file,measured_scale_px")
         assert len(lines) == 3
+
+    def test_batch_csv_quotes_commas_in_names_and_errors(self, capsys, tmp_path):
+        from scancell.qc import default_geometry, render_target
+
+        render_target(default_geometry(), 300.0).save(tmp_path / "d,e.pgm")
+        (tmp_path / "bad.pgm").write_bytes(b"P5\n# ppi 300\n2 2\n25x\n" + bytes(4))
+        code, out, _ = run(capsys, "qc", "analyze", str(tmp_path))
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows[1:]] == ["bad.pgm", "d,e.pgm"]
+        assert rows[1][5] == "PGM size and maxval must be integers: [b'2', b'2', b'25x']"
+        assert rows[2][2:4] == ["pass", "True"] and rows[2][5] == ""
+
+    def test_batch_unreadable_entry_gets_its_own_row(self, capsys, tmp_path):
+        from scancell.qc import default_geometry, render_target
+
+        render_target(default_geometry(), 300.0).save(tmp_path / "target.pgm")
+        (tmp_path / "sub.pgm").mkdir()
+        code, out, err = run(capsys, "qc", "analyze", str(tmp_path))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows[1:]] == ["sub.pgm", "target.pgm"]
+        assert rows[1][1:5] == ["", "", "", ""] and "Is a directory" in rows[1][5]
+        assert rows[2][2] == "pass" and rows[2][5] == ""
 
     def test_crop_file(self, capsys, tmp_path):
         import numpy as np
