@@ -641,14 +641,14 @@ class TestMeasureScale:
     @pytest.mark.parametrize("ppi", [300, 600, 1200, 2400, 487.5])
     def test_reads_the_layout_scale_band(self, monkeypatch, ppi):
         # neighbouring rows differ, so a band shifted by a row reads other pixels
-        height = TargetLayout.compute(GEOM, ppi).height_px
-        rows = np.arange(height) % 256
-        raster = GrayRaster(np.repeat(rows[:, None], 3, axis=1).astype(np.uint8), ppi)
+        layout = TargetLayout.compute(GEOM, ppi)
+        rows = (np.arange(layout.height_px) % 256).astype(np.uint8)
+        raster = GrayRaster(np.repeat(rows[:, None], 3, axis=1), ppi)
         read = []
         monkeypatch.setattr(np, "median", lambda band, axis: read.append(band) or band[0])
         with pytest.raises(AnalysisError, match="no contrast"):
             measure_scale_px(raster)
-        r0, r1 = TargetLayout.compute(GEOM, ppi).scale_band_rows
+        r0, r1 = layout.scale_band_rows
         assert [band.tolist() for band in read] == [raster.pixels[r0:r1].tolist()]
 
 
