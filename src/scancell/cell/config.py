@@ -93,8 +93,6 @@ class WeeklySchedule(JsonRecord):
 
     def next_present_time(self, t_seconds: float) -> float:
         """Earliest time >= t at which a worker is present; inf if never."""
-        if not self.intervals:
-            return math.inf
         if self.is_present(t_seconds):
             return t_seconds
         week_start = t_seconds - (t_seconds % SECONDS_PER_WEEK)

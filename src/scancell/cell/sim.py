@@ -232,7 +232,7 @@ class _Scanner:
         "starved_ms",
     )
 
-    def __init__(self, index: int, capacity: int | None, start_event: int):
+    def __init__(self, index: int, capacity: int | None):
         self.index = index
         # the scanner's kinds follow the cell's and the earlier scanners'
         # in `vocabulary`, robot arrival and departure first
@@ -246,7 +246,7 @@ class _Scanner:
         self.prints = math.inf if capacity is None else capacity
         self.plate_on_top = False
         self.state = AWAITING_LOAD
-        self.ready_event = start_event
+        self.ready_event = 0  # program_initiated
         self.ready_ms = 0
         self.lamp_event: int | None = None
         self.scanning_ms = 0
@@ -272,12 +272,11 @@ class _Simulation:
         # (time_ms, seq, action, args): action(time_ms, *args) runs at time_ms
         self.heap: list[tuple[int, int, object, tuple]] = []
         self.seq = 0
-        start = self.emit(0, PROGRAM_INITIATED, NO_CAUSE)
         self.scanners = [
-            _Scanner(i, config.hopper_capacity, start) for i in range(config.scanners_per_robot)
+            _Scanner(i, config.hopper_capacity) for i in range(config.scanners_per_robot)
         ]
         self.robot_idle = False  # idle with no dispatch due; the first is at t = 0
-        self.robot_last_event = start
+        self.robot_last_event = 0  # program_initiated
         self.robot_last_ms = 0
         self.robot_last_served = -1
         # an interval of robot work, scanning, stall or starvation is charged up to
@@ -321,6 +320,7 @@ class _Simulation:
         self.seq += 1
 
     def run(self) -> None:
+        self.emit(0, PROGRAM_INITIATED, NO_CAUSE)
         self.schedule(0, self.dispatch_robot)
         while self.heap:
             time_ms, _, action, args = heapq.heappop(self.heap)
@@ -341,23 +341,19 @@ class _Simulation:
         for offset in range(1, n + 1):
             scanner = self.scanners[(self.robot_last_served + offset) % n]
             if scanner.state == AWAITING_LOAD:
-                (self.visit_plate if scanner.plate_on_top else self.visit_load)(scanner, now_ms)
+                visit = self.visit_plate if scanner.plate_on_top else self.visit_load
             elif scanner.state == AWAITING_UNLOAD:
-                self.visit_unload(scanner, now_ms)
+                visit = self.visit_unload
             elif scanner.state == STARVED:
-                self.visit_empty_check(scanner, now_ms)
+                visit = self.visit_empty_check
             else:  # SCANNING or SENSED_EMPTY: the robot passes on
                 continue
+            self.robot_last_served = scanner.index
+            ready = scanner.ready_ms >= self.robot_last_ms
+            cause = scanner.ready_event if ready else self.robot_last_event
+            visit(scanner, now_ms, self.emit(now_ms, scanner.arrive, cause))
             return
         self.robot_idle = True
-
-    def begin_visit(self, scanner: _Scanner, now_ms: int) -> int:
-        self.robot_last_served = scanner.index
-        if scanner.ready_ms >= self.robot_last_ms:
-            cause = scanner.ready_event
-        else:
-            cause = self.robot_last_event
-        return self.emit(now_ms, scanner.arrive, cause)
 
     def end_visit(
         self, scanner: _Scanner, arrive: int, now_ms: int, duration: int, cause: int, chain
@@ -425,15 +421,13 @@ class _Simulation:
 
     # -- visit flavours ---------------------------------------------------
 
-    def visit_unload(self, scanner: _Scanner, now_ms: int) -> None:
-        arrive = self.begin_visit(scanner, now_ms)
+    def visit_unload(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
         lifted = self.emit(now_ms, scanner.kind["print_lifted_from_bed"], arrive)
         unloaded = (scanner.kind["print_unloaded"],)
         self.end_visit(scanner, arrive, now_ms, duration, lifted, unloaded)
 
-    def visit_plate(self, scanner: _Scanner, now_ms: int) -> None:
-        arrive = self.begin_visit(scanner, now_ms)
+    def visit_plate(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(PLATE_SHARE, now_ms)
         sense = self.emit(now_ms, scanner.kind["sense_plate"], arrive)
         lift = self.attempt_lift(scanner, scanner.plate_lift, now_ms, sense)
@@ -443,8 +437,7 @@ class _Simulation:
         transferred = (scanner.kind["plate_transferred"],)
         self.end_visit(scanner, arrive, now_ms, duration, lift, transferred)
 
-    def visit_load(self, scanner: _Scanner, now_ms: int) -> None:
-        arrive = self.begin_visit(scanner, now_ms)
+    def visit_load(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(LOAD_SHARE, now_ms)
         sense = self.emit(now_ms, scanner.kind["sense_print"], arrive)
         lift = self.attempt_lift(scanner, scanner.print_lift, now_ms, sense)
@@ -454,12 +447,12 @@ class _Simulation:
         scanner.plate_on_top = scanner.prints > 0
         if not scanner.prints:
             scanner.lamp_event = self.emit(now_ms, scanner.kind["hopper_empty_lamp_on"], lift)
-            self.schedule_reload(scanner, now_ms)
+            # a hopper empties at most once between refills, so one reload is pending at most
+            self.after_worker(now_ms, 0.0, self.config.reload_seconds, self.reload_done, scanner)
         scanner.state = SCANNING
         self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.load_chain)
 
-    def visit_empty_check(self, scanner: _Scanner, now_ms: int) -> None:
-        arrive = self.begin_visit(scanner, now_ms)
+    def visit_empty_check(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         sense = self.emit(now_ms, scanner.kind["sense_empty"], arrive)
         scanner.state = SENSED_EMPTY
         self.end_visit(scanner, arrive, now_ms, 0, sense, ())
@@ -474,16 +467,15 @@ class _Simulation:
         scanner.scans_done += 1
         self.wake_robot(now_ms)
 
-    def schedule_reload(self, scanner: _Scanner, now_ms: int) -> None:
-        """Refill an exhausted hopper once a worker is present; a hopper
-        empties at most once between refills, so one reload is pending
-        at most."""
-        worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
-        if worker_at == float("inf"):
+    def after_worker(self, now_ms: int, wait_s: float, work_s: float, action, *args) -> None:
+        """Schedule `action` `work_s` seconds after a worker is present and
+        `wait_s` has passed since `now_ms`; nothing if no worker ever comes."""
+        now_s = now_ms / MS_PER_SECOND
+        worker_s = self.config.attendance.next_present_time(now_s)
+        if worker_s == math.inf:
             return
-        done_s = worker_at + self.config.reload_seconds
-        done_ms = max(now_ms, round(done_s * MS_PER_SECOND))
-        self.schedule(done_ms, self.reload_done, scanner)
+        done_s = max(worker_s, now_s + wait_s) + work_s
+        self.schedule(round(done_s * MS_PER_SECOND), action, *args)
 
     def reload_done(self, now_ms: int, scanner: _Scanner) -> None:
         scanner.prints = self.config.hopper_capacity  # only a finite hopper empties
@@ -499,11 +491,7 @@ class _Simulation:
         self.emit(now_ms, scanner.depart, error)
         self.robot_last_event, self.robot_last_ms = error, now_ms
         self.stall_ms += self.horizon_ms - now_ms
-        worker_at = self.config.attendance.next_present_time(now_ms / MS_PER_SECOND)
-        if worker_at == float("inf"):
-            return
-        resume_s = max(worker_at, now_ms / MS_PER_SECOND + MIN_STALL_RECOVERY_SECONDS)
-        self.schedule(round(resume_s * MS_PER_SECOND), self.stall_over, scanner, error)
+        self.after_worker(now_ms, MIN_STALL_RECOVERY_SECONDS, 0.0, self.stall_over, scanner, error)
 
     def stall_over(self, now_ms: int, scanner: _Scanner, error: int) -> None:
         resolved = self.emit(now_ms, STALL_RESOLVED, error)
@@ -555,10 +543,8 @@ def simulate(
     if horizon_seconds < 0:
         raise ConfigError("horizon must be non-negative")
     horizon_ms = round(horizon_seconds * MS_PER_SECOND)
-    pairs = vocabulary(config.scanners_per_robot)
-    if horizon_ms == 0:
-        empty = SimTrace(array("q"), array("H"), array("q"), pairs, 0)
-        return empty, _Simulation(config, seed, 0).build_report()
     sim = _Simulation(config, seed, horizon_ms)
-    sim.run()
+    if horizon_ms:
+        sim.run()
+    pairs = vocabulary(config.scanners_per_robot)
     return SimTrace(sim.times, sim.kinds, sim.causes, pairs, horizon_ms), sim.build_report()
