@@ -33,10 +33,12 @@ awaiting a load, and in any other state only refills the hopper.
 Starvation runs from the unloading robot's departure to the reload.
 
 Failures: a hopper pick may fail per attempt; after the retry limit the
-cell stops and reports an error, which a worker resolves at the next
-attended moment (in-flight scans still finish). An exhausted input hopper
-lights a lamp; the robot senses it on the next pick, that scanner idles
-awaiting a reload, and the robot keeps serving the others.
+cell stops and reports an error (in-flight scans still finish), which a
+worker resolves once present, but never sooner than
+`MIN_STALL_RECOVERY_SECONDS` after the stall began. An exhausted input
+hopper lights a lamp; the robot senses it on the next pick, that scanner
+idles awaiting a reload, and the robot keeps serving the others. A reload
+completes `reload_seconds` after a worker is next present.
 
 Trace: the engine appends each event to three columns, its time, its
 kind (an index into the run's (entity, transition) vocabulary) and its

@@ -268,12 +268,12 @@ def sample_boxes(
     draw (negative values: issues spread over more boxes). Marginal rates
     are preserved exactly in both directions. The disjoint mixture needs
     the issue rates to sum to at most 1. Sampled mould is active with
-    probability `ACTIVE_MOULD_SHARE`, otherwise dormant. At most
-    `MAX_SAMPLE_BOXES` boxes are drawn in one call. Each box is one of the
+    probability `ACTIVE_MOULD_SHARE`, otherwise dormant. One call draws
+    at least 1 and at most `MAX_SAMPLE_BOXES` boxes. Each box is one of the
     shared instances that `all_conditions` lists.
     """
-    if not 0 <= n <= MAX_SAMPLE_BOXES:
-        raise DomainError(f"sample count must lie in [0, {MAX_SAMPLE_BOXES:,}], got {n}")
+    if not 1 <= n <= MAX_SAMPLE_BOXES:
+        raise DomainError(f"sample count must lie in [1, {MAX_SAMPLE_BOXES:,}], got {n}")
     if not -1.0 <= dependence <= 1.0:
         raise DomainError(f"dependence must lie in [-1, 1], got {dependence}")
     probabilities = rates.issue_probabilities()

@@ -386,6 +386,73 @@ class TestFailuresAndStalls:
         assert report.scans_completed > 10  # more than one hopper's worth
 
 
+HOUR_MS = 3600 * 1000
+DAY_MS = 24 * HOUR_MS
+
+
+def caused_pairs(trace, transition, cause_transition):
+    """(cause time_ms, time_ms) of each `transition` event, paired with the
+    `cause_transition` event that its cause id names."""
+    events = trace.events
+    pairs = []
+    for time_ms, _, _, cause in transitions(trace, transition):
+        assert events[cause][2] == cause_transition
+        pairs.append((events[cause][0], time_ms))
+    return pairs
+
+
+def next_weekday_nine_to_five_ms(time_ms):
+    """The first moment at or after `time_ms` of the default attendance,
+    09:00 to 17:00 Monday to Friday, with time 0 at Monday 00:00."""
+    day, in_day_ms = divmod(time_ms, DAY_MS)
+    if day % 7 < 5 and 9 * HOUR_MS <= in_day_ms < 17 * HOUR_MS:
+        return time_ms
+    day += in_day_ms >= 9 * HOUR_MS
+    while day % 7 >= 5:
+        day += 1
+    return day * DAY_MS + 9 * HOUR_MS
+
+
+class TestWorkerRule:
+    """A reload completes `reload_seconds` after a worker is next present;
+    a stall resolves once a worker is present, but no sooner than 1 s after
+    it began."""
+
+    def test_always_present_reload_takes_reload_seconds(self):
+        config = CellConfig(hopper_capacity=3, reload_seconds=12.3456, attendance=ALWAYS_PRESENT)
+        trace, _ = simulate(config, seed=1, horizon_seconds=4 * 3600)
+        pairs = caused_pairs(trace, "hopper_reloaded", "hopper_empty_lamp_on")
+        assert len(pairs) > 10
+        assert all(reloaded - lamp == 12_346 for lamp, reloaded in pairs)
+
+    def test_always_present_stall_resolves_after_one_second(self):
+        config = CellConfig(
+            hopper_capacity=None,
+            lift_failure_prob=0.2,
+            lift_retry_limit=1,
+            attendance=ALWAYS_PRESENT,
+        )
+        trace, _ = simulate(config, seed=1, horizon_seconds=4 * 3600)
+        pairs = caused_pairs(trace, "stall_resolved", "error_stall")
+        assert len(pairs) > 10
+        assert all(resolved - stall == 1_000 for stall, resolved in pairs)
+
+    def test_weekday_attendance_waits_for_the_next_worker(self):
+        config = CellConfig(hopper_capacity=30, lift_failure_prob=0.05, lift_retry_limit=1)
+        assert config.attendance == WeeklySchedule()
+        trace, _ = simulate(config, seed=1, horizon_seconds=168 * 3600)
+        stalls = caused_pairs(trace, "stall_resolved", "error_stall")
+        reloads = caused_pairs(trace, "hopper_reloaded", "hopper_empty_lamp_on")
+        for stall, resolved in stalls:
+            assert resolved == max(next_weekday_nine_to_five_ms(stall), stall + 1_000)
+        for lamp, reloaded in reloads:
+            assert reloaded == next_weekday_nine_to_five_ms(lamp) + 60_000
+        # both rules are exercised out of hours, where the worker is waited for
+        for pairs in (stalls, reloads):
+            assert any(next_weekday_nine_to_five_ms(t) > t for t, _ in pairs)
+            assert any(next_weekday_nine_to_five_ms(t) == t for t, _ in pairs)
+
+
 class TestTraceStructure:
     def test_invariants_on_calibrated_run(self):
         config = CellConfig(

@@ -241,6 +241,17 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("hours", ["0", "1e-10"])
+    def test_zero_millisecond_horizon_writes_a_header_only_trace(self, capsys, tmp_path, hours):
+        trace = tmp_path / "t.csv"
+        report = tmp_path / "r.json"
+        argv = ["simulate", "--seed", "1", "--hours", hours, "--trace", str(trace)]
+        assert run(capsys, *argv, "--report", str(report)) == (0, "", "")
+        assert trace.read_bytes() == b"time_ms,entity,transition,cause_event_id\n"
+        payload = json.loads(report.read_text())
+        assert payload["scans_completed"] == 0
+        assert payload["per_scanner_scans"] == [0, 0]
+
 
 class TestPreserveCommand:
     def test_plan_round_trip(self, capsys, tmp_path):
@@ -269,6 +280,17 @@ class TestPreserveCommand:
         assert payload["independent_any_intervention"] == pytest.approx(0.371, abs=0.002)
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 501
+
+    @pytest.mark.parametrize("n", ["0", "-1", "1000001"])
+    def test_sample_count_out_of_range_exits_1_naming_it(self, capsys, tmp_path, n):
+        csv_path = tmp_path / "conditions.csv"
+        code, out, err = run(
+            capsys, "preserve", "sample", "--n", n, "--seed", "1", "--csv", str(csv_path)
+        )
+        assert code == 1
+        assert err == f"preservation: sample count must lie in [1, 1,000,000], got {n}\n"
+        assert out == ""
+        assert not csv_path.exists()
 
     def test_streamed_sample_csv_equals_the_per_box_text(self, capsys, tmp_path, monkeypatch):
         conditions = preservation.sample_boxes(500, 11, IssueRates())
