@@ -89,6 +89,8 @@ _EXPECTS = {
     "commercial_survey": "expected company letters/two-letter country/two-digit year/film digits",
 }
 _LONG_CONTRACT = "9" * 5000 + "/BC/0056"
+_LONG_MISSION = "58/RAF/" + "9" * 5000
+_LONG_SURVEY_FILM = "HSL/GH/64/" + "9" * 5000
 
 
 def _no_match(text, **reasons):
@@ -142,9 +144,33 @@ class TestParseErrorText:
                 ),
             ),
             (
+                "4/BC/0000",
+                False,
+                _no_match(
+                    "4/BC/0000", dos_contract="film number must be a positive integer, got 0"
+                ),
+            ),
+            (
+                "0/BC/0000",
+                False,
+                _no_match(
+                    "0/BC/0000", dos_contract="contract number must be a positive integer, got 0"
+                ),
+            ),
+            (
                 _LONG_CONTRACT,
                 False,
                 _no_match(_LONG_CONTRACT, dos_contract=_int_error("9" * 5000)),
+            ),
+            (
+                _LONG_MISSION,
+                False,
+                _no_match(_LONG_MISSION, military_unit=_int_error("9" * 5000)),
+            ),
+            (
+                _LONG_SURVEY_FILM,
+                False,
+                _no_match(_LONG_SURVEY_FILM, commercial_survey=_int_error("9" * 5000)),
             ),
             ("justonetoken", False, _segments("justonetoken", 1)),
             ("A/B/C/D/E", False, _segments("A/B/C/D/E", 5)),
@@ -158,7 +184,11 @@ class TestParseErrorText:
             "zero-contract",
             "zero-mission",
             "zero-survey-film",
+            "zero-film",
+            "zero-contract-named-first",
             "5000-digit-contract",
+            "5000-digit-mission",
+            "5000-digit-survey-film",
             "one-segment",
             "five-segments",
             "lowercase-country",
