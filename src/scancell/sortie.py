@@ -5,15 +5,18 @@ parseable; pre-standardization USAAF labels are stored raw and accepted
 only when the caller says that is what they are holding.
 
 A regular family is a record with a full-string `pattern` and a
-`canonical()` text; only its `__post_init__` validates tokens. The three
-families are mutually exclusive, so no string is ambiguous: a commercial
-survey has four segments and the other two have three, and a contract's
-middle segment is two letters where a military service has at least three.
-So `58/RN/0456` is contract imagery and never a military mission. `parse`
-relies on this: it full-matches one alternation of the three patterns and
-reads the family from the alternative that matched. Canonical formatting
-zero-pads film and mission numbers to four digits; parsing accepts them
-with or without padding.
+`canonical()` text. The grammar checks the tokens of a parsed id, and
+`from_groups` fills the record from them without checking them again; only
+a number below 1 goes through the validated constructor, for its error.
+`__post_init__` checks a record built directly. The three families are
+mutually exclusive, so no string is ambiguous: a commercial survey has four
+segments and the other two have three, and a contract's middle segment is
+two letters where a military service has at least three. So `58/RN/0456`
+is contract imagery and never a military mission. `parse` relies on this:
+it full-matches one alternation of the three patterns and reads the family
+from the alternative that matched. Canonical formatting zero-pads film and
+mission numbers to four digits; parsing accepts them with or without
+padding.
 """
 from __future__ import annotations
 
@@ -45,6 +48,13 @@ def _validate_positive(name: str, value: int) -> None:
         raise ParseError(f"{name} must be a positive integer, got {value}")
 
 
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each of `cls`'s field slots, in field order. They
+    fill an `object.__new__(cls)` past the frozen `__setattr__` and
+    `__post_init__`, so only values the grammar has checked go through them."""
+    return tuple(getattr(cls, field.name).__set__ for field in fields(cls))
+
+
 class _SortieRecord:
     """A sortie id is written with a leading `variant` tag, then its fields,
     then the properties named in `derived`. It is never read back, so it
@@ -74,7 +84,15 @@ class DosContract(_SortieRecord):
 
     @classmethod
     def from_groups(cls, contract: str, country: str, film: str) -> DosContract:
-        return cls(int(contract), country, int(film))
+        contract_number, film_number = int(contract), int(film)
+        if contract_number < 1 or film_number < 1:
+            return cls(contract_number, country, film_number)
+        record = object.__new__(cls)
+        set_contract, set_country, set_film = _DOS_CONTRACT_SLOTS
+        set_contract(record, contract_number)
+        set_country(record, country)
+        set_film(record, film_number)
+        return record
 
     def __post_init__(self) -> None:
         _validate_positive("contract number", self.contract_number)
@@ -84,7 +102,7 @@ class DosContract(_SortieRecord):
         _validate_positive("film number", self.film_number)
 
     def canonical(self) -> str:
-        return f"{self.contract_number}/{self.country_code}/{self.film_number:04d}"
+        return "%s/%s/%04d" % (self.contract_number, self.country_code, self.film_number)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +119,15 @@ class MilitaryUnit(_SortieRecord):
 
     @classmethod
     def from_groups(cls, unit: str, service: str, mission: str) -> MilitaryUnit:
-        return cls(unit, service, int(mission))
+        mission_number = int(mission)
+        if mission_number < 1:
+            return cls(unit, service, mission_number)
+        record = object.__new__(cls)
+        set_unit, set_service, set_mission = _MILITARY_UNIT_SLOTS
+        set_unit(record, unit)
+        set_service(record, service)
+        set_mission(record, mission_number)
+        return record
 
     def __post_init__(self) -> None:
         _validate_token("unit must be an uppercase alphanumeric token", _UNIT_TOKEN, self.unit)
@@ -111,7 +137,7 @@ class MilitaryUnit(_SortieRecord):
         _validate_positive("mission number", self.mission_number)
 
     def canonical(self) -> str:
-        return f"{self.unit}/{self.service}/{self.mission_number:04d}"
+        return "%s/%s/%04d" % (self.unit, self.service, self.mission_number)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +158,16 @@ class CommercialSurvey(_SortieRecord):
 
     @classmethod
     def from_groups(cls, company: str, country: str, year: str, film: str) -> CommercialSurvey:
-        return cls(company, country, int(year), int(film))
+        year_two_digit, film_number = int(year), int(film)
+        if film_number < 1:
+            return cls(company, country, year_two_digit, film_number)
+        record = object.__new__(cls)
+        set_company, set_country, set_year, set_film = _COMMERCIAL_SURVEY_SLOTS
+        set_company(record, company)
+        set_country(record, country)
+        set_year(record, year_two_digit)
+        set_film(record, film_number)
+        return record
 
     def __post_init__(self) -> None:
         _validate_token("company must be an uppercase token", _COMPANY_TOKEN, self.company)
@@ -144,9 +179,8 @@ class CommercialSurvey(_SortieRecord):
         _validate_positive("film number", self.film_number)
 
     def canonical(self) -> str:
-        return (
-            f"{self.company}/{self.country_code}"
-            f"/{self.year_two_digit:02d}/{self.film_number:04d}"
+        return "%s/%s/%02d/%04d" % (
+            self.company, self.country_code, self.year_two_digit, self.film_number
         )
 
     @property
@@ -178,6 +212,10 @@ class UsArmyAirForce(_SortieRecord):
 
 
 SortieId = Union[DosContract, MilitaryUnit, CommercialSurvey, UsArmyAirForce]
+
+_DOS_CONTRACT_SLOTS = _slot_setters(DosContract)
+_MILITARY_UNIT_SLOTS = _slot_setters(MilitaryUnit)
+_COMMERCIAL_SURVEY_SLOTS = _slot_setters(CommercialSurvey)
 
 # Mutually exclusive (see the module docstring), so at most one
 # alternative of `_GRAMMAR` matches; each is a group named by its variant.

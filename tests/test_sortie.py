@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import string
@@ -6,6 +7,7 @@ import string
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scancell import sortie
 from scancell.errors import ParseError
 from scancell.sortie import (
     CommercialSurvey,
@@ -219,6 +221,24 @@ class TestRecordChecks:
             cls(*args)
 
 
+class TestParseChecksTokensOnce:
+    def test_valid_ids_skip_the_record_token_checks(self, monkeypatch):
+        calls = []
+        checked = sortie._validate_token
+
+        def counting(*args):
+            calls.append(args)
+            checked(*args)
+
+        monkeypatch.setattr(sortie, "_validate_token", counting)
+        for text in ("4/BC/0056", "58/RAF/0456", "HSL/GH/64/0034", "7/AB/1", "K9/USN/12"):
+            parse(text)
+        assert calls == []
+        # a record built directly still checks its tokens
+        MilitaryUnit("58", "RAF", 456)
+        assert len(calls) == 2
+
+
 class TestUsaaf:
     def test_requires_hint(self):
         with pytest.raises(ParseError):
@@ -309,19 +329,37 @@ class TestFamiliesAreExclusive:
         assert type(parsed) is matching[0]
 
 
+_BUILT = (
+    DosContract(4, "BC", 56),
+    MilitaryUnit("58", "RAF", 456),
+    CommercialSurvey("HSL", "GH", 64, 34),
+    UsArmyAirForce(("K17", "LOCAL"), False),
+)
+_PARSED = (
+    parse("4/BC/0056"),
+    parse("58/RAF/0456"),
+    parse("HSL/GH/64/0034"),
+    parse("K17/LOCAL", usaaf=True),
+)
+
+
 class TestRecordLayout:
     @pytest.mark.parametrize(
-        "record",
-        [
-            DosContract(4, "BC", 56),
-            MilitaryUnit("58", "RAF", 456),
-            CommercialSurvey("HSL", "GH", 64, 34),
-            UsArmyAirForce(("K17", "LOCAL"), False),
-        ],
-        ids=lambda record: type(record).__name__,
+        "record, built",
+        [*zip(_BUILT, _BUILT), *zip(_PARSED, _BUILT)],
+        ids=[type(record).__name__ for record in _BUILT]
+        + [f"parsed-{type(record).__name__}" for record in _BUILT],
     )
-    def test_slotted_and_copyable(self, record):
+    def test_slotted_and_copyable(self, record, built):
         assert not hasattr(record, "__dict__")
+        assert type(record) is type(built)
+        assert record == built
+        assert hash(record) == hash(built)
+        assert repr(record) == repr(built)
+        assert record.to_json_dict() == built.to_json_dict()
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(built, field.name))
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert type(copied) is type(record)
             assert copied == record
