@@ -7,7 +7,8 @@ from scancell.cell import (
     theoretical_throughput,
     utilization_fraction,
 )
-from scancell.cell.throughput import MONDAY_AGGREGATION_NOTE
+from scancell.cell.config import HandlingTime
+from scancell.cell.throughput import MONDAY_AGGREGATION_NOTE, ROBOTIC
 from scancell.errors import DomainError
 
 
@@ -29,6 +30,11 @@ class TestTheoreticalThroughput:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             theoretical_throughput("steam_powered")
+
+    def test_robotic_rate_is_the_default_handling_cycle(self):
+        # a saturated robot shares one handling cycle per scan across its station
+        per_scanner = 3600 / (ROBOTIC.scanners_per_station * HandlingTime().mean_seconds)
+        assert abs(ROBOTIC.scans_per_scanner_hour - per_scanner) <= 0.05
 
 
 class TestFleet:
