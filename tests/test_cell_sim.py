@@ -8,7 +8,7 @@ from array import array
 
 import pytest
 
-from scancell.acceptance import simulation_property_cases
+from scancell.acceptance import simulation_corner_cases, simulation_property_cases
 from scancell.cell import (
     ALWAYS_PRESENT,
     NEVER_PRESENT,
@@ -758,6 +758,12 @@ GOLDEN_RUNS = {
 # criterion-4 case in order; its 1,000 cells reach orderings the golden
 # runs above do not, such as a reload that completes during a visit
 PROPERTY_CASES_SHA256 = "3b866c430f8ee90bc1fbc5313b93cd8938f9cad9c38cf11623afe6cfee4ed6b1"
+# sha256 over every `simulation_corner_cases` run in order, under an event
+# budget of CORNER_CASES_MAX_EVENTS: the trace CSV and sorted report JSON of
+# a run that finishes, the DomainError text of one that stops at the budget;
+# it pins the same-millisecond orderings of 0 ms phases and reloads
+CORNER_CASES_MAX_EVENTS = 5_000
+CORNER_CASES_SHA256 = "8545dc6bb83f754cdfda069d11c04ac60237e5f6dd5ea4501145e1884f694e3b"
 
 
 class TestGoldenTraces:
@@ -777,6 +783,20 @@ class TestGoldenTraces:
             digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == PROPERTY_CASES_SHA256
 
+    def test_corner_cases_bytes_pinned(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_EVENTS", CORNER_CASES_MAX_EVENTS)
+        digest = hashlib.sha256()
+        for config, seed, horizon in simulation_corner_cases():
+            try:
+                trace, report = simulate(config, seed=seed, horizon_seconds=horizon)
+            except DomainError as error:
+                digest.update(str(error).encode())
+                continue
+            assert check_trace_invariants(trace, config) == []
+            digest.update(trace.to_csv().encode())
+            digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == CORNER_CASES_SHA256
+
     def test_golden_runs_cover_their_scenarios(self):
         def times(name, transition):
             config, seed, horizon = GOLDEN_RUNS[name][:3]
@@ -788,3 +808,67 @@ class TestGoldenTraces:
         assert times("never_present_starvation", "sense_empty")
         week_ms = 7 * 24 * 3600 * 1000
         assert max(times("lognormal_with_ramp_into_second_week", "scan_done")) > week_ms
+
+
+# every handling phase rounds to 0 ms, so each visit starts and ends in one
+# millisecond; a scan takes 1 ms, and a hopper holds one print and is
+# reloaded in the millisecond it empties
+ZERO_MS_PHASES = CellConfig(
+    scan_seconds=0.001,
+    handling_time=HandlingTime("fixed", 0.001),
+    hopper_capacity=1,
+    reload_seconds=0.0,
+    attendance=ALWAYS_PRESENT,
+)
+
+
+class TestSameMillisecondOrder:
+    def test_first_events_of_zero_ms_phases(self):
+        trace, _ = simulate(ZERO_MS_PHASES, seed=1, horizon_seconds=0.002)
+        expected = [
+            (0, "cell", "program_initiated"),
+            (0, "robot", "arrive@scanner0"),
+            (0, "scanner0", "sense_print"),
+            (0, "scanner0", "print_lift_attempt"),
+            (0, "scanner0", "print_lift_ok"),
+            (0, "scanner0", "hopper_empty_lamp_on"),
+            # the 0 ms visit closes before the reload due in its millisecond
+            (0, "scanner0", "print_on_bed"),
+            (0, "scanner0", "robot_clear"),
+            (0, "scanner0", "lid_closed"),
+            (0, "scanner0", "scan_started"),
+            (0, "robot", "depart@scanner0"),
+            # and the robot's next visit waits for that reload
+            (0, "scanner0", "hopper_reloaded"),
+            (0, "robot", "arrive@scanner1"),
+            (0, "scanner1", "sense_print"),
+            (0, "scanner1", "print_lift_attempt"),
+            (0, "scanner1", "print_lift_ok"),
+            (0, "scanner1", "hopper_empty_lamp_on"),
+            (0, "scanner1", "print_on_bed"),
+            (0, "scanner1", "robot_clear"),
+            (0, "scanner1", "lid_closed"),
+            (0, "scanner1", "scan_started"),
+            (0, "robot", "depart@scanner1"),
+            (0, "scanner1", "hopper_reloaded"),
+            # the first scan to end wakes the robot, which waits for the second
+            (1, "scanner0", "scan_done"),
+            (1, "scanner0", "lid_opened"),
+            (1, "scanner1", "scan_done"),
+            (1, "scanner1", "lid_opened"),
+            (1, "robot", "arrive@scanner0"),
+            (1, "scanner0", "print_lifted_from_bed"),
+            (1, "scanner0", "print_unloaded"),
+            (1, "robot", "depart@scanner0"),
+            # with nothing else due, each visit's end dispatches the next
+            (1, "robot", "arrive@scanner1"),
+            (1, "scanner1", "print_lifted_from_bed"),
+            (1, "scanner1", "print_unloaded"),
+            (1, "robot", "depart@scanner1"),
+            (1, "robot", "arrive@scanner0"),
+            (1, "scanner0", "sense_print"),
+            (1, "scanner0", "print_lift_attempt"),
+            (1, "scanner0", "print_lift_ok"),
+            (1, "scanner0", "hopper_empty_lamp_on"),
+        ]
+        assert [trace.events[i][:3] for i in range(len(expected))] == expected
