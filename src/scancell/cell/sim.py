@@ -20,17 +20,21 @@ ratio. Lid actuation is part of the event chain but consumes no separate
 time; it is folded into h.
 
 Dispatch: the robot is busy from the start of a visit to its end and
-through a stall, idle otherwise. It picks its next visit at t = 0, when a
-visit ends or a stall is resolved, and, while idle, when a scan completes
-or a hopper is reloaded; no dispatch lands while it is busy. It serves
-the scanners in turn, by the one state each is in: awaiting a load (a
-plate visit while a plate tops the hopper, else a load), awaiting an
-unload (from scan completion until the unloading robot departs), or
-starved (bed and hopper empty, so the robot senses the empty hopper). A
-scanner that is scanning, or whose empty hopper the robot has sensed,
-needs no visit; a reload moves a starved or sensed-empty scanner back to
-awaiting a load, and in any other state only refills the hopper.
-Starvation runs from the unloading robot's departure to the reload.
+through a stall, idle otherwise. It picks its next visit at t = 0, when
+a visit ends or a stall is resolved, and, while idle, when a scan
+completes or a hopper is reloaded; no dispatch lands while it is busy.
+The one visit in flight is held beside the event heap, not on it, and
+ends before any action due in its millisecond. A dispatch runs at once,
+unless an action is already due in that millisecond; it then runs after
+those actions. The robot serves the scanners in turn, by the one state
+each is in: awaiting a load (a plate visit while a plate tops the
+hopper, else a load), awaiting an unload (from scan completion until the
+unloading robot departs), or starved (bed and hopper empty, so the robot
+senses the empty hopper). A scanner that is scanning, or whose empty
+hopper the robot has sensed, needs no visit; a reload moves a starved or
+sensed-empty scanner back to awaiting a load, and in any other state
+only refills the hopper. Starvation runs from the unloading robot's
+departure to the reload.
 
 Failures: a hopper pick may fail per attempt; after the retry limit the
 cell stops and reports an error (in-flight scans still finish), which a
@@ -274,6 +278,8 @@ class _Simulation:
         # (time_ms, seq, action, args): action(time_ms, *args) runs at time_ms
         self.heap: list[tuple[int, int, object, tuple]] = []
         self.seq = 0
+        # the visit in flight, (end_ms, scanner, arrive, cause, chain), or None
+        self.visit: tuple | None = None
         self.scanners = [
             _Scanner(i, config.hopper_capacity) for i in range(config.scanners_per_robot)
         ]
@@ -323,12 +329,23 @@ class _Simulation:
 
     def run(self) -> None:
         self.emit(0, PROGRAM_INITIATED, NO_CAUSE)
-        self.schedule(0, self.dispatch_robot)
-        while self.heap:
-            time_ms, _, action, args = heapq.heappop(self.heap)
-            if time_ms > self.horizon_ms:
+        self.dispatch_robot(0)
+        heap, horizon_ms = self.heap, self.horizon_ms
+        while True:
+            visit = self.visit
+            # the visit in flight ends before any action due in its millisecond
+            if visit is not None and (not heap or visit[0] <= heap[0][0]):
+                if visit[0] > horizon_ms:
+                    break
+                self.visit = None
+                self.visit_end(*visit)
+            elif heap:
+                time_ms, _, action, args = heapq.heappop(heap)
+                if time_ms > horizon_ms:
+                    break
+                action(time_ms, *args)
+            else:
                 break
-            action(time_ms, *args)
         self.flush()
 
     # -- robot dispatch ---------------------------------------------------
@@ -336,7 +353,14 @@ class _Simulation:
     def wake_robot(self, now_ms: int) -> None:
         if self.robot_idle:
             self.robot_idle = False
+            self.dispatch_robot_after_due(now_ms)
+
+    def dispatch_robot_after_due(self, now_ms: int) -> None:
+        """Dispatch the robot now, or after the actions already due now."""
+        if self.heap and self.heap[0][0] == now_ms:
             self.schedule(now_ms, self.dispatch_robot)
+        else:
+            self.dispatch_robot(now_ms)
 
     def dispatch_robot(self, now_ms: int) -> None:
         n = len(self.scanners)
@@ -365,9 +389,9 @@ class _Simulation:
         transitions of `chain` follow `cause`, and the robot departs."""
         end_ms = now_ms + duration
         self.robot_busy_ms += min(end_ms, self.horizon_ms) - now_ms
-        # one visit is in flight at a time, and its end runs before any
-        # other action due in the same millisecond
-        heapq.heappush(self.heap, (end_ms, -1, self.visit_end, (scanner, arrive, cause, chain)))
+        # one visit is in flight at a time: it is held beside the heap, and
+        # `run` ends it before any action due in its millisecond
+        self.visit = (end_ms, scanner, arrive, cause, chain)
 
     def visit_end(self, now_ms: int, scanner: _Scanner, arrive: int, cause: int, chain) -> None:
         last = cause
@@ -386,7 +410,7 @@ class _Simulation:
                 scanner.starved_ms += self.horizon_ms - now_ms
         self.robot_last_event = self.emit(now_ms, scanner.depart, last)
         self.robot_last_ms = now_ms
-        self.schedule(now_ms, self.dispatch_robot)
+        self.dispatch_robot_after_due(now_ms)
 
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
@@ -500,7 +524,9 @@ class _Simulation:
         self.stall_ms -= self.horizon_ms - now_ms
         scanner.ready_event, scanner.ready_ms = resolved, now_ms
         self.robot_last_event, self.robot_last_ms = resolved, now_ms
-        self.schedule(now_ms, self.dispatch_robot)
+        # nothing is scheduled during a stall, so each action due now came
+        # before this one and has run
+        self.dispatch_robot(now_ms)
 
     # -- accounting -------------------------------------------------------
 
