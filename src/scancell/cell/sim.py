@@ -333,7 +333,6 @@ class _Simulation:
         heap, horizon_ms = self.heap, self.horizon_ms
         while True:
             visit = self.visit
-            # the visit in flight ends before any action due in its millisecond
             if visit is not None and (not heap or visit[0] <= heap[0][0]):
                 if visit[0] > horizon_ms:
                     break
