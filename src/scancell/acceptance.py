@@ -168,49 +168,6 @@ def simulation_property_cases(
         yield config, seed, horizon
 
 
-def simulation_corner_cases(
-    n_configs: int = 1000,
-) -> Iterator[tuple[CellConfig, int, float]]:
-    """Degenerate (config, seed, horizon seconds) cases, drawn from a fixed
-    seed: 1-8 scanners, handling phases and reloads that round to 0 ms,
-    1 ms scans, unlimited or 1-7-print hoppers, picks that always fail,
-    every attendance kind and horizons past a week boundary. Many events
-    share a millisecond, and the longer runs stop at the event budget."""
-    rng = random.Random(42_000)
-
-    def seconds(*ranges: tuple[float, float]) -> float:
-        low, high = rng.choice(ranges)
-        return rng.uniform(low, high)
-
-    for _ in range(n_configs):
-        kind = rng.choice(("fixed", "uniform", "lognormal"))
-        config = CellConfig(
-            scanners_per_robot=rng.randint(1, 8),
-            scan_seconds=rng.choice((0.001, seconds((0.001, 1.0), (15, 300), (3600, 7200)))),
-            handling_time=HandlingTime(
-                kind,
-                seconds((0.0004, 0.001), (0.001, 2.0), (30, 300), (1000, 6000)),
-                rng.uniform(0, 0.9) if kind == "uniform" else rng.choice((0.0, 0.3, 1.5)),
-            ),
-            hopper_capacity=rng.choice((None, rng.randint(1, 7))),
-            lift_retry_limit=rng.randint(1, 3),
-            lift_failure_prob=rng.choice((0.0, 0.0, 0.0, 0.05, 0.5, 1.0)),
-            attendance=rng.choice(
-                (
-                    ALWAYS_PRESENT,
-                    NEVER_PRESENT,
-                    WeeklySchedule(),
-                    WeeklySchedule(((0, 0.0, 0.001), (6, 23.5, 24.0))),
-                )
-            ),
-            reload_seconds=rng.choice((0.0, 0.0004, rng.uniform(0, 90))),
-            ramp_multiplier=rng.choice((1.0, 1.0, 1.13, 0.5)),
-        )
-        seed = rng.randrange(2**31)
-        horizon = seconds((0.001, 2.0), (60, 7200), (6.5 * 86400, 8 * 86400))
-        yield config, seed, horizon
-
-
 def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
     c = "4 simulation invariants"
     violations = 0

@@ -51,15 +51,23 @@ class HandlingTime(JsonRecord):
         if self.kind == "uniform" and self.spread >= 1.0:
             raise ConfigError("uniform handling spread must be below 1")
 
-    def sample(self, rng: random.Random) -> float:
+    def sampler(self, rng: random.Random):
+        """A zero-argument draw of handling times in seconds from `rng`,
+        with the kind's parameters worked out once: `fixed` returns the
+        mean and draws nothing, `uniform` draws from mean ± mean·spread,
+        and `lognormal` draws with μ = ln(mean) − σ²/2, so that its mean is
+        `mean_seconds`, floored at 1 ms."""
+        mean = self.mean_seconds
         if self.kind == "fixed":
-            return self.mean_seconds
+            return lambda: mean
         if self.kind == "uniform":
-            half = self.mean_seconds * self.spread
-            return rng.uniform(self.mean_seconds - half, self.mean_seconds + half)
+            half = mean * self.spread
+            low, high, uniform = mean - half, mean + half, rng.uniform
+            return lambda: uniform(low, high)
         sigma = self.spread
-        mu = math.log(self.mean_seconds) - sigma * sigma / 2.0
-        return max(1e-3, rng.lognormvariate(mu, sigma))
+        mu = math.log(mean) - sigma * sigma / 2.0
+        lognormvariate = rng.lognormvariate
+        return lambda: max(1e-3, lognormvariate(mu, sigma))
 
 
 @dataclass(frozen=True)

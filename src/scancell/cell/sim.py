@@ -183,7 +183,8 @@ class SimTrace:
 
 class _EventView(Sequence):
     """A trace's events as `(time_ms, entity, transition, cause_id)`
-    tuples, built on each access; read-only, indexed by int."""
+    tuples, built on each access; read-only. An int index gives one
+    event, a slice the list of its events."""
 
     __slots__ = ("_trace",)
 
@@ -193,7 +194,9 @@ class _EventView(Sequence):
     def __len__(self) -> int:
         return len(self._trace.times)
 
-    def __getitem__(self, index: int) -> tuple[int, str, str, int | None]:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
         trace = self._trace
         cause = trace.causes[index]
         return (
@@ -215,9 +218,10 @@ class _Scanner:
     last bares a plate, and a (re)load puts a print on top.
 
     `kind` maps each scanner transition to its kind code; `arrive` and
-    `depart` are the codes of the robot's visits, and the lift and chain
-    tuples hold codes in the order of PRINT_LIFT, PLATE_LIFT and
-    LOAD_CHAIN."""
+    `depart` are the codes of the robot's visits, the lift tuples hold
+    codes in the order of PRINT_LIFT and PLATE_LIFT, and each chain holds
+    the scanner transitions that close one kind of visit: LOAD_CHAIN, the
+    print unloaded and the plate transferred."""
 
     __slots__ = (
         "index",
@@ -227,6 +231,8 @@ class _Scanner:
         "print_lift",
         "plate_lift",
         "load_chain",
+        "unload_chain",
+        "plate_chain",
         "prints",
         "plate_on_top",
         "state",
@@ -249,6 +255,8 @@ class _Scanner:
         self.print_lift = tuple(self.kind[t] for t in PRINT_LIFT)
         self.plate_lift = tuple(self.kind[t] for t in PLATE_LIFT)
         self.load_chain = tuple(self.kind[t] for t in LOAD_CHAIN)
+        self.unload_chain = (self.kind["print_unloaded"],)
+        self.plate_chain = (self.kind["plate_transferred"],)
         self.prints = math.inf if capacity is None else capacity
         self.plate_on_top = False
         self.state = AWAITING_LOAD
@@ -261,10 +269,23 @@ class _Scanner:
 
 
 class _Simulation:
+    """The engine of one run. `__init__` works out once the inputs that
+    stay fixed for the run, and the per-visit code reads them:
+    `draw_handling`, a zero-argument draw of one handling time in seconds
+    (`HandlingTime.sampler`); `scan_ms`, the scan in ms; `lift_attempts`,
+    a range over the attempts of one hopper pick; and `ring`, the scanners
+    twice over, so that the robot's visiting order after scanner i, from
+    scanner i + 1 round to scanner i, is `ring[i + 1 : i + 1 + n]`, at 2n
+    references for n scanners. Each `_Scanner` holds its own kind codes
+    and chains."""
+
     def __init__(self, config: CellConfig, seed: int, horizon_ms: int):
         self.config = config
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
+        self.draw_handling = config.handling_time.sampler(self.rng)
+        self.scan_ms = round(config.scan_seconds * MS_PER_SECOND)
+        self.lift_attempts = range(config.lift_retry_limit)
         # the trace columns: events are emitted when the clock reaches
         # their time, so in time order, and an event's id is its position.
         # They collect in lists a block at a time, then move to the arrays.
@@ -283,10 +304,11 @@ class _Simulation:
         self.scanners = [
             _Scanner(i, config.hopper_capacity) for i in range(config.scanners_per_robot)
         ]
+        self.ring = self.scanners * 2
         self.robot_idle = False  # idle with no dispatch due; the first is at t = 0
         self.robot_last_event = 0  # program_initiated
         self.robot_last_ms = 0
-        self.robot_last_served = -1
+        self.robot_last_served = -1  # so the first visiting order starts at scanner 0
         # an interval of robot work, scanning, stall or starvation is charged up to
         # the horizon when it opens; a stall or starvation that closes first is refunded the rest
         self.robot_busy_ms = 0
@@ -362,9 +384,8 @@ class _Simulation:
             self.dispatch_robot(now_ms)
 
     def dispatch_robot(self, now_ms: int) -> None:
-        n = len(self.scanners)
-        for offset in range(1, n + 1):
-            scanner = self.scanners[(self.robot_last_served + offset) % n]
+        first = self.robot_last_served + 1
+        for scanner in self.ring[first : first + len(self.scanners)]:
             if scanner.state == AWAITING_LOAD:
                 visit = self.visit_plate if scanner.plate_on_top else self.visit_load
             elif scanner.state == AWAITING_UNLOAD:
@@ -397,7 +418,7 @@ class _Simulation:
         for kind in chain:
             last = self.emit(now_ms, kind, last)
         if scanner.state == SCANNING:  # a load: the scan starts now
-            scan_end_ms = now_ms + round(self.config.scan_seconds * MS_PER_SECOND)
+            scan_end_ms = now_ms + self.scan_ms
             scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
             self.schedule(scan_end_ms, self.scan_done, scanner, last)
         elif scanner.ready_event < arrive:
@@ -414,7 +435,7 @@ class _Simulation:
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
         phase alone, sped up by the ramp for the current week."""
-        handling = self.config.handling_time.sample(self.rng)
+        handling = self.draw_handling()
         ramp = self.config.ramp_multiplier
         if ramp != 1.0:
             week = now_ms // WEEK_MS
@@ -427,7 +448,7 @@ class _Simulation:
                     f"ramp_multiplier {ramp!r} in week {week} takes the handling time "
                     "out of the float range"
                 )
-        return max(0, round(share * handling * MS_PER_SECOND))
+        return round(share * handling * MS_PER_SECOND)
 
     def attempt_lift(self, scanner: _Scanner, lift: tuple[int, int, int], now_ms: int, cause: int):
         """Run the retry loop for one hopper pick, whose (attempt, failed,
@@ -435,7 +456,7 @@ class _Simulation:
         after the final failure (the cell is then stalled)."""
         attempted, failed, ok = lift
         prev = cause
-        for _ in range(self.config.lift_retry_limit):
+        for _ in self.lift_attempts:
             attempt = self.emit(now_ms, attempted, prev)
             if self.rng.random() < self.config.lift_failure_prob:
                 prev = self.emit(now_ms, failed, attempt)
@@ -449,8 +470,7 @@ class _Simulation:
     def visit_unload(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
         lifted = self.emit(now_ms, scanner.kind["print_lifted_from_bed"], arrive)
-        unloaded = (scanner.kind["print_unloaded"],)
-        self.end_visit(scanner, arrive, now_ms, duration, lifted, unloaded)
+        self.end_visit(scanner, arrive, now_ms, duration, lifted, scanner.unload_chain)
 
     def visit_plate(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(PLATE_SHARE, now_ms)
@@ -459,8 +479,7 @@ class _Simulation:
         if lift is None:
             return
         scanner.plate_on_top = False
-        transferred = (scanner.kind["plate_transferred"],)
-        self.end_visit(scanner, arrive, now_ms, duration, lift, transferred)
+        self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.plate_chain)
 
     def visit_load(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(LOAD_SHARE, now_ms)

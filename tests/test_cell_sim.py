@@ -2,13 +2,15 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 from array import array
+from collections.abc import Iterator
 
 import pytest
 
-from scancell.acceptance import simulation_corner_cases, simulation_property_cases
+from scancell.acceptance import simulation_property_cases
 from scancell.cell import (
     ALWAYS_PRESENT,
     NEVER_PRESENT,
@@ -256,6 +258,42 @@ class TestMonotonicity:
             )
             _, report = simulate(config, seed=11, horizon_seconds=100 * 3600)
             assert report.scans_per_hour == pytest.approx(3600.0 / mean, rel=0.02)
+
+
+class TestHandlingSampler:
+    # each case's draws against the expression its kind evaluates, on a
+    # twin generator; a mean of 0.4 ms puts most lognormal draws under the
+    # 1 ms floor
+    @pytest.mark.parametrize(
+        "kind, mean, spread",
+        [
+            ("fixed", 66.7, 0.0),
+            ("uniform", 66.7, 0.0),
+            ("uniform", 66.7, 0.5),
+            ("uniform", 66.7, 0.99),
+            ("lognormal", 66.7, 0.0),
+            ("lognormal", 66.7, 0.15),
+            ("lognormal", 66.7, 0.8),
+            ("lognormal", 0.0004, 0.8),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_draws_match_the_kind_expression_bit_for_bit(self, kind, mean, spread, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        draw = HandlingTime(kind, mean, spread).sampler(rng)
+        drawn = [draw() for _ in range(1000)]
+        if kind == "fixed":
+            expected = [mean] * 1000
+        elif kind == "uniform":
+            half = mean * spread
+            expected = [twin.uniform(mean - half, mean + half) for _ in range(1000)]
+        else:
+            mu = math.log(mean) - spread * spread / 2.0
+            expected = [max(1e-3, twin.lognormvariate(mu, spread)) for _ in range(1000)]
+        assert [x.hex() for x in drawn] == [x.hex() for x in expected]
+        assert rng.getstate() == twin.getstate()  # the same number of draws
+        if mean < 1e-3:
+            assert 0 < drawn.count(1e-3) < 1000
 
 
 class TestHandlingPhases:
@@ -531,6 +569,31 @@ class TestTraceStructure:
     def test_kind_codes_fit_the_kind_column(self):
         assert len(sim.vocabulary(MAX_SCANNERS_PER_ROBOT)) <= 1 << 16
 
+    @pytest.mark.parametrize("part", [slice(None, 3), slice(-2, None), slice(None, None, 5)])
+    def test_event_slices_match_reads_by_index(self, part):
+        trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
+        events = trace.events
+        indices = range(len(events))[part]
+        assert len(indices) > 1
+        assert events[part] == [events[i] for i in indices]
+
+    def test_largest_cell_visits_every_scanner_in_turn(self):
+        # 40 ms loads: the robot loads all 1,000 scanners in 40 s, before
+        # the first 45 s scan ends
+        config = CellConfig(
+            scanners_per_robot=MAX_SCANNERS_PER_ROBOT,
+            handling_time=HandlingTime("fixed", 0.1),
+            hopper_capacity=None,
+            attendance=ALWAYS_PRESENT,
+        )
+        trace, report = simulate(config, seed=1, horizon_seconds=60)
+        assert check_trace_invariants(trace, config) == []
+        arrivals = [event[2] for event in trace.events if event[2].startswith("arrive@")]
+        assert arrivals[:MAX_SCANNERS_PER_ROBOT] == [
+            f"arrive@scanner{i}" for i in range(MAX_SCANNERS_PER_ROBOT)
+        ]
+        assert report.scans_completed > 0
+
 
 # a 3 h run with reloads, and the same cell with unlimited hoppers
 REPLAY_CONFIG = CellConfig(
@@ -753,6 +816,49 @@ GOLDEN_RUNS = {
         "873a5d0048bcf2881a1d9bab86a8580b6f9b3f0c41ea1ec1cce078622201b37a",
     ),
 }
+
+def simulation_corner_cases(
+    n_configs: int = 1000,
+) -> Iterator[tuple[CellConfig, int, float]]:
+    """Degenerate (config, seed, horizon seconds) cases, drawn from a fixed
+    seed: 1-8 scanners, handling phases and reloads that round to 0 ms,
+    1 ms scans, unlimited or 1-7-print hoppers, picks that always fail,
+    every attendance kind and horizons past a week boundary. Many events
+    share a millisecond, and the longer runs stop at the event budget."""
+    rng = random.Random(42_000)
+
+    def seconds(*ranges: tuple[float, float]) -> float:
+        low, high = rng.choice(ranges)
+        return rng.uniform(low, high)
+
+    for _ in range(n_configs):
+        kind = rng.choice(("fixed", "uniform", "lognormal"))
+        config = CellConfig(
+            scanners_per_robot=rng.randint(1, 8),
+            scan_seconds=rng.choice((0.001, seconds((0.001, 1.0), (15, 300), (3600, 7200)))),
+            handling_time=HandlingTime(
+                kind,
+                seconds((0.0004, 0.001), (0.001, 2.0), (30, 300), (1000, 6000)),
+                rng.uniform(0, 0.9) if kind == "uniform" else rng.choice((0.0, 0.3, 1.5)),
+            ),
+            hopper_capacity=rng.choice((None, rng.randint(1, 7))),
+            lift_retry_limit=rng.randint(1, 3),
+            lift_failure_prob=rng.choice((0.0, 0.0, 0.0, 0.05, 0.5, 1.0)),
+            attendance=rng.choice(
+                (
+                    ALWAYS_PRESENT,
+                    NEVER_PRESENT,
+                    WeeklySchedule(),
+                    WeeklySchedule(((0, 0.0, 0.001), (6, 23.5, 24.0))),
+                )
+            ),
+            reload_seconds=rng.choice((0.0, 0.0004, rng.uniform(0, 90))),
+            ramp_multiplier=rng.choice((1.0, 1.0, 1.13, 0.5)),
+        )
+        seed = rng.randrange(2**31)
+        horizon = seconds((0.001, 2.0), (60, 7200), (6.5 * 86400, 8 * 86400))
+        yield config, seed, horizon
+
 
 # sha256 over the trace CSV and sorted report JSON of every acceptance
 # criterion-4 case in order; its 1,000 cells reach orderings the golden
