@@ -52,11 +52,11 @@ class HandlingTime(JsonRecord):
             raise ConfigError("uniform handling spread must be below 1")
 
     def sampler(self, rng: random.Random):
-        """A zero-argument draw of handling times in seconds from `rng`,
-        with the kind's parameters worked out once: `fixed` returns the
-        mean and draws nothing, `uniform` draws from mean ± mean·spread,
-        and `lognormal` draws with μ = ln(mean) − σ²/2, so that its mean is
-        `mean_seconds`, floored at 1 ms."""
+        """A zero-argument draw of one handling time in seconds from `rng`,
+        with the kind's parameters worked out once. `fixed` returns the
+        mean and draws nothing; `uniform` draws from mean ± mean·spread;
+        `lognormal` draws with σ = spread and μ = ln(mean) − σ²/2, so that
+        its mean is `mean_seconds`, and floors each draw at 1 ms."""
         mean = self.mean_seconds
         if self.kind == "fixed":
             return lambda: mean

@@ -194,7 +194,7 @@ class _EventView(Sequence):
     def __len__(self) -> int:
         return len(self._trace.times)
 
-    def __getitem__(self, index):
+    def __getitem__(self, index: int | slice):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         trace = self._trace
