@@ -817,6 +817,7 @@ GOLDEN_RUNS = {
     ),
 }
 
+
 def simulation_corner_cases(
     n_configs: int = 1000,
 ) -> Iterator[tuple[CellConfig, int, float]]:
