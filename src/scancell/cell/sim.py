@@ -88,20 +88,14 @@ AWAITING_UNLOAD = "awaiting_unload"
 STARVED = "starved"
 SENSED_EMPTY = "sensed_empty"
 
-# (attempt, failed, ok) transitions of a hopper pick
-PRINT_LIFT = ("print_lift_attempt", "print_lift_failed", "print_lift_ok")
-PLATE_LIFT = ("plate_lift_attempt", "plate_lift_failed", "plate_lift_ok")
-# scanner transitions at the end of a load visit, each caused by the one before
-LOAD_CHAIN = ("print_on_bed", "robot_clear", "lid_closed", "scan_started")
-
 # each entity's transitions, in vocabulary order; the cell's come first,
 # so their kind codes do not depend on the number of scanners
 CELL_TRANSITIONS = ("program_initiated", "error_stall", "stall_resolved")
 PROGRAM_INITIATED, ERROR_STALL, STALL_RESOLVED = range(len(CELL_TRANSITIONS))
 SCANNER_TRANSITIONS = (
-    *PRINT_LIFT,
-    *PLATE_LIFT,
-    *LOAD_CHAIN,
+    "print_lift_attempt", "print_lift_failed", "print_lift_ok",
+    "plate_lift_attempt", "plate_lift_failed", "plate_lift_ok",
+    "print_on_bed", "robot_clear", "lid_closed", "scan_started",
     "sense_print",
     "sense_plate",
     "sense_empty",
@@ -113,6 +107,30 @@ SCANNER_TRANSITIONS = (
     "lid_opened",
     "hopper_reloaded",
 )
+# a scanner's kind codes follow the cell's and the earlier scanners' in
+# `vocabulary`, each its first code plus an offset named here: the robot's
+# arrival and departure, then SCANNER_TRANSITIONS line for line
+SCANNER_KINDS = 2 + len(SCANNER_TRANSITIONS)
+(
+    ARRIVE, DEPART,
+    PRINT_LIFT, _, _,
+    PLATE_LIFT, _, _,
+    PRINT_ON_BED, ROBOT_CLEAR, LID_CLOSED, SCAN_STARTED,
+    SENSE_PRINT,
+    SENSE_PLATE,
+    SENSE_EMPTY,
+    LAMP_ON,
+    LIFTED_FROM_BED,
+    PRINT_UNLOADED,
+    PLATE_TRANSFERRED,
+    SCAN_DONE,
+    LID_OPENED,
+    RELOADED,
+) = range(SCANNER_KINDS)
+# the scanner transitions that close each kind of visit, each caused by the one before
+LOAD_CHAIN = (PRINT_ON_BED, ROBOT_CLEAR, LID_CLOSED, SCAN_STARTED)
+UNLOAD_CHAIN = (PRINT_UNLOADED,)
+PLATE_CHAIN = (PLATE_TRANSFERRED,)
 
 
 @functools.lru_cache(maxsize=8)
@@ -217,22 +235,12 @@ class _Scanner:
     a plate sits between consecutive prints, so taking any print but the
     last bares a plate, and a (re)load puts a print on top.
 
-    `kind` maps each scanner transition to its kind code; `arrive` and
-    `depart` are the codes of the robot's visits, the lift tuples hold
-    codes in the order of PRINT_LIFT and PLATE_LIFT, and each chain holds
-    the scanner transitions that close one kind of visit: LOAD_CHAIN, the
-    print unloaded and the plate transferred."""
+    `base` is the scanner's first kind code; each of its kinds is `base`
+    plus an offset of the SCANNER_KINDS layout."""
 
     __slots__ = (
         "index",
-        "kind",
-        "arrive",
-        "depart",
-        "print_lift",
-        "plate_lift",
-        "load_chain",
-        "unload_chain",
-        "plate_chain",
+        "base",
         "prints",
         "plate_on_top",
         "state",
@@ -246,17 +254,7 @@ class _Scanner:
 
     def __init__(self, index: int, capacity: int | None):
         self.index = index
-        # the scanner's kinds follow the cell's and the earlier scanners'
-        # in `vocabulary`, robot arrival and departure first
-        first = len(CELL_TRANSITIONS) + index * (2 + len(SCANNER_TRANSITIONS))
-        self.arrive = first
-        self.depart = first + 1
-        self.kind = {t: code for code, t in enumerate(SCANNER_TRANSITIONS, first + 2)}
-        self.print_lift = tuple(self.kind[t] for t in PRINT_LIFT)
-        self.plate_lift = tuple(self.kind[t] for t in PLATE_LIFT)
-        self.load_chain = tuple(self.kind[t] for t in LOAD_CHAIN)
-        self.unload_chain = (self.kind["print_unloaded"],)
-        self.plate_chain = (self.kind["plate_transferred"],)
+        self.base = len(CELL_TRANSITIONS) + index * SCANNER_KINDS
         self.prints = math.inf if capacity is None else capacity
         self.plate_on_top = False
         self.state = AWAITING_LOAD
@@ -276,8 +274,7 @@ class _Simulation:
     a range over the attempts of one hopper pick; and `ring`, the scanners
     twice over, so that the robot's visiting order after scanner i, from
     scanner i + 1 round to scanner i, is `ring[i + 1 : i + 1 + n]`, at 2n
-    references for n scanners. Each `_Scanner` holds its own kind codes
-    and chains."""
+    references for n scanners."""
 
     def __init__(self, config: CellConfig, seed: int, horizon_ms: int):
         self.config = config
@@ -397,7 +394,7 @@ class _Simulation:
             self.robot_last_served = scanner.index
             ready = scanner.ready_ms >= self.robot_last_ms
             cause = scanner.ready_event if ready else self.robot_last_event
-            visit(scanner, now_ms, self.emit(now_ms, scanner.arrive, cause))
+            visit(scanner, now_ms, self.emit(now_ms, scanner.base + ARRIVE, cause))
             return
         self.robot_idle = True
 
@@ -414,9 +411,9 @@ class _Simulation:
         self.visit = (end_ms, scanner, arrive, cause, chain)
 
     def visit_end(self, now_ms: int, scanner: _Scanner, arrive: int, cause: int, chain) -> None:
-        last = cause
-        for kind in chain:
-            last = self.emit(now_ms, kind, last)
+        last, base = cause, scanner.base
+        for offset in chain:
+            last = self.emit(now_ms, base + offset, last)
         if scanner.state == SCANNING:  # a load: the scan starts now
             scan_end_ms = now_ms + self.scan_ms
             scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
@@ -428,7 +425,7 @@ class _Simulation:
             scanner.state = AWAITING_LOAD if scanner.prints else STARVED
             if not scanner.prints:
                 scanner.starved_ms += self.horizon_ms - now_ms
-        self.robot_last_event = self.emit(now_ms, scanner.depart, last)
+        self.robot_last_event = self.emit(now_ms, base + DEPART, last)
         self.robot_last_ms = now_ms
         self.dispatch_robot_after_due(now_ms)
 
@@ -450,18 +447,18 @@ class _Simulation:
                 )
         return round(share * handling * MS_PER_SECOND)
 
-    def attempt_lift(self, scanner: _Scanner, lift: tuple[int, int, int], now_ms: int, cause: int):
-        """Run the retry loop for one hopper pick, whose (attempt, failed,
-        ok) kind codes are `lift`; returns the lift-ok event, or None
-        after the final failure (the cell is then stalled)."""
-        attempted, failed, ok = lift
+    def attempt_lift(self, scanner: _Scanner, lift: int, now_ms: int, cause: int):
+        """Run the retry loop for one hopper pick, whose attempt, failed and
+        ok transitions are at offsets `lift`, +1 and +2; returns the lift-ok
+        event, or None after the final failure (the cell is then stalled)."""
+        attempted = scanner.base + lift
         prev = cause
         for _ in self.lift_attempts:
             attempt = self.emit(now_ms, attempted, prev)
             if self.rng.random() < self.config.lift_failure_prob:
-                prev = self.emit(now_ms, failed, attempt)
+                prev = self.emit(now_ms, attempted + 1, attempt)
             else:
-                return self.emit(now_ms, ok, attempt)
+                return self.emit(now_ms, attempted + 2, attempt)
         self.enter_stall(scanner, now_ms, prev)
         return None
 
@@ -469,43 +466,43 @@ class _Simulation:
 
     def visit_unload(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(UNLOAD_SHARE, now_ms)
-        lifted = self.emit(now_ms, scanner.kind["print_lifted_from_bed"], arrive)
-        self.end_visit(scanner, arrive, now_ms, duration, lifted, scanner.unload_chain)
+        lifted = self.emit(now_ms, scanner.base + LIFTED_FROM_BED, arrive)
+        self.end_visit(scanner, arrive, now_ms, duration, lifted, UNLOAD_CHAIN)
 
     def visit_plate(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(PLATE_SHARE, now_ms)
-        sense = self.emit(now_ms, scanner.kind["sense_plate"], arrive)
-        lift = self.attempt_lift(scanner, scanner.plate_lift, now_ms, sense)
+        sense = self.emit(now_ms, scanner.base + SENSE_PLATE, arrive)
+        lift = self.attempt_lift(scanner, PLATE_LIFT, now_ms, sense)
         if lift is None:
             return
         scanner.plate_on_top = False
-        self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.plate_chain)
+        self.end_visit(scanner, arrive, now_ms, duration, lift, PLATE_CHAIN)
 
     def visit_load(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
         duration = self.phase_duration_ms(LOAD_SHARE, now_ms)
-        sense = self.emit(now_ms, scanner.kind["sense_print"], arrive)
-        lift = self.attempt_lift(scanner, scanner.print_lift, now_ms, sense)
+        sense = self.emit(now_ms, scanner.base + SENSE_PRINT, arrive)
+        lift = self.attempt_lift(scanner, PRINT_LIFT, now_ms, sense)
         if lift is None:
             return
         scanner.prints -= 1
         scanner.plate_on_top = scanner.prints > 0
         if not scanner.prints:
-            scanner.lamp_event = self.emit(now_ms, scanner.kind["hopper_empty_lamp_on"], lift)
+            scanner.lamp_event = self.emit(now_ms, scanner.base + LAMP_ON, lift)
             # a hopper empties at most once between refills, so one reload is pending at most
             self.after_worker(now_ms, 0.0, self.config.reload_seconds, self.reload_done, scanner)
         scanner.state = SCANNING
-        self.end_visit(scanner, arrive, now_ms, duration, lift, scanner.load_chain)
+        self.end_visit(scanner, arrive, now_ms, duration, lift, LOAD_CHAIN)
 
     def visit_empty_check(self, scanner: _Scanner, now_ms: int, arrive: int) -> None:
-        sense = self.emit(now_ms, scanner.kind["sense_empty"], arrive)
+        sense = self.emit(now_ms, scanner.base + SENSE_EMPTY, arrive)
         scanner.state = SENSED_EMPTY
         self.end_visit(scanner, arrive, now_ms, 0, sense, ())
 
     # -- scheduled actions -----------------------------------------------
 
     def scan_done(self, now_ms: int, scanner: _Scanner, started: int) -> None:
-        done = self.emit(now_ms, scanner.kind["scan_done"], started)
-        opened = self.emit(now_ms, scanner.kind["lid_opened"], done)
+        done = self.emit(now_ms, scanner.base + SCAN_DONE, started)
+        opened = self.emit(now_ms, scanner.base + LID_OPENED, done)
         scanner.state = AWAITING_UNLOAD
         scanner.ready_event, scanner.ready_ms = opened, now_ms
         scanner.scans_done += 1
@@ -526,13 +523,13 @@ class _Simulation:
         if scanner.state in (STARVED, SENSED_EMPTY):  # refund the rest of the starvation
             scanner.state = AWAITING_LOAD
             scanner.starved_ms -= self.horizon_ms - now_ms
-        reloaded = self.emit(now_ms, scanner.kind["hopper_reloaded"], scanner.lamp_event)
+        reloaded = self.emit(now_ms, scanner.base + RELOADED, scanner.lamp_event)
         scanner.ready_event, scanner.ready_ms = reloaded, now_ms
         self.wake_robot(now_ms)
 
     def enter_stall(self, scanner: _Scanner, now_ms: int, final_failure: int) -> None:
         error = self.emit(now_ms, ERROR_STALL, final_failure)
-        self.emit(now_ms, scanner.depart, error)
+        self.emit(now_ms, scanner.base + DEPART, error)
         self.robot_last_event, self.robot_last_ms = error, now_ms
         self.stall_ms += self.horizon_ms - now_ms
         self.after_worker(now_ms, MIN_STALL_RECOVERY_SECONDS, 0.0, self.stall_over, scanner, error)

@@ -47,7 +47,7 @@ class FocalLength:
 
 @dataclass(frozen=True)
 class FlyingAltitude:
-    """Altitude above ground level, stored in metres."""
+    """Recorded flying altitude, above sea level, stored in metres."""
 
     meters: float
 

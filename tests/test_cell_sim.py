@@ -569,6 +569,57 @@ class TestTraceStructure:
     def test_kind_codes_fit_the_kind_column(self):
         assert len(sim.vocabulary(MAX_SCANNERS_PER_ROBOT)) <= 1 << 16
 
+    @pytest.mark.parametrize("scanners", [1, 2, MAX_SCANNERS_PER_ROBOT])
+    def test_kind_offsets_name_their_vocabulary_pairs(self, scanners):
+        # written out apart from SCANNER_TRANSITIONS, so reordering it
+        # without its offsets fails here
+        transitions = {
+            sim.SENSE_PRINT: "sense_print",
+            sim.SENSE_PLATE: "sense_plate",
+            sim.SENSE_EMPTY: "sense_empty",
+            sim.LAMP_ON: "hopper_empty_lamp_on",
+            sim.LIFTED_FROM_BED: "print_lifted_from_bed",
+            sim.PRINT_UNLOADED: "print_unloaded",
+            sim.PLATE_TRANSFERRED: "plate_transferred",
+            sim.SCAN_DONE: "scan_done",
+            sim.LID_OPENED: "lid_opened",
+            sim.RELOADED: "hopper_reloaded",
+        }
+        for pick, attempt in ((sim.PRINT_LIFT, "print_lift"), (sim.PLATE_LIFT, "plate_lift")):
+            for step, outcome in enumerate(("attempt", "failed", "ok")):
+                transitions[pick + step] = f"{attempt}_{outcome}"
+        load_chain = ("print_on_bed", "robot_clear", "lid_closed", "scan_started")
+        assert len(sim.LOAD_CHAIN) == len(load_chain)
+        transitions.update(zip(sim.LOAD_CHAIN, load_chain))
+        assert len(transitions) == len(sim.SCANNER_TRANSITIONS)
+        assert sim.UNLOAD_CHAIN == (sim.PRINT_UNLOADED,)
+        assert sim.PLATE_CHAIN == (sim.PLATE_TRANSFERRED,)
+
+        pairs = sim.vocabulary(scanners)
+        assert len(pairs) == len(sim.CELL_TRANSITIONS) + scanners * sim.SCANNER_KINDS
+        engine = sim._Simulation(CellConfig(scanners_per_robot=scanners), 1, 0)
+        for i in sorted({0, 1, scanners - 1} & set(range(scanners))):
+            base = engine.scanners[i].base
+            assert pairs[base + sim.ARRIVE] == ("robot", f"arrive@scanner{i}")
+            assert pairs[base + sim.DEPART] == ("robot", f"depart@scanner{i}")
+            for offset, transition in transitions.items():
+                assert pairs[base + offset] == (f"scanner{i}", transition)
+
+    def test_largest_engine_holds_no_per_scanner_kind_tables(self):
+        # with one base code a scanner this engine holds about 0.20 MB; a
+        # table of kind codes in each scanner takes it past 1.5 MB
+        config = CellConfig(scanners_per_robot=MAX_SCANNERS_PER_ROBOT)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = sim._Simulation(config, 1, 1000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(engine.scanners) == MAX_SCANNERS_PER_ROBOT
+        assert held < 0.5e6
+
     @pytest.mark.parametrize("part", [slice(None, 3), slice(-2, None), slice(None, None, 5)])
     def test_event_slices_match_reads_by_index(self, part):
         trace, _ = simulate(CALIBRATED, seed=1, horizon_seconds=600)
