@@ -61,7 +61,7 @@ import heapq
 import math
 import random
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DomainError
@@ -158,9 +158,8 @@ class SimTrace:
     Event i happened at `times[i]` ms. `kinds[i]` indexes `vocabulary`,
     the run's (entity, transition) pairs. `causes[i]` is the id of the
     earlier event that triggered it, or NO_CAUSE for `program_initiated`.
-    An event's id is its position. `events` reads the columns back as
-    `(time_ms, entity, transition, cause_id)` tuples, the four CSV columns
-    in order, with None for no cause.
+    An event's id is its position, so `events` is the range of the ids;
+    the benchmark in `perfbench` reads its length.
     """
 
     times: array  # array("q")
@@ -172,8 +171,8 @@ class SimTrace:
     CSV_HEADER = "time_ms,entity,transition,cause_event_id"
 
     @property
-    def events(self) -> _EventView:
-        return _EventView(self)
+    def events(self) -> range:
+        return range(len(self.times))
 
     def csv_blocks(self) -> Iterator[str]:
         """The CSV text in pieces: the header, then a newline before the
@@ -199,31 +198,6 @@ class SimTrace:
         return "".join(self.csv_blocks())
 
 
-class _EventView(Sequence):
-    """A trace's events as `(time_ms, entity, transition, cause_id)`
-    tuples, built on each access; read-only. An int index gives one
-    event, a slice the list of its events."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: SimTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.times)
-
-    def __getitem__(self, index: int | slice):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        trace = self._trace
-        cause = trace.causes[index]
-        return (
-            trace.times[index],
-            *trace.vocabulary[trace.kinds[index]],
-            None if cause == NO_CAUSE else cause,
-        )
-
-
 class _Scanner:
     """One scanner and its input hopper. `state` is AWAITING_LOAD (bed
     empty, prints in the hopper), SCANNING, AWAITING_UNLOAD (until the
@@ -247,9 +221,7 @@ class _Scanner:
         "ready_event",
         "ready_ms",
         "lamp_event",
-        "scanning_ms",
         "scans_done",
-        "starved_ms",
     )
 
     def __init__(self, index: int, capacity: int | None):
@@ -261,9 +233,7 @@ class _Scanner:
         self.ready_event = 0  # program_initiated
         self.ready_ms = 0
         self.lamp_event: int | None = None
-        self.scanning_ms = 0
         self.scans_done = 0
-        self.starved_ms = 0
 
 
 class _Simulation:
@@ -309,7 +279,9 @@ class _Simulation:
         # an interval of robot work, scanning, stall or starvation is charged up to
         # the horizon when it opens; a stall or starvation that closes first is refunded the rest
         self.robot_busy_ms = 0
+        self.scanning_ms = 0
         self.stall_ms = 0
+        self.starved_ms = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -416,7 +388,7 @@ class _Simulation:
             last = self.emit(now_ms, base + offset, last)
         if scanner.state == SCANNING:  # a load: the scan starts now
             scan_end_ms = now_ms + self.scan_ms
-            scanner.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
+            self.scanning_ms += min(scan_end_ms, self.horizon_ms) - now_ms
             self.schedule(scan_end_ms, self.scan_done, scanner, last)
         elif scanner.ready_event < arrive:
             # a reload that completed during the visit stays the enabling event
@@ -424,7 +396,7 @@ class _Simulation:
         if scanner.state == AWAITING_UNLOAD:  # the bed is clear once the robot departs
             scanner.state = AWAITING_LOAD if scanner.prints else STARVED
             if not scanner.prints:
-                scanner.starved_ms += self.horizon_ms - now_ms
+                self.starved_ms += self.horizon_ms - now_ms
         self.robot_last_event = self.emit(now_ms, base + DEPART, last)
         self.robot_last_ms = now_ms
         self.dispatch_robot_after_due(now_ms)
@@ -522,7 +494,7 @@ class _Simulation:
         scanner.prints = self.config.hopper_capacity  # only a finite hopper empties
         if scanner.state in (STARVED, SENSED_EMPTY):  # refund the rest of the starvation
             scanner.state = AWAITING_LOAD
-            scanner.starved_ms -= self.horizon_ms - now_ms
+            self.starved_ms -= self.horizon_ms - now_ms
         reloaded = self.emit(now_ms, scanner.base + RELOADED, scanner.lamp_event)
         scanner.ready_event, scanner.ready_ms = reloaded, now_ms
         self.wake_robot(now_ms)
@@ -550,7 +522,6 @@ class _Simulation:
         n = len(self.scanners)
         scans = sum(s.scans_done for s in self.scanners)
         per_hour = scans / hours if hours > 0 else 0.0
-        scanner_busy = sum(s.scanning_ms for s in self.scanners)
         return ThroughputReport(
             mode="simulated",
             scans_per_scanner_hour=per_hour / n,
@@ -562,10 +533,10 @@ class _Simulation:
             horizon_hours=hours,
             robot_utilization=self.robot_busy_ms / self.horizon_ms if self.horizon_ms else 0.0,
             scanner_utilization=(
-                scanner_busy / (n * self.horizon_ms) if self.horizon_ms else 0.0
+                self.scanning_ms / (n * self.horizon_ms) if self.horizon_ms else 0.0
             ),
             stall_seconds=self.stall_ms / MS_PER_SECOND,
-            starved_seconds=sum(s.starved_ms for s in self.scanners) / MS_PER_SECOND,
+            starved_seconds=self.starved_ms / MS_PER_SECOND,
         )
 
 
