@@ -138,14 +138,14 @@ def check_simulation_calibration() -> list[CheckResult]:
 
 # -- criterion 4: simulation property suite ------------------------------------
 
+PROPERTY_CONFIGS = 1000
 
-def simulation_property_cases(
-    n_configs: int = 1000,
-) -> Iterator[tuple[CellConfig, int, float]]:
-    """The randomized (config, seed, horizon seconds) cases of criterion 4,
-    drawn from a fixed seed so every run checks the same cells."""
+
+def simulation_property_cases() -> Iterator[tuple[CellConfig, int, float]]:
+    """The PROPERTY_CONFIGS randomized (config, seed, horizon seconds) cases
+    of criterion 4, drawn from a fixed seed so every run checks the same cells."""
     rng = random.Random(41_000)
-    for _ in range(n_configs):
+    for _ in range(PROPERTY_CONFIGS):
         config = CellConfig(
             scanners_per_robot=rng.choice((1, 2, 2, 2, 3)),
             scan_seconds=rng.uniform(15, 60),
@@ -168,12 +168,12 @@ def simulation_property_cases(
         yield config, seed, horizon
 
 
-def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
+def check_simulation_properties() -> list[CheckResult]:
     c = "4 simulation invariants"
     violations = 0
     determinism_breaks = 0
     first_failure = ""
-    for case, (config, seed, horizon) in enumerate(simulation_property_cases(n_configs)):
+    for case, (config, seed, horizon) in enumerate(simulation_property_cases()):
         trace, _ = simulate(config, seed=seed, horizon_seconds=horizon)
         problems = check_trace_invariants(trace, config)
         if problems:
@@ -187,7 +187,7 @@ def check_simulation_properties(n_configs: int = 1000) -> list[CheckResult]:
     return [
         _check(
             c,
-            f"invariants on {n_configs} randomized configs",
+            f"invariants on {PROPERTY_CONFIGS} randomized configs",
             violations == 0,
             first_failure or "conservation, exclusion, causality, ordering all hold",
         ),
