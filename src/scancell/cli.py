@@ -69,13 +69,12 @@ def _write(result, path: str | None) -> None:
 
 def _load(record, path: str | None, default=None):
     """`record` decoded from the JSON file at `path`, or `default()` when no
-    path is given; a missing or malformed file is a configuration error."""
+    path is given; a malformed file is a configuration error, and a file
+    that cannot be read raises OSError, as every other input does."""
     if path is None:
         return default()
     try:
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}")
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an over-long integer,
         # nesting deeper than the decoder's recursion limit

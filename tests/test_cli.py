@@ -234,13 +234,6 @@ class TestSimulateCommand:
         assert out == ""
         assert not trace.exists()
 
-    def test_missing_config_exits_2(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "simulate", "--config", str(tmp_path / "nope.json"), "--seed", "1",
-            "--hours", "1",
-        )
-        assert code == 2
-
     @pytest.mark.parametrize("hours", ["0", "1e-10"])
     def test_zero_millisecond_horizon_writes_a_header_only_trace(self, capsys, tmp_path, hours):
         trace = tmp_path / "t.csv"
@@ -453,6 +446,28 @@ def test_unwritable_output_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "missing.json", "--seed", "1", "--hours", "1"],
+        ["cost", "breakeven", "--a", "missing.json"],
+        ["cost", "breakeven", "--b", "missing.json"],
+        ["preserve", "sample", "--n", "10", "--seed", "1", "--rates", "missing.json"],
+        ["preserve", "plan", "missing.json"],
+        ["qc", "analyze", "missing.pgm"],
+        ["qc", "crop", "missing.pgm", "--out", "crop.pgm"],
+    ],
+)
+def test_missing_input_file_exits_1(capsys, tmp_path, monkeypatch, argv):
+    # a file that cannot be read is an i/o error, whatever the input
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "i/o error" in err and "missing." in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_numpy_out():
