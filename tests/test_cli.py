@@ -459,6 +459,7 @@ def test_unwritable_output_exits_1(capsys, tmp_path):
         ["qc", "analyze", "missing.pgm"],
         ["qc", "crop", "missing.pgm", "--out", "crop.pgm"],
     ],
+    ids=["config", "cost-a", "cost-b", "rates", "condition", "qc-analyze", "qc-crop"],
 )
 def test_missing_input_file_exits_1(capsys, tmp_path, monkeypatch, argv):
     # a file that cannot be read is an i/o error, whatever the input
