@@ -2,13 +2,8 @@
 
 The portable graymap (P5) container is used for all raster I/O; the
 samples-per-inch figure rides in a header comment (`# ppi 1200`) so files
-round-trip bit-exactly with their physical scale.
-
-The float filters take an image as `(rows, row_of)`: `k` distinct rows and
-the index of the distinct row behind each image row. `blur_rows` costs
-and allocates in proportion to the distinct rows, not the pixels, which
-keeps a target render at about one byte per pixel (at most 2 B/px plus
-16 MB). A plain 2-D image `image` is `(image, arange(height))`.
+round-trip bit-exactly with their physical scale. The float image a
+render builds before it quantizes to a raster lives in `target`.
 """
 from __future__ import annotations
 
@@ -148,64 +143,3 @@ def _comment_ppi(text: bytes | None) -> float:
         )
     return ppi
 
-
-def blur_rows(
-    rows: np.ndarray, row_of: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Separable Gaussian blur, kernel truncated at 3 sigma, of the float
-    image `rows[row_of]`, returned in the same form.
-
-    The horizontal pass runs once per distinct row, the vertical pass once
-    per distinct window of source rows, so an image of a few distinct rows
-    costs a few rows. Tap order and edge clamping are those of a full-image
-    pass, so `rows[row_of]` is bit-identical to blurring the full image.
-    """
-    if sigma <= 0:
-        return rows, row_of
-    radius = max(1, int(np.ceil(3.0 * sigma)))
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    rows = _convolve_rows(rows, kernel)
-    taps = np.clip(np.arange(len(row_of))[:, None] + offsets, 0, len(row_of) - 1)
-    windows, window_of = np.unique(row_of[taps], axis=0, return_inverse=True)
-    out = np.zeros((len(windows), rows.shape[1]), dtype=np.float64)
-    for i, weight in enumerate(kernel):
-        out += weight * rows[windows[:, i]]
-    return out, window_of.reshape(-1)
-
-
-def _convolve_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    radius = len(kernel) // 2
-    padded = np.pad(image, [(0, 0), (radius, radius)], mode="edge")
-    out = np.zeros_like(image, dtype=np.float64)
-    for i, weight in enumerate(kernel):
-        out += weight * padded[:, i : i + image.shape[1]]
-    return out
-
-
-def add_noise(
-    image: np.ndarray, sigma: float, seed: int | np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Additive Gaussian noise on a float image, returned as a new array,
-    or written into `out` (a float64 array that `image` broadcasts to) when
-    one is given; with `sigma` 0 the image itself is returned.
-
-    The noise `sigma * z` of standard normal draws `z` equals
-    `Generator.normal(0, sigma)`, which is `0 + sigma * z`, bit for bit.
-    Given a `Generator` as `seed`, draws continue its stream, so noise added
-    strip by strip from one generator equals noise added to the whole image.
-    """
-    if sigma <= 0:
-        return image
-    if out is None:
-        out = np.empty(image.shape)
-    np.random.default_rng(seed).standard_normal(out=out)
-    out *= sigma
-    out += image
-    return out
-
-
-def quantize(image: np.ndarray) -> np.ndarray:
-    """Round and clip a float image to uint8."""
-    return np.clip(np.rint(image), 0, 255).astype(np.uint8)

@@ -20,14 +20,17 @@ do):
   carriage-speed miscalibration; injected blur and noise are applied
   after the optics, then the image quantizes to 8 bits.
 
-Before quantizing, the target has three distinct rows (white, the scale
-band, the element band), so `render_target` draws and blurs those rows
-only and expands them to the full image as 8-bit pixels. Noise is drawn,
-added, rounded and clipped in one float buffer of a strip of
-`STRIP_PX` pixels, the analyzer's strip size, reused by every strip. A
-render therefore needs about one byte per pixel, at most 2 B/px plus
-16 MB, and the `MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about
-300 MB.
+The float filters take an image as `(rows, row_of)`: `k` distinct rows and
+the index of the distinct row behind each image row. A plain 2-D image
+`image` is `(image, arange(height))`. Before quantizing, the target has
+three distinct rows (white, the scale band, the element band), so
+`render_target` draws those rows only, `blur_rows` costs and allocates in
+proportion to the distinct rows, not the pixels, and the rows expand to
+the full image only as 8-bit pixels. Noise is drawn, added, rounded and
+clipped in one float buffer of a strip of `STRIP_PX` pixels, the
+analyzer's strip size, reused by every strip. A render therefore needs
+about one byte per pixel, at most 2 B/px plus 16 MB, and the
+`MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about 300 MB.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from .raster import STRIP_PX, GrayRaster, add_noise, blur_rows, check_ppi, quantize
+from .raster import STRIP_PX, GrayRaster, check_ppi
 
 SENSOR_SIGMA_PX = 0.65
 BAR_JITTER_PX = 0.30
@@ -280,8 +283,7 @@ def render_target(
         _fill_span(element_row, edges[k] * stretch, edges[k + 1] * stretch, float(wedge_level(k)))
 
     rows, row_of = blur_rows(rows, row_of, SENSOR_SIGMA_PX)
-    if blur_sigma > 0:
-        rows, row_of = blur_rows(rows, row_of, blur_sigma)
+    rows, row_of = blur_rows(rows, row_of, blur_sigma)
     return GrayRaster(_quantize_rows(rows, row_of, distortions.noise_sigma, seed), ppi)
 
 
@@ -304,6 +306,66 @@ def _quantize_rows(
         noisy = add_noise(rows[row_of[a]], noise_sigma, rng, out=strip[: b - a])
         out[a:b] = np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
     return out
+
+
+def blur_rows(
+    rows: np.ndarray, row_of: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Separable Gaussian blur, kernel truncated at 3 sigma, of the float
+    image `rows[row_of]`, returned in the same form.
+
+    The horizontal pass runs once per distinct row, the vertical pass once
+    per distinct window of source rows, so an image of a few distinct rows
+    costs a few rows. Tap order and edge clamping are those of a full-image
+    pass, so `rows[row_of]` is bit-identical to blurring the full image.
+    """
+    if sigma <= 0:
+        return rows, row_of
+    radius = max(1, int(np.ceil(3.0 * sigma)))
+    offsets = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    rows = _convolve_rows(rows, kernel)
+    taps = np.clip(np.arange(len(row_of))[:, None] + offsets, 0, len(row_of) - 1)
+    windows, window_of = np.unique(row_of[taps], axis=0, return_inverse=True)
+    out = np.zeros((len(windows), rows.shape[1]), dtype=np.float64)
+    for i, weight in enumerate(kernel):
+        out += weight * rows[windows[:, i]]
+    return out, window_of.reshape(-1)
+
+
+def _convolve_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    radius = len(kernel) // 2
+    padded = np.pad(image, [(0, 0), (radius, radius)], mode="edge")
+    out = np.zeros_like(image, dtype=np.float64)
+    for i, weight in enumerate(kernel):
+        out += weight * padded[:, i : i + image.shape[1]]
+    return out
+
+
+def add_noise(
+    image: np.ndarray, sigma: float, seed: int | np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Additive Gaussian noise on a float image, returned as a new array,
+    or written into `out` (a float64 array that `image` broadcasts to) when
+    one is given.
+
+    The noise `sigma * z` of standard normal draws `z` equals
+    `Generator.normal(0, sigma)`, which is `0 + sigma * z`, bit for bit.
+    Given a `Generator` as `seed`, draws continue its stream, so noise added
+    strip by strip from one generator equals noise added to the whole image.
+    """
+    if out is None:
+        out = np.empty(image.shape)
+    np.random.default_rng(seed).standard_normal(out=out)
+    out *= sigma
+    out += image
+    return out
+
+
+def quantize(image: np.ndarray) -> np.ndarray:
+    """Round and clip a float image to uint8."""
+    return np.clip(np.rint(image), 0, 255).astype(np.uint8)
 
 
 def render_print_scan(

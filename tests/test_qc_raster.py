@@ -7,7 +7,7 @@ import pytest
 
 from scancell.errors import AnalysisError, DomainError
 from scancell.qc import GrayRaster, render_print_scan
-from scancell.qc.raster import add_noise, blur_rows, quantize
+from scancell.qc.target import add_noise, blur_rows, quantize
 
 
 def checkerboard(w=8, h=6):

@@ -29,7 +29,7 @@ from scancell.qc.analyze import (
     _histogram,
     _percentiles,
 )
-from scancell.qc.raster import add_noise, quantize
+from scancell.qc.target import add_noise, quantize
 
 GEOM = default_geometry()
 GROUP_STEP = 2.0 ** (1.0 / 6.0)
