@@ -23,6 +23,13 @@ def _require_finite(owner: str, **values: float) -> None:
             raise ConfigError(f"{owner} {name} must be finite, got {value!r}")
 
 
+def require_ms(what: str, seconds: float) -> None:
+    """The rule for every duration: its value in ms must be finite, so that
+    the engine can round it to whole milliseconds."""
+    if not math.isfinite(seconds * MS_PER_SECOND):
+        raise ConfigError(f"{what} of {seconds!r} s has no finite value in ms")
+
+
 @dataclass(frozen=True)
 class HandlingTime(JsonRecord):
     """Distribution of the robot's handling time per loading cycle.
@@ -50,6 +57,9 @@ class HandlingTime(JsonRecord):
             raise ConfigError("handling spread must be non-negative")
         if self.kind == "uniform" and self.spread >= 1.0:
             raise ConfigError("uniform handling spread must be below 1")
+        mean = self.mean_seconds
+        # a uniform draw's upper end as `sampler` forms it; the engine checks a lognormal draw
+        require_ms("handling time", mean + mean * self.spread if self.kind == "uniform" else mean)
 
     def sampler(self, rng: random.Random):
         """A zero-argument draw of one handling time in seconds from `rng`,
@@ -136,8 +146,9 @@ class CellConfig(JsonRecord):
     try plus two further attempts with added downward force.
     `ramp_multiplier` optionally scales productivity week on week
     (handling times divide by multiplier^week). Every float must be finite,
-    a scan must round to at least 1 ms so that simulated time advances, and
-    one robot serves at most `MAX_SCANNERS_PER_ROBOT` scanners.
+    so must every duration in ms (`require_ms`), a scan must round to at
+    least 1 ms so that simulated time advances, and one robot serves at
+    most `MAX_SCANNERS_PER_ROBOT` scanners.
     """
 
     scanners_per_robot: int = 2
@@ -152,12 +163,10 @@ class CellConfig(JsonRecord):
 
     def __post_init__(self) -> None:
         _require_finite(
-            "cell",
-            scan_seconds=self.scan_seconds,
-            lift_failure_prob=self.lift_failure_prob,
-            reload_seconds=self.reload_seconds,
-            ramp_multiplier=self.ramp_multiplier,
+            "cell", lift_failure_prob=self.lift_failure_prob, ramp_multiplier=self.ramp_multiplier
         )
+        require_ms("cell scan_seconds", self.scan_seconds)
+        require_ms("cell reload_seconds", self.reload_seconds)
         if not 1 <= self.scanners_per_robot <= MAX_SCANNERS_PER_ROBOT:
             raise ConfigError(
                 f"scanners per robot must lie in [1, {MAX_SCANNERS_PER_ROBOT:,}], "

@@ -65,7 +65,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..errors import ConfigError, DomainError
-from .config import MS_PER_SECOND, CellConfig
+from .config import MS_PER_SECOND, CellConfig, require_ms
 from .throughput import ThroughputReport
 
 WEEK_MS = 7 * 24 * 3600 * MS_PER_SECOND
@@ -404,19 +404,21 @@ class _Simulation:
     def phase_duration_ms(self, share: float, now_ms: int) -> int:
         """Duration of one phase: `share` of a handling time drawn for this
         phase alone, sped up by the ramp for the current week."""
-        handling = self.draw_handling()
+        try:
+            handling = drawn = self.draw_handling()
+        except OverflowError:  # a lognormal draw beyond the float range
+            handling = drawn = math.inf
         ramp = self.config.ramp_multiplier
         if ramp != 1.0:
-            week = now_ms // WEEK_MS
             try:
-                handling /= ramp**week
+                handling /= ramp ** (now_ms // WEEK_MS)
             except (OverflowError, ZeroDivisionError):  # ramp**week left the float range
                 handling = math.inf
-            if handling * MS_PER_SECOND == math.inf:
-                raise DomainError(
-                    f"ramp_multiplier {ramp!r} in week {week} takes the handling time "
-                    "out of the float range"
-                )
+        if handling * MS_PER_SECOND == math.inf:
+            cause = f"a {self.config.handling_time.kind} draw"
+            if drawn * MS_PER_SECOND < math.inf:
+                cause = f"ramp_multiplier {ramp!r} in week {now_ms // WEEK_MS}"
+            raise DomainError(f"{cause} takes the handling time out of the float range")
         return round(share * handling * MS_PER_SECOND)
 
     def attempt_lift(self, scanner: _Scanner, lift: int, now_ms: int, cause: int):
@@ -552,8 +554,7 @@ def simulate(
     """
     if not isinstance(config, CellConfig):
         raise ConfigError("config must be a CellConfig")
-    if not math.isfinite(horizon_seconds):
-        raise ConfigError(f"horizon must be finite, got {horizon_seconds!r}")
+    require_ms("horizon", horizon_seconds)
     if horizon_seconds < 0:
         raise ConfigError("horizon must be non-negative")
     horizon_ms = round(horizon_seconds * MS_PER_SECOND)

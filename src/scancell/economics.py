@@ -25,9 +25,12 @@ MoneyLike = Union[int, float, str, Fraction]
 
 
 def as_money(value: MoneyLike) -> Money:
-    """Exact GBP amount. Floats convert via their decimal string form."""
+    """Exact GBP amount. Floats convert via their decimal string form; a
+    bool is not an amount."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"money amount must be a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):

@@ -64,6 +64,20 @@ class TestConfig:
             CellConfig(lift_failure_prob=1.5)
         with pytest.raises(ConfigError):
             HandlingTime("triangular")
+        for build, fragment in (
+            (lambda: HandlingTime("fixed", 0.0), "mean must be positive"),
+            (lambda: HandlingTime("lognormal", 60.0, -0.1), "spread must be non-negative"),
+            (lambda: HandlingTime("uniform", 60.0, 1.0), "spread must be below 1"),
+            (lambda: HandlingTime("lognormal", 1e306), "has no finite value in ms"),
+            (lambda: WeeklySchedule(((7, 9.0, 17.0),)), "day must be 0-6"),
+            (lambda: WeeklySchedule(((0, 17.0, 9.0),)), "invalid interval hours"),
+            (lambda: CellConfig(lift_retry_limit=0), "retry limit must be at least 1"),
+            (lambda: CellConfig(reload_seconds=-1.0), "reload duration must be non-negative"),
+            (lambda: CellConfig(ramp_multiplier=0.0), "ramp multiplier must be positive"),
+            (lambda: CellConfig(scan_seconds=-1e306), "cell scan_seconds of -1e"),
+        ):
+            with pytest.raises(ConfigError, match=fragment):
+                build()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="hoper_capacity"):
@@ -142,6 +156,17 @@ class TestCalibration:
         with pytest.raises(ConfigError, match="finite"):
             simulate(CALIBRATED, seed=1, horizon_seconds=horizon)
 
+    @pytest.mark.parametrize(
+        "config, horizon, fragment",
+        [
+            (CALIBRATED, -1.0, "horizon must be non-negative"),
+            (CALIBRATED.to_json_dict(), 1.0, "config must be a CellConfig"),
+        ],
+    )
+    def test_simulate_inputs_rejected(self, config, horizon, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            simulate(config, seed=1, horizon_seconds=horizon)
+
     def test_zero_horizon(self):
         trace, report = simulate(CALIBRATED, seed=1, horizon_seconds=0)
         assert len(trace.events) == 0
@@ -189,6 +214,45 @@ class TestCalibration:
             report.scans_completed
         )
         assert report.scans_completed == sum(report.per_scanner_scans)
+
+
+class TestMillisecondRange:
+    """A finite duration whose milliseconds pass the float range is refused
+    with a ConfigError at the boundary, or a DomainError for a draw, and
+    never escapes as OverflowError."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: simulate(CellConfig(), 1, 3.6e305),
+            lambda: simulate(CellConfig(scan_seconds=1e306), 1, 3600),
+            lambda: simulate(CellConfig(handling_time=HandlingTime("fixed", 1e308)), 1, 3600),
+            lambda: simulate(
+                CellConfig(handling_time=HandlingTime("uniform", 1e308, 0.5)), 1, 3600
+            ),
+            lambda: simulate(
+                CellConfig(hopper_capacity=1, reload_seconds=1e306, attendance=ALWAYS_PRESENT),
+                1,
+                3600,
+            ),
+        ],
+        ids=["horizon", "scan", "fixed-handling", "uniform-handling", "reload"],
+    )
+    def test_finite_input_beyond_the_range_is_a_config_error(self, run):
+        with pytest.raises(ConfigError, match="has no finite value in ms"):
+            run()
+
+    @pytest.mark.parametrize(
+        "mean, sigma, seed",
+        [
+            (1e305, 0.5, 2),  # the first draw is finite, but not in ms
+            (1.7e305, 3.7, 7732),  # the first draw overflows `math.exp` in the sampler
+        ],
+    )
+    def test_lognormal_draw_beyond_the_range_is_a_domain_error(self, mean, sigma, seed):
+        config = CellConfig(handling_time=HandlingTime("lognormal", mean, sigma))
+        with pytest.raises(DomainError, match="a lognormal draw takes the handling time out"):
+            simulate(config, seed, 3600)
 
 
 # the shortest cycle the boundary accepts: 42,000 events per simulated second

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from scancell.cell import (
@@ -63,6 +65,17 @@ class TestProductivityRatio:
         ratio = productivity_ratio(human, human)
         assert ratio.per_scanner == 1.0
         assert ratio.per_worker == 1.0
+
+    def test_validation(self):
+        robotic = theoretical_throughput("robotic")
+        human = theoretical_throughput("human_operated")
+        for a, b, fragment in (
+            (robotic, dataclasses.replace(human, scans_per_scanner_week=0.0), "manual rates"),
+            (robotic, dataclasses.replace(human, scans_per_worker_week=None), "manual rates"),
+            (dataclasses.replace(robotic, scans_per_worker_week=None), human, "lacks a worker-week"),
+        ):
+            with pytest.raises(DomainError, match=fragment):
+                productivity_ratio(a, b)
 
 
 class TestObservedVsTheoretical:

@@ -74,6 +74,13 @@ class TestDispatch:
         assert code == 2
         assert "economics" in err
 
+    def test_cost_weeks_requires_a_capacity(self, capsys, tmp_path):
+        params = tmp_path / "a.json"
+        params.write_text(json.dumps({"per_scan_variable": 0.1, "fixed_total": 100}))
+        code, _, err = run(capsys, "cost", "weeks", "--scans", "5", "--a", str(params))
+        assert code == 2
+        assert err.startswith("economics: configuration error: no weekly capacity given")
+
     def test_throughput_with_fleet(self, capsys):
         code, out, _ = run(capsys, "throughput", "--mode", "robotic", "--fleet", "14")
         payload = json.loads(out)
@@ -168,7 +175,7 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("cell: configuration error")
 
-    @pytest.mark.parametrize("hours", ["nan", "inf"])
+    @pytest.mark.parametrize("hours", ["nan", "inf", "1e302"])
     def test_non_finite_hours_exit_2(self, capsys, hours):
         code, _, err = run(capsys, "simulate", "--seed", "1", "--hours", hours)
         assert code == 2
@@ -870,6 +877,15 @@ MALFORMED_JSON = [
     ("cost", {"per_scan_variable": 0.1, "fixed_items": [["scanner", 1, 1]], "fixed_totl": 5}),
     ("rates", {"mold": 0.1}),
     ("rates", []),
+    # JSON true is not a money amount
+    ("cost", {"per_scan_variable": True, "fixed_total": 100}),
+    ("cost", {"per_scan_variable": 0.1, "fixed_total": True}),
+    ("cost", {"per_scan_variable": 0.1, "fixed_items": [["x", True, 2]]}),
+    # finite durations whose milliseconds pass the float range
+    ("simulate", {"scan_seconds": 1e306}),
+    ("simulate", {"reload_seconds": 1e306, "hopper_capacity": 1}),
+    ("simulate", {"handling_time": {"kind": "fixed", "mean_seconds": 1e308}}),
+    ("simulate", {"handling_time": {"kind": "uniform", "mean_seconds": 1e308, "spread": 0.5}}),
 ]
 
 

@@ -51,6 +51,12 @@ class TestMoney:
         with pytest.raises(DomainError):
             as_money(float("inf"))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_a_bool(self, value):
+        # JSON true is not 1 GBP; the codec turns the TypeError into a ConfigError
+        with pytest.raises(TypeError, match="money amount must be a number"):
+            as_money(value)
+
 
 class TestBenchmarks:
     def test_itemized_robotic_total(self):
@@ -198,3 +204,13 @@ def test_cost_item_validation():
         CostItem("bad", as_money(-1), 1)
     with pytest.raises(DomainError):
         CostParams(per_scan_variable=as_money(1))
+    one = as_money(1)
+    for build, fragment in (
+        (lambda: CostItem("bad", one, -1), "quantity for 'bad' must be non-negative"),
+        (lambda: CostParams(as_money(-1), fixed_total_override=one), "per-scan variable cost"),
+        (lambda: CostParams(one, fixed_total_override=as_money(-1)), "fixed total must be"),
+        (lambda: CostParams(one, fixed_total_override=one, weekly_capacity=0.0), "weekly capacity"),
+        (lambda: total_cost(manual_benchmark(), -1), "scan count must be non-negative"),
+    ):
+        with pytest.raises(DomainError, match=fragment):
+            build()

@@ -162,6 +162,13 @@ class TestSampler:
     def test_dependence_bounds(self):
         with pytest.raises(DomainError):
             sample_boxes(1, 0, IssueRates(), dependence=1.5)
+        heavy = IssueRates(cleaning=0.6, curling=0.6)  # issue rates summing past 1
+        for kwargs, fragment in (
+            ({"rates": heavy, "dependence": -0.5}, "disjoint mixture requires issue rates"),
+            ({"rates": IssueRates(), "extensive_share": 1.5}, "extensive_share must lie in"),
+        ):
+            with pytest.raises(DomainError, match=fragment):
+                sample_boxes(1, 0, **kwargs)
 
     def test_rate_validation(self):
         with pytest.raises(DomainError):

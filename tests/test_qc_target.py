@@ -59,6 +59,19 @@ class TestGeometry:
                 groups=(ResolutionGroup(100, 5), ResolutionGroup(100, 5))
             )
 
+    def test_validation(self):
+        too_wide = CalibrationGeometry(groups=(ResolutionGroup(50_000.0, 5),))
+        for build, fragment in (
+            (lambda: ResolutionGroup(0.0, 5), "line width must be positive"),
+            (lambda: ResolutionGroup(100.0, 1), "at least two bars"),
+            (lambda: Distortions(noise_sigma=-1.0), "noise and blur must be non-negative"),
+            (lambda: Distortions(blur_radius_px=-1.0), "noise and blur must be non-negative"),
+            (lambda: Distortions(scale_error_fraction=-1.0), "scale error must exceed -100%"),
+            (lambda: TargetLayout.compute(too_wide, 300), "no room for the step wedge"),
+        ):
+            with pytest.raises(DomainError, match=fragment):
+                build()
+
     def test_degenerate_ppi_scale_length(self):
         ticks = TargetLayout.compute(GEOM, 1).scale_tick_centers_px
         assert ticks[-1] - ticks[0] == pytest.approx(6.0)
@@ -638,6 +651,12 @@ class TestMeasureScale:
         with pytest.raises(AnalysisError):
             measure_scale_px(blank)
 
+    def test_single_tick_is_an_error(self):
+        pixels = np.full((600, 600), 255, dtype=np.uint8)
+        pixels[:, 300:303] = 0
+        with pytest.raises(AnalysisError, match="needs two terminal ticks, found 1 dark runs"):
+            measure_scale_px(GrayRaster(pixels, 600))
+
     @pytest.mark.parametrize("ppi", [300, 600, 1200, 2400, 487.5])
     def test_reads_the_layout_scale_band(self, monkeypatch, ppi):
         # neighbouring rows differ, so a band shifted by a row reads other pixels
@@ -703,6 +722,10 @@ class TestResolutionTarget:
         raster = render_target(geom, 300)
         assert smallest_resolvable_um(raster, geom) == 1000.0
 
+    def test_geometry_without_groups_rejected(self, target_1200):
+        with pytest.raises(DomainError, match="geometry has no resolution groups"):
+            smallest_resolvable_um(target_1200, CalibrationGeometry())
+
     def test_fully_blurred_raster_is_an_error(self):
         raster = render_target(GEOM, 300, Distortions(blur_radius_px=40.0))
         with pytest.raises(AnalysisError, match="no resolution group"):
@@ -761,6 +784,10 @@ class TestPrintScanInputs:
     def test_bad_scan_area_rejected(self, area):
         with pytest.raises(DomainError, match="scan area must be finite and positive"):
             render_print_scan(300, scan_area_mm=area)
+
+    def test_print_larger_than_scan_area_rejected(self):
+        with pytest.raises(DomainError, match="print does not fit in the scan area"):
+            render_print_scan(300, scan_area_mm=(340.0, 200.0))
 
     def test_zero_pixel_scan_rejected(self):
         with pytest.raises(DomainError, match="rounds to 0x0 px"):

@@ -220,6 +220,11 @@ class TestRecordChecks:
         with pytest.raises(ParseError, match=match):
             cls(*args)
 
+    @pytest.mark.parametrize("year", [-1, 100])
+    def test_year_beyond_two_digits_rejected(self, year):
+        with pytest.raises(ParseError, match=f"two-digit year must be 0-99, got {year}"):
+            CommercialSurvey("HSL", "GH", year, 34)
+
 
 class TestParseChecksTokensOnce:
     def test_valid_ids_skip_the_record_token_checks(self, monkeypatch):
