@@ -18,9 +18,9 @@ environment-variable configuration, so identical argv and input files
 give byte-identical outputs. Exit codes: 0 success, 1 domain or analysis
 error, 2 usage or configuration error.
 
-Each subcommand's handler returns what it produces, bytes (PGM), text
-(CSV), text pieces (a CSV written block by block) or a JSON record or
-dict, and `main` writes it to `--out` (stdout when absent or "-"). A
+Each subcommand's handler returns what it produces, text (CSV), pieces
+(a PGM's header and pixel buffers, a CSV's blocks of text) or a JSON
+record or dict, and `main` writes it to `--out` (stdout when absent or "-"). A
 handler that also writes `--trace` or `--csv` returns a list of (path,
 result) pairs; paper-check returns (text, exit code).
 """
@@ -49,8 +49,9 @@ CSV_BLOCK_ROWS = 1 << 16  # sample rows per block of CSV text
 
 def _write(result, path: str | None) -> None:
     """Write one result to `path`, or to stdout when `path` is None or "-":
-    bytes as they are, text and each str of an iterable of text pieces as
-    UTF-8, and a record or dict as JSON with finite numbers only."""
+    text as UTF-8, a record or dict as JSON with finite numbers only, and
+    an iterable of pieces in order: each str as UTF-8 and any other piece
+    as the buffer it is (bytes, or the pixels of a C-contiguous array)."""
     if isinstance(result, JsonRecord):
         result = result.to_json_dict()
     if isinstance(result, dict):
@@ -59,12 +60,12 @@ def _write(result, path: str | None) -> None:
         except ValueError as exc:
             # finite inputs whose result overflows to infinity
             raise DomainError(f"result is not finite: {exc}") from None
-    if isinstance(result, (str, bytes)):
+    if isinstance(result, str):
         result = (result,)
     to_file = path is not None and path != "-"
     with open(path, "wb") if to_file else contextlib.nullcontext(sys.stdout.buffer) as out:
         for piece in result:
-            out.write(piece if isinstance(piece, bytes) else piece.encode())
+            out.write(piece.encode() if isinstance(piece, str) else piece)
 
 
 def _load(record, path: str | None, default=None):
@@ -157,7 +158,7 @@ def _cmd_qc_render(args: argparse.Namespace):
     if args.noise_sigma > 0 and (args.seed is None or args.seed < 0):
         raise ConfigError("qc render with noise requires an explicit --seed of 0 or more")
     raster = qc.render_target(qc.default_geometry(), args.ppi, distortions, seed=args.seed or 0)
-    return raster.to_pgm_bytes()
+    return raster.pgm_pieces()
 
 
 def _cmd_qc_analyze(args: argparse.Namespace):
@@ -185,7 +186,7 @@ def _cmd_qc_crop(args: argparse.Namespace):
     from . import qc
     border_mm = qc.analyze.BORDER_MM if args.border_mm is None else args.border_mm
     cropped = qc.crop_to_border(qc.GrayRaster.load(args.raster), border_mm=border_mm)
-    return cropped.to_pgm_bytes()
+    return cropped.pgm_pieces()
 
 
 # -- parse-id / preserve --------------------------------------------------------

@@ -11,7 +11,7 @@ import io
 import math
 import re
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -62,17 +62,27 @@ class GrayRaster:
     def __repr__(self) -> str:
         return f"GrayRaster({self.width}x{self.height} @ {self.ppi:g} ppi)"
 
+    def pgm_pieces(self) -> Iterator[bytes | np.ndarray]:
+        """The binary PGM as buffers to write in order: the header, then the
+        pixels, whole when they are C-contiguous, else row by row (each row
+        of a crop is contiguous), so no contiguous copy of them is made."""
+        yield f"P5\n# ppi {self.ppi:g}\n{self.width} {self.height}\n255\n".encode("ascii")
+        if self.pixels.flags.c_contiguous:
+            yield self.pixels
+        else:
+            yield from map(np.ascontiguousarray, self.pixels)
+
     def to_pgm_bytes(self) -> bytes:
-        header = f"P5\n# ppi {self.ppi:g}\n{self.width} {self.height}\n255\n"
-        # join reads the array's buffer, so the pixels are copied once
-        return b"".join((header.encode("ascii"), np.ascontiguousarray(self.pixels)))
+        # join reads each piece's buffer, so the pixels are copied once
+        return b"".join(self.pgm_pieces())
 
     @classmethod
     def from_pgm_bytes(cls, data: bytes) -> "GrayRaster":
         return cls._read_pgm(io.BytesIO(data))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_pgm_bytes())
+        with open(path, "wb") as out:
+            out.writelines(self.pgm_pieces())
 
     @classmethod
     def load(cls, path: str | Path) -> "GrayRaster":

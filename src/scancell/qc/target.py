@@ -30,7 +30,11 @@ the full image only as 8-bit pixels. Noise is drawn, added, rounded and
 clipped in one float buffer of a strip of `STRIP_PX` pixels, the
 analyzer's strip size, reused by every strip. A render therefore needs
 about one byte per pixel, at most 2 B/px plus 16 MB, and the
-`MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about 300 MB.
+`MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about 300 MB. The
+vertical pass of the injected blur costs windows x taps x width
+multiply-adds, and nearly every row is its own window once the blur is
+wide, so a blur whose pass could take more than `MAX_BLUR_WORK` is
+refused before it runs.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from .raster import STRIP_PX, GrayRaster, check_ppi
 SENSOR_SIGMA_PX = 0.65
 BAR_JITTER_PX = 0.30
 MAX_RASTER_PIXELS = 300_000_000
+MAX_BLUR_WORK = 1 << 28  # multiply-adds of a render's vertical blur pass: windows x taps x width
 
 # the strip, its measure scale and its step wedge
 TARGET_WIDTH_MM = 250.0
@@ -283,6 +288,12 @@ def render_target(
         _fill_span(element_row, edges[k] * stretch, edges[k + 1] * stretch, float(wedge_level(k)))
 
     rows, row_of = blur_rows(rows, row_of, SENSOR_SIGMA_PX)
+    work = blur_work(row_of, layout.width_px, blur_sigma)
+    if work > MAX_BLUR_WORK:
+        raise DomainError(
+            f"blur of {distortions.blur_radius_px:g} px at {ppi:g} ppi takes up to {work:,} "
+            f"multiply-adds, beyond the blur budget of {MAX_BLUR_WORK:,}"
+        )
     rows, row_of = blur_rows(rows, row_of, blur_sigma)
     return GrayRaster(_quantize_rows(rows, row_of, distortions.noise_sigma, seed), ppi)
 
@@ -321,9 +332,10 @@ def blur_rows(
     """
     if sigma <= 0:
         return rows, row_of
-    radius = max(1, int(np.ceil(3.0 * sigma)))
+    radius = _kernel_radius(sigma)
     offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    with np.errstate(over="ignore"):  # the outer taps of a tiny sigma are exactly 0
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     kernel /= kernel.sum()
     rows = _convolve_rows(rows, kernel)
     taps = np.clip(np.arange(len(row_of))[:, None] + offsets, 0, len(row_of) - 1)
@@ -332,6 +344,29 @@ def blur_rows(
     for i, weight in enumerate(kernel):
         out += weight * rows[windows[:, i]]
     return out, window_of.reshape(-1)
+
+
+def _kernel_radius(sigma: float) -> int:
+    return max(1, int(np.ceil(3.0 * sigma)))
+
+
+def blur_work(row_of: np.ndarray, width: int, sigma: float) -> int:
+    """An upper bound on the multiply-adds of the vertical pass of
+    `blur_rows(rows, row_of, sigma)` over rows of `width` pixels, its
+    windows x taps x width, found without building a window: windows `i`
+    and `i + 1` differ only where `row_of` changes at a `j` with
+    `i - radius < j <= i + radius + 1`, so each change adds at most
+    `2 * radius + 1` windows."""
+    if sigma <= 0:
+        return 0
+    radius = _kernel_radius(sigma)
+    last = len(row_of) - 1  # the window pairs (i, i + 1) have i < last
+    changes = np.flatnonzero(np.diff(row_of)) + 1
+    # the pairs each change can split, as sorted half-open spans of i
+    starts = np.clip(changes - radius - 1, 0, last)
+    stops = np.clip(changes + radius, 0, last)
+    split = np.maximum(stops - np.maximum(starts, np.concatenate(([0], stops[:-1]))), 0)
+    return (1 + int(split.sum())) * (2 * radius + 1) * width
 
 
 def _convolve_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -732,6 +732,7 @@ def test_non_finite_arguments_rejected(capsys, tmp_path, monkeypatch, argv):
     [
         (["--ppi", "1e308"], "more pixels on a side"),
         (["--ppi", "600", "--blur-px", "1e308"], "kernel radius"),
+        (["--ppi", "600", "--blur-px", "2000"], "beyond the blur budget"),
     ],
 )
 def test_qc_render_beyond_the_raster_exits_1(capsys, tmp_path, monkeypatch, flags, message):

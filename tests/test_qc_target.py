@@ -1,9 +1,13 @@
+import dataclasses
 import hashlib
 import json
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scancell.errors import AnalysisError, DomainError
 from scancell.qc import (
@@ -100,8 +104,37 @@ class TestGeometry:
             with pytest.raises(DomainError, match="kernel radius beyond the target's width"):
                 render_target(GEOM, 1, Distortions(blur_radius_px=blur_px))
 
+    def test_blur_beyond_the_budget_rejected(self):
+        # a 2,000 px blur at 600 ppi would take 2.1e10 multiply-adds, about 40 s
+        with pytest.raises(DomainError, match="beyond the blur budget of 268,435,456"):
+            render_target(GEOM, 600, Distortions(blur_radius_px=2000.0))
+
 
 class TestRender:
+    @settings(max_examples=40, deadline=None)
+    @given(ppi=st.floats(150.0, 600.0), blur_px=st.floats(0.0, 20.0))
+    @example(ppi=150.0, blur_px=6.4e-233)  # its kernel's outer taps once overflowed
+    def test_accepted_blur_stays_within_the_budget(self, ppi, blur_px):
+        # a budget of 2**24 keeps each render short and refuses about half the draws
+        budget, passes, blur_rows = 1 << 24, [], target.blur_rows
+
+        def counted(rows, row_of, sigma):
+            blurred, blurred_of = blur_rows(rows, row_of, sigma)
+            if sigma > 0:  # windows x taps x width
+                passes.append(len(blurred) * (2 * max(1, math.ceil(3.0 * sigma)) + 1) * rows.shape[1])
+            return blurred, blurred_of
+
+        with mock.patch.object(target, "MAX_BLUR_WORK", budget), mock.patch.object(
+            target, "blur_rows", counted
+        ):
+            try:
+                render_target(GEOM, ppi, Distortions(blur_radius_px=blur_px))
+            except DomainError as exc:
+                assert "beyond the blur budget" in str(exc)
+                assert len(passes) == 1  # the sensor's pass; the refused blur never ran
+                return
+        assert passes and max(passes) <= budget
+
     def test_deterministic_given_seed(self):
         noisy = Distortions(noise_sigma=2.0)
         a = render_target(GEOM, 300, noisy, seed=5)
@@ -261,7 +294,6 @@ class TestGoldenAnalyses:
         scan = render_print_scan(ppi, scan_area_mm=area)
         assert _sha256(scan.to_pgm_bytes()) == scan_sha256
         cropped = crop_to_border(scan)
-        del scan
         assert (cropped.width, cropped.height) == crop_size
         assert _sha256(cropped.to_pgm_bytes()) == crop_sha256
 
@@ -588,6 +620,26 @@ class TestPrintBoxMatchesPercentileReference:
             box = box_or_error(find_print_box, raster, 1.0)
             assert box == box_or_error(print_box_by_percentile, raster, 1.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1), (1, 9), (7, 1), (5, 40), (33, 17), (3, 1600), (1700, 2)]),
+        levels=st.tuples(st.integers(0, 255), st.integers(0, 255)),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_raster_with_contrast_has_a_box(self, shape, levels, share, seed):
+        # past the contrast check some row and some column always hold
+        # enough light pixels, even when the light ones are few and spread
+        # out, lines of 1,500 px or more needing 2 of them
+        rng = np.random.default_rng(seed)
+        pixels = np.where(rng.random(shape) < share, *levels).astype(np.uint8)
+        raster = GrayRaster(pixels, 300)
+        box = box_or_error(find_print_box, raster, 0.0)
+        assert box == box_or_error(print_box_by_percentile, raster, 0.0)
+        p10, p90 = np.percentile(pixels, (10.0, 90.0))
+        if p90 - p10 >= 16:
+            assert isinstance(box, tuple)
+
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_raster_is_an_error(self, shape):
         with pytest.raises(AnalysisError, match="no light print region"):
@@ -741,6 +793,17 @@ class TestCrop:
         assert cropped.width == print_px + 2 * border
         assert cropped.height == print_px + 2 * border
 
+    def test_crop_is_a_view_of_the_scan(self):
+        scan = render_print_scan(300)
+        tracemalloc.start()
+        try:
+            cropped = crop_to_border(scan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(cropped.pixels, scan.pixels)
+        assert peak < cropped.pixels.nbytes / 2
+
     def test_all_white_raster_identity(self):
         white = GrayRaster(np.full((40, 60), 255, dtype=np.uint8), 300)
         cropped = crop_to_border(white)
@@ -812,6 +875,20 @@ class TestAnalyzeTarget:
         assert len(report.wedge_values) == 21
         assert report.smallest_resolvable_um >= target_1200.pitch_um
         assert report.crop_box == (0, 0, target_1200.width, target_1200.height)
+
+    def test_strip_on_a_mostly_dark_bed_reports_the_whole_raster(self):
+        # the strip fills a tenth of the raster, too little for the print
+        # crop's percentiles to see it, so the crop box falls back to the
+        # whole raster while the strip itself still measures
+        strip = render_target(GEOM, 300)
+        bed = np.zeros((9 * strip.height, strip.width), dtype=np.uint8)
+        raster = GrayRaster(np.vstack([strip.pixels, bed]), 300)
+        with pytest.raises(AnalysisError, match="no light print region"):
+            find_print_box(raster, analyze.BORDER_MM)
+        report = analyze_target(raster)
+        assert report.crop_box == (0, 0, raster.width, raster.height)
+        expected = dataclasses.replace(analyze_target(strip), crop_box=report.crop_box)
+        assert report == expected
 
     def test_report_serialization(self, target_1200):
         data = analyze_target(target_1200).to_json_dict()
