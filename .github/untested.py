@@ -7,8 +7,10 @@ recorder (the standard library's, so no coverage package is needed), then
 prints, for each module under src/, its executable lines that no test ran,
 as line numbers and ranges. An executable line is one that a code object
 compiled from the module maps bytecode to. Code that a test runs in a
-child process is not seen. Exits with pytest's status; the report sets no
-threshold. Tracing makes the suite several times slower.
+child process is not seen. Hypothesis runs derandomized, so the same
+examples decide every report. Exits with pytest's status when that is not
+0, else 1 when any line is listed. Tracing makes the suite several times
+slower.
 """
 import os
 import sys
@@ -41,6 +43,20 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(spans)
 
 
+class Derandomized:
+    """A pytest plugin that loads a derandomized Hypothesis profile before
+    collection. It imports Hypothesis only then: imported before pytest
+    starts, Hypothesis's own plugin cannot have its asserts rewritten, and
+    pytest warns."""
+
+    @staticmethod
+    def pytest_configure(config):
+        from hypothesis import settings
+
+        settings.register_profile("derandomized", derandomize=True)
+        settings.load_profile("derandomized")
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     prefix = str(SRC) + os.sep
@@ -64,7 +80,10 @@ def main() -> int:
 
     sys.settrace(on_call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *sys.argv[1:]])
+        status = pytest.main(
+            ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *sys.argv[1:]],
+            plugins=[Derandomized],
+        )
     finally:
         sys.settrace(None)
 
@@ -81,7 +100,7 @@ def main() -> int:
         if missed:
             print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)}: {ranges(missed)}")
     print(f"total: {untested} of {total} executable lines untested")
-    return int(status)
+    return int(status) or int(untested > 0)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,8 @@ MoneyLike = Union[int, float, str, Fraction]
 def as_money(value: MoneyLike) -> Money:
     """Exact GBP amount. Floats convert via their decimal string form; a
     bool is not an amount."""
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise TypeError(f"money amount must be a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"money amount must be finite, got {value}")
@@ -170,36 +166,29 @@ def cost_per_scan(params: CostParams, n: int) -> Money:
     return params.fixed_total / n + params.per_scan_variable
 
 
-def break_even(a: CostParams, b: CostParams) -> int:
-    """Smallest scan count at which variant `a` is no more expensive than `b`.
-
-    Closed form ceil((fixed_a - fixed_b) / (var_b - var_a)) in the
-    interesting case; raises when `a` never catches up.
-    """
-    if total_cost(a, 1) <= total_cost(b, 1):
+def _least_scans_within(a: CostParams, b: CostParams, share: Fraction, refusal: str) -> int:
+    """Smallest n >= 1 with total_cost(a, n) <= share * total_cost(b, n).
+    Past n = 1 it is ceil((fixed_a - share·fixed_b) / (share·var_b - var_a)),
+    a quotient then above 1; DomainError(refusal) when `a` never catches up."""
+    if total_cost(a, 1) <= share * total_cost(b, 1):
         return 1
-    delta_var = b.per_scan_variable - a.per_scan_variable
-    if delta_var <= 0:
-        raise DomainError(
-            "no break-even point: variant a starts more expensive and its"
-            " per-scan cost is not lower"
-        )
-    delta_fixed = a.fixed_total - b.fixed_total
-    return max(1, math.ceil(delta_fixed / delta_var))
+    slope = share * b.per_scan_variable - a.per_scan_variable
+    if slope <= 0:
+        raise DomainError(refusal)
+    return math.ceil((a.fixed_total - share * b.fixed_total) / slope)
+
+
+def break_even(a: CostParams, b: CostParams) -> int:
+    """Smallest scan count at which variant `a` is no more expensive than `b`."""
+    return _least_scans_within(a, b, Fraction(1), "no break-even point: variant a starts"
+                               " more expensive and its per-scan cost is not lower")
 
 
 def cost_halving_point(a: CostParams, b: CostParams) -> int:
-    """Smallest scan count at which `a` costs at most half of `b` per scan."""
-    if cost_per_scan(a, 1) <= cost_per_scan(b, 1) / 2:
-        return 1
-    slope = b.per_scan_variable / 2 - a.per_scan_variable
-    if slope <= 0:
-        raise DomainError(
-            "no cost-halving point: variant a's per-scan cost never falls"
-            " below half of variant b's"
-        )
-    numerator = a.fixed_total - b.fixed_total / 2
-    return max(1, math.ceil(numerator / slope))
+    """Smallest scan count at which `a` costs at most half of `b` per scan,
+    which at one scan count is half of `b`'s total cost."""
+    return _least_scans_within(a, b, Fraction(1, 2), "no cost-halving point: variant a's"
+                               " per-scan cost never falls below half of variant b's")
 
 
 @dataclass(frozen=True)
@@ -216,8 +205,11 @@ def weeks_to_volume(n: int, weekly_capacity: float) -> WeeksToVolume:
         raise DomainError(f"weekly capacity must be finite and positive, got {weekly_capacity!r}")
     if n < 0:
         raise DomainError("scan count must be non-negative")
-    fractional = n / weekly_capacity
-    return WeeksToVolume(n, weekly_capacity, fractional, math.ceil(fractional))
+    try:
+        fractional = n / weekly_capacity
+        return WeeksToVolume(n, weekly_capacity, fractional, math.ceil(fractional))
+    except OverflowError:  # the weeks, or n itself, beyond the float range
+        raise DomainError(f"weeks for {reprlib.repr(n)} scans exceed the float range") from None
 
 
 def cost_curve(

@@ -170,12 +170,9 @@ def _dark_runs(profile: np.ndarray, threshold: float) -> list[tuple[int, int]]:
 def _run_centroid(profile: np.ndarray, threshold: float, run: tuple[int, int]) -> float:
     start, end = run
     cols = np.arange(start, end, dtype=np.float64) + 0.5
+    # its one caller passes a run of `_dark_runs` at this threshold, so every weight is positive
     weights = threshold - profile[start:end].astype(np.float64)
-    weights = np.clip(weights, 0.0, None)
-    total = weights.sum()
-    if total <= 0:
-        return float(cols.mean())
-    return float((cols * weights).sum() / total)
+    return float((cols * weights).sum() / weights.sum())
 
 
 @dataclass(frozen=True)

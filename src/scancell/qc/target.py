@@ -393,7 +393,8 @@ def add_noise(
     if out is None:
         out = np.empty(image.shape)
     np.random.default_rng(seed).standard_normal(out=out)
-    out *= sigma
+    with np.errstate(over="ignore"):  # a huge sigma saturates the pixels at 0 and 255
+        out *= sigma
     out += image
     return out
 

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import gc
 import hashlib
@@ -9,6 +10,8 @@ from array import array
 from collections.abc import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scancell.acceptance import simulation_property_cases
 from scancell.cell import (
@@ -21,7 +24,7 @@ from scancell.cell import (
     sim,
     simulate,
 )
-from scancell.cell.config import MAX_SCANNERS_PER_ROBOT
+from scancell.cell.config import HANDLING_KINDS, MAX_SCANNERS_PER_ROBOT
 from scancell.cell.invariants import check_trace_invariants
 from scancell.errors import ConfigError, DomainError
 
@@ -331,6 +334,150 @@ class TestMonotonicity:
             )
             _, report = simulate(config, seed=11, horizon_seconds=100 * 3600)
             assert report.scans_per_hour == pytest.approx(3600.0 / mean, rel=0.02)
+
+
+def cell_configs(**fields):
+    """CellConfigs over criterion 4's ranges, with unlimited hoppers, other
+    schedules and a ramp added; `fields` replaces some fields' strategies."""
+    strategies = {
+        "scanners_per_robot": st.integers(1, 3),
+        "scan_seconds": st.floats(15.0, 60.0),
+        "handling_time": st.builds(
+            HandlingTime,
+            st.sampled_from(HANDLING_KINDS),
+            st.floats(30.0, 100.0),
+            st.sampled_from((0.0, 0.05, 0.15, 0.3)),
+        ),
+        "hopper_capacity": st.sampled_from((None, 1, 2, 5, 30)),
+        "lift_retry_limit": st.integers(1, 3),
+        "lift_failure_prob": st.sampled_from((0.0, 0.02, 0.2)),
+        "attendance": st.sampled_from(
+            (ALWAYS_PRESENT, NEVER_PRESENT, WeeklySchedule(), WeeklySchedule(((0, 0.0, 10.0),)))
+        ),
+        "reload_seconds": st.floats(0.0, 90.0),
+        "ramp_multiplier": st.sampled_from((1.0, 1.13)),
+    }
+    return st.builds(CellConfig, **{**strategies, **fields})
+
+
+def whole_ms(low_ms, high_ms):
+    """Durations in seconds that are whole milliseconds."""
+    return st.integers(low_ms, high_ms).map(lambda ms: ms / 1000)
+
+
+@st.composite
+def weekly_schedules(draw):
+    """Up to four worker-present intervals on whole and half hours."""
+    intervals = []
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, 47))
+        end = draw(st.integers(start + 1, 48))
+        intervals.append((draw(st.integers(0, 6)), start / 2, end / 2))
+    return WeeklySchedule(tuple(intervals))
+
+
+def columns(trace, stop=None):
+    """The trace's three columns, or their first `stop` events, as lists."""
+    return [list(column[:stop]) for column in (trace.times, trace.kinds, trace.causes)]
+
+
+SEEDS = st.integers(0, 2**31 - 1)
+HOUR_S = 3600
+
+
+class TestMetamorphicRelations:
+    """Relations between two runs that hold for every drawn config, each
+    checked on whole traces."""
+
+    # fixed handling of whole 10 ms splits into whole-ms phases of 3:3:4;
+    # stalls are left out, since a worker resolves one after a fixed 1 s
+    @settings(deadline=None)
+    @given(
+        config=cell_configs(
+            scanners_per_robot=st.sampled_from((1, 2, 3, 5)),
+            scan_seconds=whole_ms(1_000, 60_000),
+            handling_time=st.integers(100, 10_000).map(lambda cs: HandlingTime("fixed", cs / 100)),
+            hopper_capacity=st.sampled_from((None, 1, 2, 7, 300)),
+            lift_failure_prob=st.just(0.0),
+            attendance=st.sampled_from((ALWAYS_PRESENT, NEVER_PRESENT)),
+            reload_seconds=whole_ms(0, 120_000),
+            ramp_multiplier=st.just(1.0),
+        ),
+        seed=SEEDS,
+        horizon_seconds=whole_ms(0, 2 * HOUR_S * 1000),
+        k=st.sampled_from((2, 3, 10)),
+    )
+    def test_time_scaling(self, config, seed, horizon_seconds, k):
+        # every duration times k: every event time times k, all else equal
+        scaled = dataclasses.replace(
+            config,
+            scan_seconds=k * config.scan_seconds,
+            handling_time=HandlingTime("fixed", k * config.handling_time.mean_seconds),
+            reload_seconds=k * config.reload_seconds,
+        )
+        trace, report = simulate(config, seed, horizon_seconds)
+        trace_k, report_k = simulate(scaled, seed, k * horizon_seconds)
+        times, kinds, causes = columns(trace)
+        assert columns(trace_k) == [[k * t for t in times], kinds, causes]
+        assert report_k.scans_completed == report.scans_completed
+
+    @settings(deadline=None)
+    @given(
+        config=cell_configs(lift_failure_prob=st.just(0.0)),
+        limit=st.integers(1, 10),
+        seed=SEEDS,
+        horizon_seconds=st.floats(0.0, 2.0 * HOUR_S),
+    )
+    def test_retry_limit_at_zero_failure_probability(self, config, limit, seed, horizon_seconds):
+        # every first attempt succeeds, so no retry is ever drawn
+        again = dataclasses.replace(config, lift_retry_limit=limit)
+        assert simulate(again, seed, horizon_seconds) == simulate(config, seed, horizon_seconds)
+
+    # a zero horizon runs nothing, not even `program_initiated` at t = 0
+    @settings(deadline=None)
+    @given(
+        config=cell_configs(),
+        seed=SEEDS,
+        short_ms=st.integers(1, 2 * HOUR_S * 1000),
+        extra_ms=st.integers(0, 2 * HOUR_S * 1000),
+    )
+    def test_horizon_prefix(self, config, seed, short_ms, extra_ms):
+        # the shorter run is the longer one's events up to its horizon
+        short, _ = simulate(config, seed, short_ms / 1000)
+        long, _ = simulate(config, seed, (short_ms + extra_ms) / 1000)
+        assert columns(short) == columns(long, bisect.bisect_right(long.times, short_ms))
+
+    @settings(deadline=None)
+    @given(
+        config=cell_configs(hopper_capacity=st.just(None)),
+        seed=SEEDS,
+        horizon_ms=st.integers(0, 2 * HOUR_S * 1000),
+    )
+    def test_unlimited_hopper(self, config, seed, horizon_ms):
+        # each load starts a scan, so a scanner loads at most
+        # horizon / scan + 1 prints, and this hopper never empties
+        capacity = horizon_ms // round(config.scan_seconds * 1000) + 2
+        bounded = dataclasses.replace(config, hopper_capacity=capacity)
+        horizon_seconds = horizon_ms / 1000
+        assert simulate(bounded, seed, horizon_seconds) == simulate(config, seed, horizon_seconds)
+
+    @settings(deadline=None)
+    @given(
+        config=cell_configs(attendance=weekly_schedules()),
+        seed=SEEDS,
+        horizon_seconds=st.floats(0.0, 48.0 * HOUR_S),
+    )
+    def test_split_attendance(self, config, seed, horizon_seconds):
+        # each interval split at its midpoint covers the same times
+        split = WeeklySchedule(
+            tuple(
+                half
+                for day, start, end in config.attendance.intervals
+                for half in ((day, start, (start + end) / 2), (day, (start + end) / 2, end))
+            )
+        )
+        again = dataclasses.replace(config, attendance=split)
+        assert simulate(again, seed, horizon_seconds) == simulate(config, seed, horizon_seconds)
 
 
 class TestHandlingSampler:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -52,6 +53,16 @@ class TestDispatch:
         code, _, err = run(capsys, "parse-id", "not an identifier")
         assert code == 1
         assert err.startswith("sortie: ")
+
+    def test_run_as_a_module(self, capsys, monkeypatch):
+        # `python -m scancell.cli` exits with main()'s code; runpy warns
+        # when the module it runs is already imported
+        monkeypatch.setattr(sys, "argv", ["scancell", "parse-id", "4/BC/0056"])
+        monkeypatch.delitem(sys.modules, "scancell.cli")
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("scancell.cli", run_name="__main__")
+        assert exit_info.value.code == 0
+        assert json.loads(capsys.readouterr().out)["canonical"] == "4/BC/0056"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -1007,7 +1018,8 @@ FUZZ_COMMANDS = [
     ("qc render", {"--out": _OUT},
      {"--ppi": ["300", "100", "1", "0", "-5", "nan", "1e-9", "1e308", "x"], "--seed": _INT,
       "--scale-error": ["0", "0.002", "-0.5", "-1", "3", "nan"],
-      "--noise-sigma": ["0", "2", "-1", "nan"], "--blur-px": ["0", "1.5", "-1", "nan", "1e308"]}),
+      "--noise-sigma": ["0", "2", "-1", "nan", "1e308"],
+      "--blur-px": ["0", "1.5", "-1", "nan", "1e308"]}),
     ("qc analyze", {"": _RASTER}, {"--out": _OUT}),
     ("qc crop", {"": _RASTER, "--out": _OUT}, {"--border-mm": ["5", "0", "-1", "nan", "1e9", "1e308", "x"]}),
     ("parse-id", {"": ["4/BC/0056", "K17/LOCAL/NOTES", "x", "", "é"]},

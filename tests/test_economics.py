@@ -190,6 +190,12 @@ class TestWeeksToVolume:
         with pytest.raises(DomainError):
             weeks_to_volume(100, 0)
 
+    # finite inputs: weeks that round up past the float range, and a count beyond it
+    @pytest.mark.parametrize("n, capacity", [(1, 1e-320), (10**400, 1.0)], ids=["weeks", "scans"])
+    def test_beyond_the_float_range_rejected(self, n, capacity):
+        with pytest.raises(DomainError, match="exceed the float range"):
+            weeks_to_volume(n, capacity)
+
 
 def test_cost_curve_rows():
     rows = list(cost_curve(robotic_benchmark(), manual_benchmark(), [1, 10, 100]))

@@ -49,6 +49,18 @@ def layout_1200():
     return TargetLayout.compute(GEOM, 1200)
 
 
+@pytest.fixture(scope="module")
+def target_600():
+    return render_target(GEOM, 600)
+
+
+def group_window(raster, i):
+    """The columns [c0, c1) that `smallest_resolvable_um` reads for group i."""
+    box = TargetLayout.compute(GEOM, raster.ppi).group_boxes[i]
+    pad = 0.25 * raster.ppi / 25.4
+    return int(box.x0_px - pad), math.ceil(box.x1_px + pad)
+
+
 class TestGeometry:
     def test_default_groups_descend_geometrically(self):
         widths = [g.line_width_um for g in GEOM.groups]
@@ -158,6 +170,10 @@ class TestRender:
         assert np.array_equal(
             target._quantize_rows(rows, row_of, 2.0, 5), quantize(add_noise(image, 2.0, 5))
         )
+
+    def test_huge_noise_saturates_every_pixel(self):
+        raster = render_target(GEOM, 100, Distortions(noise_sigma=1e308), seed=1)
+        assert set(np.unique(raster.pixels).tolist()) <= {0, 255}
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
     def test_peak_memory_two_bytes_per_pixel(self, noise_sigma):
@@ -783,6 +799,17 @@ class TestResolutionTarget:
         with pytest.raises(AnalysisError, match="no resolution group"):
             smallest_resolvable_um(raster, GEOM)
 
+    @pytest.mark.parametrize("edit", ["cut", "white"])
+    def test_walk_stops_at_a_group_without_a_window_or_contrast(self, target_600, edit):
+        # group 5's column window is cut off the raster, or painted white:
+        # either way group 4 is the last to count
+        c0, c1 = group_window(target_600, 5)
+        pixels = target_600.pixels.copy()
+        pixels[:, c0:c1] = 255
+        pixels = pixels[:, :c0] if edit == "cut" else pixels
+        smallest = smallest_resolvable_um(GrayRaster(pixels, 600), GEOM)
+        assert smallest == GEOM.groups[4].line_width_um
+
 
 class TestCrop:
     def test_border_geometry_at_300_ppi(self):
@@ -889,6 +916,20 @@ class TestAnalyzeTarget:
         assert report.crop_box == (0, 0, raster.width, raster.height)
         expected = dataclasses.replace(analyze_target(strip), crop_box=report.crop_box)
         assert report == expected
+
+    def test_resolution_finer_than_the_pixel_pitch_is_an_error(self, target_600):
+        # every group under about 2 px wide is replaced by five 1-px dark
+        # runs, which count as its five bars
+        pixels = target_600.pixels.copy()
+        r0, r1 = TargetLayout.compute(GEOM, 600).element_band_rows
+        for i, group in enumerate(GEOM.groups):
+            if group.line_width_um < 2 * target_600.pitch_um:
+                c0, c1 = group_window(target_600, i)
+                mid = (c0 + c1) // 2
+                pixels[r0:r1, c0:c1] = 255
+                pixels[r0:r1, mid - 4 : mid + 5 : 2] = 0
+        with pytest.raises(AnalysisError, match="finer than the pixel pitch"):
+            analyze_target(GrayRaster(pixels, 600))
 
     def test_report_serialization(self, target_1200):
         data = analyze_target(target_1200).to_json_dict()
