@@ -129,6 +129,7 @@ _CONDITIONS = tuple(
 # keyed by identity, which the table keeps alive: hashing a condition
 # would call the Python-level Enum.__hash__ twice per lookup
 _PLANS = {id(c): _derive_plan(c) for c in _CONDITIONS}
+_INSTANCES = {id(c): c for c in _CONDITIONS}
 
 
 def plan_remediation(condition: PrintCondition) -> RemediationPlan:
@@ -209,49 +210,6 @@ ACTIVE_MOULD_SHARE = 0.5  # share of sampled mould that is active, not dormant
 MAX_SAMPLE_BOXES = 1_000_000
 
 
-def _draw_condition(
-    draw, probabilities, lows, highs, mix: float, extensive_share: float
-) -> PrintCondition:
-    """One box from the uniform stream `draw`: with probability `mix` one
-    shared draw u sets issue i when lows[i] <= u < highs[i], otherwise
-    each issue i has its own draw below probabilities[i]."""
-    if mix and draw() < mix:
-        u = draw()
-        l1, l2, l3, l4, l5, l6, l7 = lows
-        h1, h2, h3, h4, h5, h6, h7 = highs
-        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
-            l1 <= u < h1,
-            l2 <= u < h2,
-            l3 <= u < h3,
-            l4 <= u < h4,
-            l5 <= u < h5,
-            l6 <= u < h6,
-            l7 <= u < h7,
-        )
-    else:
-        p1, p2, p3, p4, p5, p6, p7 = probabilities
-        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
-            draw() < p1,
-            draw() < p2,
-            draw() < p3,
-            draw() < p4,
-            draw() < p5,
-            draw() < p6,
-            draw() < p7,
-        )
-
-    # indices into the members of MouldState and RipDamage, in order
-    mould = 0
-    if mould_hit:
-        mould = 2 if draw() < ACTIVE_MOULD_SHARE else 1
-    rips = 0
-    if ripped or peeling:
-        rips = 2 if draw() < extensive_share else 1
-    return _CONDITIONS[
-        ((((mould * 2 + blocking) * 2 + cleaning) * 2 + tape) * 2 + curling) * 3 + rips
-    ]
-
-
 def sample_boxes(
     n: int,
     seed: int,
@@ -271,6 +229,12 @@ def sample_boxes(
     probability `ACTIVE_MOULD_SHARE`, otherwise dormant. One call draws
     at least 1 and at most `MAX_SAMPLE_BOXES` boxes. Each box is one of the
     shared instances that `all_conditions` lists.
+
+    Each box takes, in order: the mix draw (only when `dependence` is not
+    0), which picks the shared draw with probability `abs(dependence)`;
+    then one shared draw, or seven own draws, one per issue in
+    `issue_probabilities` order; then one draw for the mould state if mould
+    was hit; then one for the damage extent if rips or peeling were hit.
     """
     if not 1 <= n <= MAX_SAMPLE_BOXES:
         raise DomainError(f"sample count must lie in [1, {MAX_SAMPLE_BOXES:,}], got {n}")
@@ -288,12 +252,40 @@ def sample_boxes(
         highs = tuple(low + p for low, p in zip(lows, probabilities))
     else:
         lows, highs = (0.0,) * len(probabilities), probabilities
+    p1, p2, p3, p4, p5, p6, p7 = probabilities
+    l1, l2, l3, l4, l5, l6, l7 = lows
+    h1, h2, h3, h4, h5, h6, h7 = highs
     draw = random.Random(seed).random
     mix = abs(dependence)
-    return [
-        _draw_condition(draw, probabilities, lows, highs, mix, extensive_share)
-        for _ in range(n)
-    ]
+    boxes: list[PrintCondition] = []
+    for _ in range(n):
+        if mix and draw() < mix:
+            u = draw()
+            mould_hit = l1 <= u < h1
+            blocking = l2 <= u < h2
+            cleaning = l3 <= u < h3
+            tape = l4 <= u < h4
+            curling = l5 <= u < h5
+            damaged = l6 <= u < h6 or l7 <= u < h7
+        else:
+            mould_hit = draw() < p1
+            blocking = draw() < p2
+            cleaning = draw() < p3
+            tape = draw() < p4
+            curling = draw() < p5
+            # both draws are taken, whatever the first one gives
+            damaged = (draw() < p6) | (draw() < p7)
+        # indices into the members of MouldState and RipDamage, in order
+        mould = 0
+        if mould_hit:
+            mould = 2 if draw() < ACTIVE_MOULD_SHARE else 1
+        rips = 0
+        if damaged:
+            rips = 2 if draw() < extensive_share else 1
+        boxes.append(_CONDITIONS[
+            ((((mould * 2 + blocking) * 2 + cleaning) * 2 + tape) * 2 + curling) * 3 + rips
+        ])
+    return boxes
 
 
 @dataclass(frozen=True)
@@ -322,7 +314,11 @@ def aggregate_rates(conditions: Sequence[PrintCondition]) -> ObservedRates:
     # a sample holds a few distinct instances many times over: count each
     # instance's boxes (in C, by identity) and read each instance once
     counts = collections.Counter(map(id, conditions))
-    instances = dict(zip(map(id, conditions), conditions))
+    instances = _INSTANCES
+    if not counts.keys() <= instances.keys():
+        # a condition built outside the table: no live object shares a
+        # canonical one's id, so read every box's instance
+        instances = dict(zip(map(id, conditions), conditions))
     mould = blocking = cleaning = tape = curling = rips = any_hit = 0
     for key, k in counts.items():
         c = instances[key]

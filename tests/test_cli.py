@@ -11,6 +11,7 @@ import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -818,7 +819,9 @@ def test_ramp_out_of_float_range_exits_1(capsys, tmp_path, ramp):
 def test_sizes_beyond_their_cap_rejected(capsys, tmp_path, monkeypatch, argv, exit_code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scanners.json").write_text('{"scanners_per_robot": 1001}')
-    monkeypatch.setattr(preservation, "_draw_condition", mock.Mock(side_effect=AssertionError))
+    # a sample that seeded its stream had begun drawing boxes
+    stream = mock.Mock(side_effect=AssertionError)
+    monkeypatch.setattr(preservation, "random", SimpleNamespace(Random=stream))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (exit_code, "")
     assert "Traceback" not in err

@@ -1,8 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
+import random
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scancell import preservation
 from scancell.errors import DomainError
@@ -35,6 +41,79 @@ FLOWCHART_ORDER = [
 ]
 
 SAMPLES_SHA256 = "cf7115669653d4a230bd980b359587d5c4f6076a992617389818c79a520b94cb"
+CANONICAL = all_conditions()
+
+
+def draw_condition(
+    draw, probabilities, lows, highs, mix: float, extensive_share: float
+) -> PrintCondition:
+    """Reference sampler, one box from the uniform stream `draw`: with
+    probability `mix` one shared draw u sets issue i when lows[i] <= u <
+    highs[i], otherwise each issue i has its own draw below probabilities[i]."""
+    if mix and draw() < mix:
+        u = draw()
+        l1, l2, l3, l4, l5, l6, l7 = lows
+        h1, h2, h3, h4, h5, h6, h7 = highs
+        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
+            l1 <= u < h1,
+            l2 <= u < h2,
+            l3 <= u < h3,
+            l4 <= u < h4,
+            l5 <= u < h5,
+            l6 <= u < h6,
+            l7 <= u < h7,
+        )
+    else:
+        p1, p2, p3, p4, p5, p6, p7 = probabilities
+        mould_hit, blocking, cleaning, tape, curling, ripped, peeling = (
+            draw() < p1,
+            draw() < p2,
+            draw() < p3,
+            draw() < p4,
+            draw() < p5,
+            draw() < p6,
+            draw() < p7,
+        )
+
+    # indices into the members of MouldState and RipDamage, in order
+    mould = 0
+    if mould_hit:
+        mould = 2 if draw() < preservation.ACTIVE_MOULD_SHARE else 1
+    rips = 0
+    if ripped or peeling:
+        rips = 2 if draw() < extensive_share else 1
+    return CANONICAL[
+        ((((mould * 2 + blocking) * 2 + cleaning) * 2 + tape) * 2 + curling) * 3 + rips
+    ]
+
+
+def reference_sample(n, seed, rates, dependence, extensive_share) -> list[PrintCondition]:
+    probabilities = rates.issue_probabilities()
+    if dependence < 0.0:
+        lows = tuple(itertools.accumulate(probabilities[:-1], initial=0.0))
+        highs = tuple(low + p for low, p in zip(lows, probabilities))
+    else:
+        lows, highs = (0.0,) * len(probabilities), probabilities
+    draw = random.Random(seed).random
+    return [
+        draw_condition(draw, probabilities, lows, highs, abs(dependence), extensive_share)
+        for _ in range(n)
+    ]
+
+
+@st.composite
+def sampler_inputs(draw):
+    # rates of at most 1/7 each admit the disjoint mixture
+    ceiling = draw(st.sampled_from([1.0, 1.0 / 7.0]))
+    rates = IssueRates(*(draw(st.floats(0.0, ceiling)) for _ in range(7)))
+    floor = -1.0 if sum(rates.issue_probabilities()) <= 1.0 else 0.0
+    return (
+        draw(st.integers(1, 500)),
+        draw(st.integers(0, 2**64)),
+        rates,
+        draw(st.floats(floor, 1.0)),
+        draw(st.floats(0.0, 1.0)),
+    )
 
 
 class TestPlanner:
@@ -210,12 +289,20 @@ class TestSampler:
         assert peak < 1.5e6
 
     def test_sample_size_capped_before_drawing(self, monkeypatch):
-        def draw(*args):
-            raise AssertionError("a box was drawn")
-
-        monkeypatch.setattr(preservation, "_draw_condition", draw)
+        stream = mock.Mock(side_effect=AssertionError("a stream was seeded"))
+        monkeypatch.setattr(preservation, "random", SimpleNamespace(Random=stream))
         with pytest.raises(DomainError, match="1,000,000"):
             sample_boxes(preservation.MAX_SAMPLE_BOXES + 1, 0, IssueRates())
+
+    @settings(max_examples=200, deadline=None)
+    @given(sampler_inputs())
+    def test_matches_the_per_box_reference(self, inputs):
+        n, seed, rates, dependence, extensive_share = inputs
+        boxes = sample_boxes(
+            n, seed, rates, dependence=dependence, extensive_share=extensive_share
+        )
+        expected = reference_sample(n, seed, rates, dependence, extensive_share)
+        assert all(box is reference for box, reference in zip(boxes, expected, strict=True))
 
 
 class TestAggregation:
@@ -273,6 +360,13 @@ class TestAggregation:
             counts[5] += c.rips_or_peeling is not RipDamage.NONE
             counts[6] += c.any_issue
         assert aggregate_rates(conditions) == ObservedRates(n, *(k / n for k in counts))
+
+    def test_canonical_and_freshly_built_instances_mixed(self):
+        # a fresh instance sends the count through the per-box instance table
+        equal = CANONICAL[::5]
+        fresh = [PrintCondition(*dataclasses.astuple(c)) for c in equal]
+        assert not any(f is c for f, c in zip(fresh, equal))
+        assert aggregate_rates(CANONICAL + fresh) == aggregate_rates(CANONICAL + equal)
 
     def test_independence_understates_observed_any_intervention(self):
         rates = IssueRates()
