@@ -17,20 +17,33 @@ it full-matches one alternation of the three patterns and reads the family
 from the alternative that matched. Canonical formatting zero-pads film and
 mission numbers to four digits; parsing accepts them with or without
 padding.
+
+A record holds the one shared string of its country code: `_COUNTRY_CODES`
+builds each of the 676 codes the grammar allows once, so 1.7 M ids over
+the archive's 65 countries keep 65 code strings, not a 51-byte copy each.
+Only identity is shared; values, hashes and texts are unchanged. Units,
+services and companies are open vocabularies and stay the caller's
+strings: sharing them would take a cache that grows with its input.
 """
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import ParseError
 
 # Segment tokens. Family patterns are built from them; records check their
-# text fields with the compiled ones and their numbers by value.
+# text fields with the compiled ones, their country code against
+# `_COUNTRY_CODES` and their numbers by type and value.
 _DIGITS = "[0-9]+"
 _YEAR = "[0-9]{2}"
-_COUNTRY_CODE = re.compile("[A-Z]{2}")
+_COUNTRY = "[A-Z]{2}"
+# every code `_COUNTRY` allows, each its own key and value
+_COUNTRY_CODES = {
+    code: code for code in (a + b for a in string.ascii_uppercase for b in string.ascii_uppercase)
+}
 _UNIT_TOKEN = re.compile("[A-Z0-9]+")
 # Three letters minimum keeps military strings apart from contract imagery,
 # whose middle segment is exactly two letters.
@@ -43,7 +56,22 @@ def _validate_token(rule: str, token: re.Pattern, value: str) -> None:
         raise ParseError(f"{rule}, got {value!r}")
 
 
+def _shared_country_code(value: str) -> str:
+    """The table's own string for the code `value`, which records store."""
+    code = _COUNTRY_CODES.get(value)
+    if code is None:
+        raise ParseError(f"country code must be two uppercase letters, got {value!r}")
+    return code
+
+
+def _validate_int(name: str, value: int) -> None:
+    # a bool, float or string would not format to this record's canonical text
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_positive(name: str, value: int) -> None:
+    _validate_int(name, value)
     if value < 1:
         raise ParseError(f"{name} must be a positive integer, got {value}")
 
@@ -80,7 +108,7 @@ class DosContract(_SortieRecord):
 
     variant = "dos_contract"
     expects = "contract digits/two-letter country/film digits"
-    pattern = re.compile(f"({_DIGITS})/({_COUNTRY_CODE.pattern})/({_DIGITS})")
+    pattern = re.compile(f"({_DIGITS})/({_COUNTRY})/({_DIGITS})")
 
     @classmethod
     def from_groups(cls, contract: str, country: str, film: str) -> DosContract:
@@ -90,15 +118,13 @@ class DosContract(_SortieRecord):
         record = object.__new__(cls)
         set_contract, set_country, set_film = _DOS_CONTRACT_SLOTS
         set_contract(record, contract_number)
-        set_country(record, country)
+        set_country(record, _COUNTRY_CODES[country])
         set_film(record, film_number)
         return record
 
     def __post_init__(self) -> None:
         _validate_positive("contract number", self.contract_number)
-        _validate_token(
-            "country code must be two uppercase letters", _COUNTRY_CODE, self.country_code
-        )
+        object.__setattr__(self, "country_code", _shared_country_code(self.country_code))
         _validate_positive("film number", self.film_number)
 
     def canonical(self) -> str:
@@ -153,7 +179,7 @@ class CommercialSurvey(_SortieRecord):
     derived = ("full_year",)
     expects = "company letters/two-letter country/two-digit year/film digits"
     pattern = re.compile(
-        f"({_COMPANY_TOKEN.pattern})/({_COUNTRY_CODE.pattern})/({_YEAR})/({_DIGITS})"
+        f"({_COMPANY_TOKEN.pattern})/({_COUNTRY})/({_YEAR})/({_DIGITS})"
     )
 
     @classmethod
@@ -164,16 +190,15 @@ class CommercialSurvey(_SortieRecord):
         record = object.__new__(cls)
         set_company, set_country, set_year, set_film = _COMMERCIAL_SURVEY_SLOTS
         set_company(record, company)
-        set_country(record, country)
+        set_country(record, _COUNTRY_CODES[country])
         set_year(record, year_two_digit)
         set_film(record, film_number)
         return record
 
     def __post_init__(self) -> None:
         _validate_token("company must be an uppercase token", _COMPANY_TOKEN, self.company)
-        _validate_token(
-            "country code must be two uppercase letters", _COUNTRY_CODE, self.country_code
-        )
+        object.__setattr__(self, "country_code", _shared_country_code(self.country_code))
+        _validate_int("two-digit year", self.year_two_digit)
         if not 0 <= self.year_two_digit <= 99:
             raise ParseError(f"two-digit year must be 0-99, got {self.year_two_digit}")
         _validate_positive("film number", self.film_number)
