@@ -26,6 +26,12 @@ row and column that can bound the box is thus counted in full, the
 interior of a centred print is never counted, and no temporary is
 larger than one tile of `STRIP_PX` pixels, the strip size that also
 bounds a noisy render.
+
+The 256-bin counts, the checking pass and the scale band's per-column
+medians, taken in column blocks of at most `STRIP_PX` pixels, run on the
+usable CPUs through `raster.in_parts`: each worker holds its own
+temporaries, one tile or block at a time, and its integer counts or
+column medians, so the results do not depend on how many there are.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ import numpy as np
 
 from ..codec import JsonRecord
 from ..errors import AnalysisError, DomainError
-from .raster import STRIP_PX, GrayRaster
+from .raster import STRIP_PX, GrayRaster, in_parts
 from .target import (
     MEASURE_SCALE_INCHES,
     MM_PER_INCH,
@@ -79,20 +85,24 @@ def _histogram(pixels: np.ndarray) -> np.ndarray:
     # elements as over the pixels; each pair then counts for both its bytes.
     # A tile of fewer pixels than pair bins counts its bytes instead, so each
     # count's size follows the tile's shape alone, never the pixel values
-    pairs = np.zeros(1 << 16, dtype=np.intp)
-    hist = np.zeros(256, dtype=np.intp)
-    for _, _, tile in _tiles(pixels):
-        flat = np.ascontiguousarray(tile).reshape(-1)
-        if 1 < flat.size < 1 << 16:
-            hist += np.bincount(flat, minlength=256)
-            continue
-        even = flat.size & ~1
-        if even:  # a one-pixel tile has no pair
-            pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
-        if even < flat.size:
-            hist[flat[-1]] += 1
-    folded = pairs.reshape(256, 256)
-    return hist + folded.sum(axis=0) + folded.sum(axis=1)
+
+    def count(tiles: list[np.ndarray]) -> np.ndarray:
+        pairs = np.zeros(1 << 16, dtype=np.intp)
+        hist = np.zeros(256, dtype=np.intp)
+        for tile in tiles:
+            flat = np.ascontiguousarray(tile).reshape(-1)
+            if 1 < flat.size < 1 << 16:
+                hist += np.bincount(flat, minlength=256)
+                continue
+            even = flat.size & ~1
+            if even:  # a one-pixel tile has no pair
+                pairs += np.bincount(flat[:even].view(np.uint16), minlength=1 << 16)
+            if even < flat.size:
+                hist[flat[-1]] += 1
+        folded = pairs.reshape(256, 256)
+        return hist + folded.sum(axis=0) + folded.sum(axis=1)
+
+    return sum(in_parts(count, [tile for _, _, tile in _tiles(pixels)]))
 
 
 def _order_stat(cumulative: np.ndarray, k: int) -> int:
@@ -115,18 +125,23 @@ def _count_at_most(pixels: np.ndarray, levels) -> dict[int, int]:
     tile's range decides a level outside it: the whole tile is at or below
     a level from its maximum up, and none of it below its minimum (read
     only once a level lies below the maximum)."""
-    at_most = dict.fromkeys(levels, 0)
-    for _, _, tile in _tiles(pixels):
-        high, low = int(tile.max()), None
-        for level in at_most:
-            if level >= high:
-                at_most[level] += tile.size
-                continue
-            if low is None:
-                low = int(tile.min())
-            if level >= low:
-                at_most[level] += np.count_nonzero(tile <= level)
-    return at_most
+
+    def count(tiles: list[np.ndarray]) -> dict[int, int]:
+        at_most = dict.fromkeys(levels, 0)
+        for tile in tiles:
+            high, low = int(tile.max()), None
+            for level in at_most:
+                if level >= high:
+                    at_most[level] += tile.size
+                    continue
+                if low is None:
+                    low = int(tile.min())
+                if level >= low:
+                    at_most[level] += np.count_nonzero(tile <= level)
+        return at_most
+
+    parts = in_parts(count, [tile for _, _, tile in _tiles(pixels)])
+    return {level: sum(part[level] for part in parts) for level in parts[0]}
 
 
 def _order_stats(pixels: np.ndarray, ranks: list[int]) -> list[int]:
@@ -193,9 +208,14 @@ def measure_scale_px(raster: GrayRaster) -> ScaleMeasurement:
     """
     r0, r1 = band_rows(SCALE_BAND_MM, raster.ppi)
     r1 = min(raster.height, r1)
-    if r1 <= r0:
+    if r1 <= r0 or raster.width == 0:
         raise AnalysisError("scale row band lies outside the raster")
-    profile = np.median(raster.pixels[r0:r1, :], axis=0)
+    band = raster.pixels[r0:r1, :]
+    cols = max(1, STRIP_PX // band.shape[0])
+    blocks = [band[:, c : c + cols] for c in range(0, band.shape[1], cols)]
+    # each column's median is its own, so the blocks' put together are the band's
+    medians = in_parts(lambda part: [np.median(block, axis=0) for block in part], blocks)
+    profile = np.concatenate([median for part in medians for median in part])
     # ticks are sparse against the band, so threshold on the profile
     # extrema rather than percentiles
     lo, hi = float(profile.min()), float(profile.max())

@@ -4,14 +4,28 @@ The portable graymap (P5) container is used for all raster I/O; the
 samples-per-inch figure rides in a header comment (`# ppi 1200`) so files
 round-trip bit-exactly with their physical scale. The float image a
 render builds before it quantizes to a raster lives in `target`.
+
+The strip passes of `analyze`, `target` and raster equality run on the
+CPUs this process may use: `in_parts` splits a pass's strips, tiles or column
+blocks into at most `WORKERS` contiguous parts and runs them at once, on
+the caller and on a thread pool made on first use. numpy releases the
+interpreter lock inside each strip's work. Each part holds its own
+temporaries of at most one strip of `STRIP_PX` pixels, so a pass's are
+bounded per worker, and its results are combined in strip order, by
+integer sums, per-column results or a draw stream that no split moves,
+so every output is the same bit for bit on any number of CPUs. With one
+usable CPU, nothing goes to a pool. Equality compares a strip of rows at
+a time and never builds a full-size boolean array.
 """
 from __future__ import annotations
 
 import io
 import math
+import os
 import re
+from functools import cache
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +33,34 @@ from ..errors import AnalysisError, DomainError
 
 _PPI_COMMENT = re.compile(rb"^#\s*ppi\s+(\S.*?)\s*$")
 STRIP_PX = 1 << 18  # pixels per strip of an analysis or noisy-render pass, bounding its temporaries
+# the CPUs this process may run on, the most parts a strip pass is split into
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _pool(pid: int):
+    """The thread pool of process `pid`: a forked child makes its own, as
+    the parent's threads do not run in it."""
+    # imported with the first pool, so importing the package starts nothing
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="scancell-strips")
+
+
+def in_parts(work: Callable[[Sequence], object], items: Sequence) -> list:
+    """`work` of each of at most `WORKERS` contiguous parts of `items`, in
+    order: the first part on the caller, the others at once on a thread
+    pool. Every part is done when it returns, also when `work` raises, so
+    the parts may write to what the caller holds, each to its own share."""
+    count = max(1, min(WORKERS, len(items)))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    parts = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    futures = [_pool(os.getpid()).submit(work, part) for part in parts[1:]]
+    try:
+        first = work(parts[0])
+    finally:
+        rest = [future.result() for future in futures]
+    return [first, *rest]
 
 
 def check_ppi(ppi: float) -> None:
@@ -57,7 +99,16 @@ class GrayRaster:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GrayRaster):
             return NotImplemented
-        return self.ppi == other.ppi and np.array_equal(self.pixels, other.pixels)
+        if self.ppi != other.ppi or self.pixels.shape != other.pixels.shape:
+            return False
+        rows = max(1, STRIP_PX // max(1, self.width))
+
+        def same(starts: range) -> bool:
+            return all(
+                np.array_equal(self.pixels[r : r + rows], other.pixels[r : r + rows]) for r in starts
+            )
+
+        return all(in_parts(same, range(0, self.height, rows)))
 
     def __repr__(self) -> str:
         return f"GrayRaster({self.width}x{self.height} @ {self.ppi:g} ppi)"

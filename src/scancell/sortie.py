@@ -52,13 +52,13 @@ _COMPANY_TOKEN = re.compile("[A-Z]+")
 
 
 def _validate_token(rule: str, token: re.Pattern, value: str) -> None:
-    if not token.fullmatch(value):
+    if not (isinstance(value, str) and token.fullmatch(value)):
         raise ParseError(f"{rule}, got {value!r}")
 
 
 def _shared_country_code(value: str) -> str:
     """The table's own string for the code `value`, which records store."""
-    code = _COUNTRY_CODES.get(value)
+    code = _COUNTRY_CODES.get(value) if isinstance(value, str) else None
     if code is None:
         raise ParseError(f"country code must be two uppercase letters, got {value!r}")
     return code

@@ -449,7 +449,7 @@ class TestQcCommands:
         "action, message",
         [("analyze", "scale row band lies outside the raster"), ("crop", "no light print region found")],
     )
-    @pytest.mark.parametrize("size", ["0 0", "3 0"])
+    @pytest.mark.parametrize("size", ["0 0", "3 0", "0 300"])
     def test_empty_raster_exits_1(self, capsys, tmp_path, action, message, size):
         scan = tmp_path / "scan.pgm"
         scan.write_bytes(f"P5\n# ppi 300\n{size}\n255\n".encode())

@@ -1,5 +1,9 @@
 import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 
 from scancell.errors import AnalysisError, DomainError
 from scancell.qc import GrayRaster, crop_to_border, render_print_scan
+from scancell.qc import raster as qc_raster
+from scancell.qc.raster import in_parts
 from scancell.qc.target import add_noise, blur_rows, quantize
 
 
@@ -166,6 +172,103 @@ class TestGrayRaster:
 
     def test_pitch(self):
         assert GrayRaster(checkerboard(), 1200).pitch_um == pytest.approx(21.1667, abs=1e-3)
+
+
+class TestEquality:
+    # strips of 40 px: 23 rows of 8 px compare as 5 strips, the last of 3 rows
+    @pytest.fixture(autouse=True, params=[1, 2, 5], ids=["1-worker", "2-workers", "5-workers"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(qc_raster, "WORKERS", request.param)
+        monkeypatch.setattr(qc_raster, "STRIP_PX", 40)
+
+    PIXELS = np.random.default_rng(12).integers(0, 256, size=(23, 8), dtype=np.uint8)
+
+    def test_equal_rasters(self):
+        assert GrayRaster(self.PIXELS, 600) == GrayRaster(self.PIXELS.copy(), 600)
+        assert GrayRaster(self.PIXELS, 600) != GrayRaster(self.PIXELS, 1200)
+
+    @pytest.mark.parametrize("row", [0, 11, 20, 22])
+    def test_one_pixel_differing(self, row):
+        changed = self.PIXELS.copy()
+        changed[row, -1] ^= 1
+        assert GrayRaster(changed, 600) != GrayRaster(self.PIXELS, 600)
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 23), (23, 7), (22, 8), (0, 8), (23, 0)], ids=lambda shape: "x".join(map(str, shape))
+    )
+    def test_other_shape_is_unequal(self, shape):
+        other = GrayRaster(np.zeros(shape, dtype=np.uint8), 600)
+        assert (other == GrayRaster(self.PIXELS, 600)) is False
+        assert (GrayRaster(self.PIXELS, 600) == other) is False
+        assert other == GrayRaster(np.zeros(shape, dtype=np.uint8), 600)
+
+    @pytest.mark.parametrize(
+        "view",
+        [np.s_[2:25, 3:11], np.s_[:46:2, 1:9], np.s_[-1:-24:-1, 11:3:-1]],
+        ids=["crop", "strided", "reversed"],
+    )
+    def test_non_contiguous_views(self, view):
+        scan = np.random.default_rng(5).integers(0, 256, size=(50, 20), dtype=np.uint8)
+        crop = scan[view]
+        assert crop.shape == (23, 8) and not crop.flags.c_contiguous
+        assert GrayRaster(crop, 600) == GrayRaster(crop.copy(), 600)
+        changed = crop.copy()
+        changed[-1, 0] ^= 1
+        assert GrayRaster(crop, 600) != GrayRaster(changed, 600)
+
+
+class TestInParts:
+    @pytest.mark.parametrize(
+        "workers, items, parts",
+        [
+            (1, range(5), [[0, 1, 2, 3, 4]]),
+            (3, range(10), [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]),
+            (4, range(2), [[0], [1]]),
+            (3, range(0), [[]]),
+        ],
+    )
+    def test_contiguous_parts_in_order_first_on_the_caller(self, monkeypatch, workers, items, parts):
+        monkeypatch.setattr(qc_raster, "WORKERS", workers)
+        done = in_parts(lambda part: (list(part), threading.get_ident()), items)
+        assert [part for part, _ in done] == parts
+        callers = [thread == threading.get_ident() for _, thread in done]
+        assert callers == [True] + [False] * (len(parts) - 1)
+
+    def test_an_error_is_raised_once_every_part_is_done(self, monkeypatch):
+        monkeypatch.setattr(qc_raster, "WORKERS", 3)
+        finished = []
+
+        def work(part):
+            if part[0] == 0:
+                raise ValueError("first part")
+            time.sleep(0.05)
+            finished.append(part[0])
+
+        with pytest.raises(ValueError, match="first part"):
+            in_parts(work, range(3))
+        assert sorted(finished) == [1, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not run in a child; were they used, it would hang
+        monkeypatch.setattr(qc_raster, "WORKERS", 2)
+        assert in_parts(len, range(4)) == [2, 2]
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if in_parts(len, range(4)) == [2, 2] else 1)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_import_makes_no_pool(self):
+        src = os.path.dirname(os.path.dirname(os.path.dirname(qc_raster.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        check = "import sys, scancell.qc; sys.exit('concurrent.futures' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
 
 
 def blur_image(image, sigma):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +29,7 @@ from scancell.qc import (
     wedge_tones,
 )
 from scancell.qc import analyze, target
+from scancell.qc import raster as qc_raster
 from scancell.qc.analyze import (
     _dark_runs,
     _histogram,
@@ -312,6 +314,60 @@ class TestGoldenAnalyses:
         cropped = crop_to_border(scan)
         assert (cropped.width, cropped.height) == crop_size
         assert _sha256(cropped.to_pgm_bytes()) == crop_sha256
+
+
+class TestWorkers:
+    """Strip passes on one worker and on several give the same bytes."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["600_noise", "coarse_negative_scale_error"])
+    def test_noisy_render_and_analysis_pinned(self, monkeypatch, workers, name):
+        # strips of 4,096 px cut each pass into hundreds of strips, tiles or
+        # column blocks; one worker makes no pool
+        monkeypatch.setattr(target, "STRIP_PX", 4096)
+        monkeypatch.setattr(analyze, "STRIP_PX", 4096)
+        monkeypatch.setattr(qc_raster, "WORKERS", workers)
+        pools, pool = [], qc_raster._pool
+        monkeypatch.setattr(qc_raster, "_pool", lambda pid: pools.append(pid) or pool(pid))
+        geom, ppi, distortions, seed, pgm_sha256 = GOLDEN_RENDERS[name]
+        rendered = render_target(geom, ppi, distortions, seed)
+        assert _sha256(rendered.to_pgm_bytes()) == pgm_sha256
+        report = analyze_target(rendered, geom).to_json_dict()
+        assert _sha256(json.dumps(report, sort_keys=True).encode()) == GOLDEN_ANALYSES[name]
+        assert bool(pools) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("strip_px", [1, 13])
+    def test_counts_at_every_level(self, monkeypatch, workers, strip_px):
+        monkeypatch.setattr(analyze, "STRIP_PX", strip_px)
+        monkeypatch.setattr(qc_raster, "WORKERS", workers)
+        for pixels in check_pass_rasters():
+            counts = analyze._count_at_most(pixels, range(256))
+            assert counts == {level: np.count_nonzero(pixels <= level) for level in range(256)}
+            assert np.array_equal(_histogram(pixels), np.bincount(pixels.reshape(-1), minlength=256))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_scale_band_in_column_blocks(self, monkeypatch, workers):
+        noisy = render_target(GEOM, 600, Distortions(noise_sigma=2.0), seed=4)
+        whole = measure_scale_px(noisy)
+        monkeypatch.setattr(analyze, "STRIP_PX", 1000)  # blocks of 14 columns
+        monkeypatch.setattr(qc_raster, "WORKERS", workers)
+        assert measure_scale_px(noisy) == whole
+
+    def test_noise_drawn_in_order_under_frequent_switches(self, monkeypatch):
+        # more workers than CPUs, and threads switched every microsecond
+        monkeypatch.setattr(target, "STRIP_PX", 600)
+        monkeypatch.setattr(qc_raster, "WORKERS", 8)
+        rows = np.random.default_rng(8).uniform(-10.0, 265.0, size=(4, 300))
+        row_of = np.repeat([0, 1, 2, 3, 1], [90, 3, 150, 1, 156])
+        expected = quantize(add_noise(rows[row_of], 2.0, 5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(target._quantize_rows(rows, row_of, 2.0, 5), expected)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def dark_runs_by_loop(profile, threshold):
@@ -736,7 +792,7 @@ class TestMeasureScale:
         with pytest.raises(AnalysisError, match="no contrast"):
             measure_scale_px(raster)
         r0, r1 = layout.scale_band_rows
-        assert [band.tolist() for band in read] == [raster.pixels[r0:r1].tolist()]
+        assert [np.concatenate(read, axis=1).tolist()] == [raster.pixels[r0:r1].tolist()]
 
 
 class TestWedge:

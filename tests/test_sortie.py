@@ -221,6 +221,30 @@ class TestRecordChecks:
         with pytest.raises(ParseError, match=match):
             cls(*args)
 
+    @pytest.mark.parametrize(
+        "cls, args, message",
+        [
+            (MilitaryUnit, (58, "RAF", 456), "unit must be an uppercase alphanumeric token, got 58"),
+            (
+                MilitaryUnit,
+                ("58", b"RAF", 456),
+                "service must be three or more uppercase letters, got b'RAF'",
+            ),
+            (CommercialSurvey, (7, "GH", 64, 34), "company must be an uppercase token, got 7"),
+            (
+                CommercialSurvey,
+                ("HSL", None, 64, 34),
+                "country code must be two uppercase letters, got None",
+            ),
+            (DosContract, (4, ["B"], 1), "country code must be two uppercase letters, got ['B']"),
+        ],
+        ids=["unit", "service", "company", "survey-country", "contract-country"],
+    )
+    def test_text_field_that_is_not_a_str_rejected(self, cls, args, message):
+        with pytest.raises(ParseError) as excinfo:
+            cls(*args)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("year", [-1, 100])
     def test_year_beyond_two_digits_rejected(self, year):
         with pytest.raises(ParseError, match=f"two-digit year must be 0-99, got {year}"):
