@@ -5,17 +5,18 @@ samples-per-inch figure rides in a header comment (`# ppi 1200`) so files
 round-trip bit-exactly with their physical scale. The float image a
 render builds before it quantizes to a raster lives in `target`.
 
-The strip passes of `analyze`, `target` and raster equality run on the
-CPUs this process may use: `in_parts` splits a pass's strips, tiles or column
+The strip passes of `analyze` and raster equality run on the CPUs this
+process may use: `in_parts` splits a pass's strips, tiles or column
 blocks into at most `WORKERS` contiguous parts and runs them at once, on
 the caller and on a thread pool made on first use. numpy releases the
 interpreter lock inside each strip's work. Each part holds its own
 temporaries of at most one strip of `STRIP_PX` pixels, so a pass's are
 bounded per worker, and its results are combined in strip order, by
-integer sums, per-column results or a draw stream that no split moves,
-so every output is the same bit for bit on any number of CPUs. With one
-usable CPU, nothing goes to a pool. Equality compares a strip of rows at
-a time and never builds a full-size boolean array.
+integer sums or per-column results, so every output is the same bit for
+bit on any number of CPUs. With one usable CPU, nothing goes to a pool.
+A render starts no thread: its noise comes from one generator's stream,
+drawn in order on the caller. Equality compares a strip of rows at a
+time and never builds a full-size boolean array.
 """
 from __future__ import annotations
 

@@ -27,28 +27,26 @@ three distinct rows (white, the scale band, the element band), so
 `render_target` draws those rows only, `blur_rows` costs and allocates in
 proportion to the distinct rows, not the pixels, and the rows expand to
 the full image only as 8-bit pixels. Noise is drawn, added, rounded and
-clipped in two float buffers of a strip of `STRIP_PX` pixels, the
-analyzer's strip size, reused by every strip: on the usable CPUs, the
-pool draws one strip's noise into one buffer while the caller adds,
-rounds, clips and casts the strip before it in the other. One generator
-draws the strips in order, so the pixels do not depend on how many CPUs
-there are. A render therefore needs about one byte per pixel, at most
-2 B/px plus 16 MB, and the `MAX_RASTER_PIXELS` guard of 300 Mpx bounds
-it to about 300 MB. The vertical pass of the injected blur costs
-windows x taps x width multiply-adds, and nearly every row is its own
-window once the blur is wide, so a blur whose pass could take more than
-`MAX_BLUR_WORK` is refused before it runs.
+clipped in one float buffer of a strip of `STRIP_PX` pixels, the
+analyzer's strip size, reused by every strip, on the caller's thread
+alone: nearly all of a noisy render is the generator's normal draws,
+which come from one stream in order and which no second CPU can share.
+A render therefore needs about one byte per pixel, at most 2 B/px plus
+16 MB, and the `MAX_RASTER_PIXELS` guard of 300 Mpx bounds it to about
+300 MB. The vertical pass of the injected blur costs windows x taps x
+width multiply-adds, and nearly every row is its own window once the
+blur is wide, so a blur whose pass could take more than `MAX_BLUR_WORK`
+is refused before it runs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ..errors import DomainError
-from .raster import STRIP_PX, GrayRaster, check_ppi, in_parts
+from .raster import STRIP_PX, GrayRaster, check_ppi
 
 SENSOR_SIGMA_PX = 0.65
 BAR_JITTER_PX = 0.30
@@ -207,8 +205,10 @@ class TargetLayout:
         wedge_x0_mm = x_mm + WEDGE_GAP_MM - GROUP_SPACING_MM
         if wedge_x0_mm >= WEDGE_X1_MM:
             raise DomainError("resolution groups leave no room for the step wedge")
+        # plain floats, so that a scale error past the float range stretches
+        # them to infinity without numpy's overflow warning
         edges = tuple(
-            np.linspace(wedge_x0_mm * px, WEDGE_X1_MM * px, WEDGE_SEGMENTS + 1)
+            np.linspace(wedge_x0_mm * px, WEDGE_X1_MM * px, WEDGE_SEGMENTS + 1).tolist()
         )
         mid_y = round((ELEMENT_BAND_MM[0] + ELEMENT_BAND_MM[1]) / 2.0 * px)
         first = (round((edges[0] + edges[1]) / 2.0), mid_y)
@@ -227,9 +227,11 @@ class TargetLayout:
 
 
 def _coverage(a: float, b: float, size: int) -> tuple[int, np.ndarray]:
-    """Per-cell overlap of the interval [a, b) with unit cells of an axis."""
-    lo = max(0, int(math.floor(a)))
-    hi = min(size, int(math.ceil(b)))
+    """Per-cell overlap of the interval [a, b) with unit cells of an axis.
+    The ends are clamped to the axis before they become cell indices, so an
+    end that a huge scale error stretched to infinity covers nothing."""
+    lo = math.floor(min(max(a, 0.0), size))
+    hi = math.ceil(min(max(b, 0.0), size))
     if hi <= lo:
         return lo, np.zeros(0)
     idx = np.arange(lo, hi, dtype=np.float64)
@@ -305,37 +307,22 @@ def render_target(
 def _quantize_rows(
     rows: np.ndarray, row_of: np.ndarray, noise_sigma: float, seed: int
 ) -> np.ndarray:
-    """The 8-bit image `rows[row_of]`, with noise added a span at a time
-    in two reused strip buffers: a span is a run of one distinct row within
-    a strip. While the caller adds span k's row to its noise, then rounds,
-    clips and casts it in place, as `quantize` does, the pool draws span
-    k + 1's noise into the other buffer. The one generator draws span after
-    span, as `add_noise` would over the whole image."""
+    """The 8-bit image `rows[row_of]`, with noise added strip by strip in
+    one reused strip buffer: each run of one distinct row within a strip
+    has its noise drawn there, its row added, and is then quantized in
+    place, as `quantize` does. The one generator draws run after run, as
+    `add_noise` would over the whole image."""
     if noise_sigma <= 0:
         return quantize(rows)[row_of]
     rng = np.random.default_rng(seed)
     height, width = row_of.size, rows.shape[1]
     out = np.empty((height, width), dtype=np.uint8)
     step = max(1, STRIP_PX // width)
-    buffers = [np.empty((min(step, height), width)) for _ in range(2)]
+    strip = np.empty((min(step, height), width))
     cuts = sorted({*range(0, height, step), *(np.flatnonzero(np.diff(row_of)) + 1).tolist()})
-    spans = list(zip(cuts, [*cuts[1:], height]))
-
-    def draw(k: int) -> None:
-        a, b = spans[k]
-        _draw_noise(noise_sigma, rng, buffers[k % 2][: b - a])
-
-    def finish(k: int) -> None:
-        a, b = spans[k]
-        noisy = buffers[k % 2][: b - a]
-        noisy += rows[row_of[a]]
+    for a, b in zip(cuts, [*cuts[1:], height]):
+        noisy = add_noise(rows[row_of[a]], noise_sigma, rng, out=strip[: b - a])
         out[a:b] = np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
-
-    draw(0)
-    for k in range(len(spans) - 1):
-        tasks = [partial(finish, k), partial(draw, k + 1)]
-        in_parts(lambda part: [task() for task in part], tasks)
-    finish(len(spans) - 1)
     return out
 
 
@@ -412,16 +399,11 @@ def add_noise(
     """
     if out is None:
         out = np.empty(image.shape)
-    _draw_noise(sigma, np.random.default_rng(seed), out)
-    out += image
-    return out
-
-
-def _draw_noise(sigma: float, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill `out` with `sigma` times standard normal draws of `rng`."""
-    rng.standard_normal(out=out)
+    np.random.default_rng(seed).standard_normal(out=out)
     with np.errstate(over="ignore"):  # a huge sigma saturates the pixels at 0 and 255
         out *= sigma
+    out += image
+    return out
 
 
 def quantize(image: np.ndarray) -> np.ndarray:

@@ -922,6 +922,7 @@ TRACE_DEFECTS = {
     "cause_points_forward": (
         "limited", "print_on_bed", set_column("causes", lambda position: position + 1)
     ),
+    "cause_is_itself": ("limited", "print_on_bed", set_column("causes", lambda position: position)),
     "cause_missing": ("limited", "print_on_bed", set_column("causes", lambda position: sim.NO_CAUSE)),
     "unknown_entity": ("limited", "print_on_bed", renamed("print_on_bed", entity="scanner7")),
     "visit_overlaps": ("limited", "depart@scanner0", renamed("arrive@scanner0")),
@@ -929,6 +930,7 @@ TRACE_DEFECTS = {
 }
 # name -> the violations its broken trace reports, in order
 DEFECT_REPORTS = {
+    "cause_is_itself": ["event 5 (print_on_bed) caused by event 5, not an earlier one"],
     "cause_missing": ["event 5 (print_on_bed) lacks a cause"],
     "cause_points_forward": ["event 5 (print_on_bed) caused by event 6, not an earlier one"],
     "depart_wrong_scanner": ["robot left scanner1 while visiting scanner0 (event 9)"],

@@ -756,6 +756,14 @@ def test_qc_render_beyond_the_raster_exits_1(capsys, tmp_path, monkeypatch, flag
     assert not (tmp_path / "x.pgm").exists()
 
 
+def test_qc_render_with_a_huge_scale_error_renders_as_a_finite_one(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for scale_error in ("1e300", "1e308"):
+        argv = ["qc", "render", "--ppi", "600", "--scale-error", scale_error, "--out", f"{scale_error}.pgm"]
+        assert run(capsys, *argv) == (0, "", "")
+    assert (tmp_path / "1e308.pgm").read_bytes() == (tmp_path / "1e300.pgm").read_bytes()
+
+
 def test_qc_crop_with_a_border_past_the_scan_keeps_all_of_it(capsys, tmp_path, monkeypatch):
     from scancell.qc import render_print_scan
 

@@ -5,6 +5,7 @@ import pytest
 
 from scancell.economics import (
     MAX_CURVE_POINTS,
+    ROBOTIC_WEEKLY_CAPACITY,
     CostItem,
     CostParams,
     as_money,
@@ -62,6 +63,10 @@ class TestBenchmarks:
     def test_itemized_robotic_total(self):
         assert itemized_robotic_benchmark().fixed_total == 511_800
 
+    def test_robotic_weekly_capacity(self):
+        # eight scanners round the clock at 27 scans an hour each
+        assert ROBOTIC_WEEKLY_CAPACITY == 36_288
+
     def test_itemized_manual_total(self):
         assert manual_benchmark().itemized_total == 10_000
 
@@ -99,6 +104,13 @@ class TestCostPerScan:
         with pytest.raises(DomainError):
             cost_per_scan(manual_benchmark(), 0)
 
+    def test_total_cost_of_no_scans_is_the_fixed_total(self):
+        params = robotic_benchmark()
+        assert total_cost(params, 0) == params.fixed_total == 512_150
+
+    def test_two_point_curve_is_its_ends(self):
+        assert geometric_counts(1, 10, 2) == [1, 10]
+
     def test_curve_points_capped(self):
         assert len(geometric_counts(1, 10**8, MAX_CURVE_POINTS)) <= MAX_CURVE_POINTS
         with pytest.raises(DomainError, match="100,000"):
@@ -129,11 +141,25 @@ class TestBreakEven:
         b = CostParams(per_scan_variable=as_money(1), fixed_total_override=as_money(0))
         assert break_even(a, b) == 100
 
+    def test_dearer_at_one_scan_cheaper_at_two(self):
+        a = CostParams(per_scan_variable=as_money(0), fixed_total_override=as_money(3))
+        b = CostParams(per_scan_variable=as_money(2), fixed_total_override=as_money(0))
+        assert break_even(a, b) == 2
+
     def test_dominated_variant_raises(self):
         a = CostParams(per_scan_variable=as_money(2), fixed_total_override=as_money(100))
         b = CostParams(per_scan_variable=as_money(1), fixed_total_override=as_money(0))
         with pytest.raises(DomainError, match="break-even"):
             break_even(a, b)
+
+    def test_equal_per_scan_costs_never_catch_up(self):
+        # the gap in fixed cost stays; refused before any division by the zero slope
+        a = CostParams(per_scan_variable=as_money(0), fixed_total_override=as_money(100))
+        b = CostParams(per_scan_variable=as_money(0), fixed_total_override=as_money(10))
+        with pytest.raises(DomainError, match="break-even"):
+            break_even(a, b)
+        with pytest.raises(DomainError, match="halving"):
+            cost_halving_point(a, b)
 
     def test_matches_bisection_oracle(self):
         a, b = robotic_benchmark(), manual_benchmark()
@@ -190,6 +216,12 @@ class TestWeeksToVolume:
         with pytest.raises(DomainError):
             weeks_to_volume(100, 0)
 
+    @pytest.mark.parametrize("capacity", [1, 0.5])
+    def test_capacity_of_at_most_one_accepted(self, capacity):
+        assert weeks_to_volume(3, capacity).whole_weeks == 3 / capacity
+        params = CostParams(as_money(1), fixed_total_override=as_money(1), weekly_capacity=capacity)
+        assert params.weekly_capacity == capacity
+
     # finite inputs: weeks that round up past the float range, and a count beyond it
     @pytest.mark.parametrize("n, capacity", [(1, 1e-320), (10**400, 1.0)], ids=["weeks", "scans"])
     def test_beyond_the_float_range_rejected(self, n, capacity):
@@ -203,6 +235,11 @@ def test_cost_curve_rows():
     assert rows[0][1] == pytest.approx(512_150.0075)
     assert rows[0][2] == pytest.approx(10_000.22)
     assert all(r1[1] > r2[1] for r1, r2 in zip(rows, rows[1:]))
+
+
+def test_free_empty_cost_item_accepted():
+    # "non-negative": a zero unit cost and a zero quantity are both allowed
+    assert CostItem("spare", as_money(0), 0).total == 0
 
 
 def test_cost_item_validation():

@@ -118,6 +118,13 @@ class TestGeometry:
             with pytest.raises(DomainError, match="kernel radius beyond the target's width"):
                 render_target(GEOM, 1, Distortions(blur_radius_px=blur_px))
 
+    def test_huge_scale_error_moves_every_element_past_the_raster(self):
+        # at 1e308 every stretched position is infinite; at 1e300 it is finite
+        finite = render_target(GEOM, 600, Distortions(scale_error_fraction=1e300))
+        infinite = render_target(GEOM, 600, Distortions(scale_error_fraction=1e308))
+        assert infinite == finite
+        assert np.all(infinite.pixels == 255)
+
     def test_blur_beyond_the_budget_rejected(self):
         # a 2,000 px blur at 600 ppi would take 2.1e10 multiply-adds, about 40 s
         with pytest.raises(DomainError, match="beyond the blur budget of 268,435,456"):
@@ -335,6 +342,19 @@ class TestWorkers:
         report = analyze_target(rendered, geom).to_json_dict()
         assert _sha256(json.dumps(report, sort_keys=True).encode()) == GOLDEN_ANALYSES[name]
         assert bool(pools) == (workers > 1)
+
+    def test_noisy_render_makes_no_pool(self, monkeypatch):
+        # the noise comes from one stream in order; the analysis still splits
+        monkeypatch.setattr(target, "STRIP_PX", 4096)
+        monkeypatch.setattr(qc_raster, "WORKERS", 3)
+        pools, pool = [], qc_raster._pool
+        monkeypatch.setattr(qc_raster, "_pool", lambda pid: pools.append(pid) or pool(pid))
+        geom, ppi, distortions, seed, pgm_sha256 = GOLDEN_RENDERS["600_noise"]
+        rendered = render_target(geom, ppi, distortions, seed)
+        assert _sha256(rendered.to_pgm_bytes()) == pgm_sha256
+        assert pools == []
+        analyze_target(rendered, geom)
+        assert pools
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("strip_px", [1, 13])
